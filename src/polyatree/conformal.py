@@ -11,11 +11,14 @@ alpha.
 By default scores use the exact predictive CDF, which is a closed-form
 product of count ratios, so a swapped-set score only needs count
 adjustments along two paths.  The scorer below batches all leave-one-out
-scores for one candidate: weight changes are table lookups along each
-removed point's path, and column masses are recomputed only on the
-subtree of boxes meeting that point's x column.  Setting `draws_per_seg`
-instead scores with a freshly seeded finite mixture of posterior draws,
-matching the sampling-based evaluation of the predictive.
+scores for one candidate.  Column masses are recomputed only on the
+subtree of boxes meeting the removed point's x column.  Weight changes
+follow from Bayes' rule, p(D + u | S) = p(D | S) p(u | D, S): a member's
+weight gains the candidate's predictive leaf mass on the training set
+and loses the removed point's leaf mass on its swapped set, which the
+column masses already hold.  Setting `draws_per_seg` instead scores with
+a freshly seeded finite mixture of posterior draws, matching the
+sampling-based evaluation of the predictive.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import predictive as pred
-from .hbeta import accumulate_counts
-from .posterior import IncrementalModel, LogGammaTables, PosteriorModel, fit
+from .hbeta import _check_a0
+from .posterior import IncrementalModel, PosteriorModel, _add_along_path, fit
 from .segmentation import SegmentationFamily, as_points, path_indices
 
 __all__ = [
@@ -59,8 +62,7 @@ class ConformalConfig:
     def __post_init__(self):
         if self.family.ndim != 2:
             raise ValueError("conformal scoring is defined for 2-D families")
-        if self.a0 <= 0:
-            raise ValueError(f"a0 must be positive, got {self.a0}")
+        _check_a0(self.a0)
         if self.draws_per_seg is not None and self.draws_per_seg < 1:
             raise ValueError("draws_per_seg must be >= 1 when given")
         if self.endpoint not in ("grid", "interpolated"):
@@ -90,42 +92,15 @@ class ConformalBand:
 class _MemberState:
     """Per-segmentation precomputation for batched leave-one-out scoring."""
 
-    def __init__(self, seg, train_pts, a0, tables):
+    def __init__(self, seg, levels, train_pts):
         self.seg = seg
         self.depth = seg.depth
-        self.levels = [lvl for lvl in _count_levels(train_pts, seg)]
-        self.log_w0 = log_unnormalized_weight_from_levels(self.levels, a0, tables)
-        m = train_pts.shape[0]
-        depth = seg.depth
-        self.sy = sum(1 for d in seg.dims if d == 2)
-        self.ny = 1 << self.sy
-        self.sx = depth - self.sy
-        if m:
-            self.paths = path_indices(train_pts, seg)  # (m, L)
-            parents = np.concatenate(
-                [np.zeros((m, 1), dtype=np.int64), self.paths[:, :-1]], axis=1
-            )
-            self.left_node = 2 * parents  # (m, L)
-            self.went_left = self.paths == self.left_node
-            self.node_counts = np.empty((m, depth + 1), dtype=np.int64)
-            self.node_counts[:, 0] = m
-            for l in range(1, depth + 1):
-                self.node_counts[:, l] = self.levels[l][self.paths[:, l - 1]]
-            self.left_counts = np.empty((m, depth), dtype=np.int64)
-            for l in range(1, depth + 1):
-                self.left_counts[:, l - 1] = self.levels[l][self.left_node[:, l - 1]]
-            # x column of each point at this member's own x resolution
-            bits = (self.paths - 2 * parents).astype(np.int64)
-            xcell = np.zeros(m, dtype=np.int64)
-            for l, dim in enumerate(seg.dims):
-                if dim == 1:
-                    xcell = 2 * xcell + bits[:, l]
-            self.groups = {
-                int(c): np.flatnonzero(xcell == c) for c in np.unique(xcell)
-            }
-        else:
-            self.paths = np.zeros((0, depth), dtype=np.int64)
-            self.groups = {}
+        self.levels = levels
+        self.sx = sum(1 for d in seg.dims if d == 1)
+        self.paths = path_indices(train_pts, seg)  # (m, L)
+        self.ycell = _cells(seg, self.paths, 2)
+        xcell = _cells(seg, self.paths, 1)
+        self.groups = {int(c): np.flatnonzero(xcell == c) for c in np.unique(xcell)}
         self._subtrees: dict[int, list[np.ndarray]] = {}
 
     def subtree(self, xcell: int) -> list[np.ndarray]:
@@ -150,104 +125,68 @@ class _MemberState:
         return nodes
 
 
-def _count_levels(points, seg):
-    return list(accumulate_counts(points, seg).levels)
+def _cells(seg, paths: np.ndarray, dim: int) -> np.ndarray:
+    """Cell index along `dim` at the member's own resolution, per path (n, L)."""
+    cell = np.zeros(paths.shape[0], dtype=np.int64)
+    for l, d in enumerate(seg.dims):
+        if d == dim:
+            cell = 2 * cell + (paths[:, l] & 1)
+    return cell
 
 
-def log_unnormalized_weight_from_levels(levels, a0, tables: LogGammaTables) -> float:
-    m = int(levels[0][0])
-    tables.ensure(m)
-    total = float(np.sum(tables.F[levels[-1]]) - tables.F[m])
-    for l in range(1, len(levels)):
-        parents = levels[l - 1]
-        occupied = parents > 0
-        if occupied.any():
-            total += float(
-                np.sum(tables.log_betabinom(levels[l][0::2][occupied], parents[occupied]))
-            )
-    return total
+def _cdf_at(masses: np.ndarray, y_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mass below each y, total column mass) per column of masses (ny, n_eval)."""
+    ny, n_eval = masses.shape
+    cell = np.minimum((y_values * ny).astype(np.int64), ny - 1)
+    frac = y_values * ny - cell
+    cums = np.vstack([np.zeros(n_eval), np.cumsum(masses, axis=0)])
+    cols = np.arange(n_eval)
+    below = cums[cell, cols] + frac * masses[cell, cols]
+    return below, cums[-1]
+
+
+def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Weight-averaged conditional CDF from per-member arrays (members, n).
+
+    Members are summed one at a time so that equal inputs give equal
+    scores whatever n is.
+    """
+    weights = np.exp(log_w - log_w.max(axis=0, keepdims=True))
+    num = np.zeros(below.shape[1])
+    den = np.zeros(below.shape[1])
+    for j in range(weights.shape[0]):
+        num += weights[j] * below[j]
+        den += weights[j] * total[j]
+    return num / den
 
 
 class _ExactScorer:
     """Batched leave-one-out conformity scores under the exact predictive CDF."""
 
     def __init__(self, train, config: ConformalConfig):
-        self.config = config
         self.pts = as_points(train, 2) if np.size(train) else np.zeros((0, 2))
         self.m = self.pts.shape[0]
         self.a0 = config.a0
-        self.tables = LogGammaTables(config.a0, self.m + 2)
+        model = fit(self.pts, config.family, config.a0)
+        self.log_w0 = model.log_unnormalized
         self.members = [
-            _MemberState(seg, self.pts, config.a0, self.tables) for seg in config.family
+            _MemberState(seg, c.levels, self.pts) for seg, c in zip(config.family, model.counts)
         ]
-        self.log_w0 = np.array([ms.log_w0 for ms in self.members])
 
-    # -- weight bookkeeping ------------------------------------------------
+    def _column_masses(self, ms: _MemberState, levels, xcell: int, idx):
+        """Y-cell leaf masses (ny, n_eval) of one x column under `levels`.
 
-    def _delta_add_candidate(self, ms: _MemberState, cpath: np.ndarray) -> float:
-        t = self.tables
-        delta = 0.0
-        for l in range(1, ms.depth + 1):
-            parent = int(cpath[l - 2]) if l >= 2 else 0
-            left = 2 * parent
-            n = int(ms.levels[l - 1][parent])
-            k = int(ms.levels[l][left])
-            k_new = k + (1 if int(cpath[l - 1]) == left else 0)
-            delta += float(t.log_betabinom(k_new, n + 1) - t.log_betabinom(k, n))
-        k_leaf = int(ms.levels[ms.depth][int(cpath[-1])])
-        delta += float(t.F[k_leaf + 1] - t.F[k_leaf] - t.F[self.m + 1] + t.F[self.m])
-        return delta
-
-    def _delta_remove_each(self, ms: _MemberState, cpath: np.ndarray | None) -> np.ndarray:
-        """Weight change from removing each training point, candidate included."""
-        t = self.tables
-        m, depth = self.m, ms.depth
-        if cpath is None:
-            overlap = np.zeros((m, depth + 1), dtype=np.int64)
-            overlap_left = np.zeros((m, depth), dtype=np.int64)
-            mtot = m
-        else:
-            overlap = np.concatenate(
-                [np.ones((m, 1), dtype=np.int64), (ms.paths == cpath).astype(np.int64)],
-                axis=1,
-            )
-            overlap_left = (ms.left_node == cpath).astype(np.int64)
-            mtot = m + 1
-        parent_n = ms.node_counts[:, :-1] + overlap[:, :-1]  # (m, L)
-        left_k = ms.left_counts + overlap_left
-        left_k_new = left_k - ms.went_left
-        delta = np.sum(
-            t.log_betabinom(left_k_new, parent_n - 1) - t.log_betabinom(left_k, parent_n),
-            axis=1,
-        )
-        k_leaf = ms.node_counts[:, -1] + overlap[:, -1]
-        delta += t.F[k_leaf - 1] - t.F[k_leaf] - t.F[mtot - 1] + t.F[mtot]
-        return delta
-
-    # -- column masses -----------------------------------------------------
-
-    def _column_masses(self, ms: _MemberState, xcell: int, cpath, idx):
-        """Y-cell masses (ny, n_eval) for the swapped sets of the points in idx.
-
-        cpath adds one observation along the candidate's path; each column
-        of the result removes the corresponding training point in idx.
-        idx None evaluates the unmodified training-set model (one column).
+        Each column of the result removes the corresponding training point
+        in idx; idx None evaluates `levels` unmodified (one column).
         """
         a0 = self.a0
         nodes = ms.subtree(xcell)
         n_eval = 1 if idx is None else idx.size
-        root = float(self.m + (0 if cpath is None else 1) - (0 if idx is None else 1))
-        prev = np.full((1, n_eval), root)
+        prev = np.full((1, n_eval), float(levels[0][0] - (0 if idx is None else 1)))
         masses = np.ones((1, n_eval))
         for l in range(1, ms.depth + 1):
             s = nodes[l]
-            cur = np.repeat(
-                ms.levels[l][s].astype(np.float64)[:, None], n_eval, axis=1
-            )
-            if cpath is not None:
-                pos = int(np.searchsorted(s, cpath[l - 1]))
-                if pos < s.size and s[pos] == cpath[l - 1]:
-                    cur[pos, :] += 1.0
+            cur = np.repeat(levels[l][s].astype(np.float64)[:, None], n_eval, axis=1)
             if idx is not None:
                 ypos = np.searchsorted(s, ms.paths[idx, l - 1])
                 cur[ypos, np.arange(n_eval)] -= 1.0
@@ -260,70 +199,49 @@ class _ExactScorer:
             prev = cur
         return masses
 
-    @staticmethod
-    def _cdf_at(masses: np.ndarray, y_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mass below each y, total column mass) per evaluation column."""
-        ny, n_eval = masses.shape
-        cell = np.minimum((y_values * ny).astype(np.int64), ny - 1)
-        frac = y_values * ny - cell
-        cums = np.vstack([np.zeros(n_eval), np.cumsum(masses, axis=0)])
-        cols = np.arange(n_eval)
-        below = cums[cell, cols] + frac * masses[cell, cols]
-        return below, cums[-1]
-
-    # -- public passes -------------------------------------------------------
+    def _own_column(self, ms: _MemberState, pt: np.ndarray):
+        """Path of pt and the masses of its x column on the training counts."""
+        path = path_indices(pt[None, :], ms.seg)
+        return path, self._column_masses(ms, ms.levels, int(_cells(ms.seg, path, 1)[0]), None)
 
     def loo_scores(self, candidate=None) -> np.ndarray:
         """Score of each training point on the other m-1 points (plus the
-        candidate when given): the swapped-set scores of the p-value."""
+        candidate when given): the swapped-set scores of the p-value.
+
+        By Bayes' rule a swapped set's log weight is the training set's,
+        plus the candidate's log predictive leaf mass, minus the removed
+        point's log leaf mass given the swapped set, read from the same
+        column masses that give its score.
+        """
         if self.m == 0:
             return np.zeros(0)
-        cpaths = (
-            None
-            if candidate is None
-            else [path_indices(np.asarray(candidate)[None, :], ms.seg)[0] for ms in self.members]
-        )
-        log_w = np.empty((len(self.members), self.m))
+        cand = None if candidate is None else np.asarray(candidate, dtype=np.float64)
+        shape = (len(self.members), self.m)
+        log_w, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
         for j, ms in enumerate(self.members):
-            cp = None if cpaths is None else cpaths[j]
-            base = ms.log_w0 if cp is None else ms.log_w0 + self._delta_add_candidate(ms, cp)
-            log_w[j] = base + self._delta_remove_each(ms, cp)
-        weights = np.exp(log_w - log_w.max(axis=0, keepdims=True))
-        num = np.zeros(self.m)
-        den = np.zeros(self.m)
-        for j, ms in enumerate(self.members):
-            cp = None if cpaths is None else cpaths[j]
+            levels, log_cand = ms.levels, 0.0
+            if cand is not None:
+                cpath, cmasses = self._own_column(ms, cand)
+                log_cand = np.log(cmasses[_cells(ms.seg, cpath, 2)[0], 0])
+                levels = [lvl.copy() for lvl in levels]
+                _add_along_path(levels, cpath[0], +1)
             for xcell, idx in ms.groups.items():
-                masses = self._column_masses(ms, xcell, cp, idx)
-                below, total = self._cdf_at(masses, self.pts[idx, 1])
-                num[idx] += weights[j, idx] * below
-                den[idx] += weights[j, idx] * total
-        return num / den
+                masses = self._column_masses(ms, levels, xcell, idx)
+                below[j, idx], total[j, idx] = _cdf_at(masses, self.pts[idx, 1])
+                log_own = np.log(masses[ms.ycell[idx], np.arange(idx.size)])
+                # difference first: a swap that leaves the counts unchanged
+                # keeps the training weight bit for bit, so exact ties hold
+                log_w[j, idx] = self.log_w0[j] + (log_cand - log_own)
+        return _mix(log_w, below, total)
 
     def score_point(self, point) -> float:
         """Conformity score of one point against the unmodified training set."""
         pt = as_points(point, 2)[0]
-        weights = np.exp(self.log_w0 - self.log_w0.max())
-        num = den = 0.0
+        below = np.empty((len(self.members), 1))
+        total = np.empty((len(self.members), 1))
         for j, ms in enumerate(self.members):
-            cpath = path_indices(pt[None, :], ms.seg)[0]
-            masses = self._column_masses(ms, _member_xcell(ms.seg, cpath), None, None)
-            below, total = self._cdf_at(masses, np.array([pt[1]]))
-            num += weights[j] * float(below[0])
-            den += weights[j] * float(total[0])
-        return num / den
-
-
-def _member_xcell(seg, path) -> int:
-    """x column index of a located path at the member's own x resolution."""
-    xcell = 0
-    prev = 0
-    for l, dim in enumerate(seg.dims):
-        bit = int(path[l]) - 2 * prev
-        prev = int(path[l])
-        if dim == 1:
-            xcell = 2 * xcell + bit
-    return xcell
+            below[j], total[j] = _cdf_at(self._own_column(ms, pt)[1], pt[1:])
+        return float(_mix(self.log_w0[:, None], below, total)[0])
 
 
 class _MixtureScorer:
@@ -339,13 +257,10 @@ class _MixtureScorer:
         mix = pred.build_mixture(
             model, self.config.draws_per_seg, np.random.default_rng(self.config.seed)
         )
-        (nx, ny), M = pred.grid_mass_matrix(mix)
-        x, y = float(point[0]), float(point[1])
-        col = M[min(int(x * nx), nx - 1)]
-        cell = min(int(y * ny), ny - 1)
-        frac = y * ny - cell
-        below = float(np.sum(col[:cell]) + frac * col[cell])
-        return below / float(col.sum())
+        (nx, _), M = pred.grid_mass_matrix(mix)
+        col = M[min(int(point[0] * nx), nx - 1)]
+        below, total = _cdf_at(col[:, None], point[1:])
+        return float(below[0] / total[0])
 
     def score_point(self, point) -> float:
         return self._score_model(self._train_model, np.asarray(point, dtype=np.float64))
@@ -434,7 +349,7 @@ def conformal_band(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     x_values = np.atleast_1d(np.asarray(x_values, dtype=np.float64))
-    if np.any((x_values < 0) | (x_values > 1)):
+    if not np.all((x_values >= 0) & (x_values <= 1)):  # NaN fails too
         raise ValueError("x_values must lie in [0, 1]")
     y_grid = (
         default_y_grid(config)

@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+def _check_a0(a0: float) -> None:
+    """Reject a concentration that is not a finite positive number."""
+    if not (np.isfinite(a0) and a0 > 0):
+        raise ValueError(f"a0 must be finite and positive, got {a0}")
+
+
 def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -92,8 +98,7 @@ class CountsTree:
 
 def sample_phi_prior(depth: int, a0: float, rng=None) -> BetaTree:
     """Independent Beta(a0, a0) draws at every node of a depth-L tree."""
-    if a0 <= 0:
-        raise ValueError(f"a0 must be positive, got {a0}")
+    _check_a0(a0)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     gen = _as_rng(rng)
@@ -102,8 +107,7 @@ def sample_phi_prior(depth: int, a0: float, rng=None) -> BetaTree:
 
 def sample_phi_posterior(counts: CountsTree, a0: float, rng=None) -> BetaTree:
     """Conjugate draws Beta(a0 + N_lower, a0 + N_upper) at every node."""
-    if a0 <= 0:
-        raise ValueError(f"a0 must be positive, got {a0}")
+    _check_a0(a0)
     gen = _as_rng(rng)
     levels = []
     for l in range(1, counts.depth + 1):
@@ -169,28 +173,34 @@ def conditional_predictive_density(points, counts: CountsTree, seg: Segmentation
     unchanged.  An empty sample gives the uniform density 1.  Computed in
     log space so deep trees with sparse counts do not underflow.
     """
-    if a0 <= 0:
-        raise ValueError(f"a0 must be positive, got {a0}")
+    _check_a0(a0)
     if counts.depth != seg.depth:
         raise ValueError("counts tree depth does not match the segmentation")
     pts = as_points(points, seg.ndim)
-    if counts.m == 0:
-        vals = np.ones(pts.shape[0])
-        return float(vals[0]) if np.ndim(points) == 1 else vals
-    paths = path_indices(pts, seg)
+    vals = np.exp(_log_path_density(counts.levels, path_indices(pts, seg), a0))
+    return float(vals[0]) if np.ndim(points) == 1 else vals
+
+
+def _log_path_density(levels, paths: np.ndarray, a0: float) -> np.ndarray:
+    """Log predictive density at the leaf ending each path, paths (n, L).
+
+    ``levels`` are node counts as in ``CountsTree.levels``.  The result is
+    the log predictive probability of the path's leaf plus L*log(2): the
+    sum over levels of log(N_level + a0) - log(N_parent + 2*a0) + log(2),
+    with levels below an empty parent contributing exactly zero.
+    """
     n, depth = paths.shape
     node_counts = np.empty((n, depth + 1), dtype=np.int64)
-    node_counts[:, 0] = counts.m
+    node_counts[:, 0] = levels[0][0]
     for l in range(1, depth + 1):
-        node_counts[:, l] = counts.levels[l][paths[:, l - 1]]
+        node_counts[:, l] = levels[l][paths[:, l - 1]]
     active = node_counts[:, :-1] > 0  # below an empty parent every factor is 1
     terms = (
         np.log(node_counts[:, 1:] + a0)
         - np.log(node_counts[:, :-1] + 2.0 * a0)
         + np.log(2.0)
     )
-    vals = np.exp(np.sum(np.where(active, terms, 0.0), axis=1))
-    return float(vals[0]) if np.ndim(points) == 1 else vals
+    return np.sum(np.where(active, terms, 0.0), axis=1)
 
 
 def leaf_predictive_masses(counts: CountsTree, a0: float) -> np.ndarray:
@@ -199,8 +209,7 @@ def leaf_predictive_masses(counts: CountsTree, a0: float) -> np.ndarray:
     Children split their parent's mass in proportion to
     (N_child + a0) / (N_parent + 2*a0); masses sum to one exactly.
     """
-    if a0 <= 0:
-        raise ValueError(f"a0 must be positive, got {a0}")
+    _check_a0(a0)
     mass = np.ones(1)
     for l in range(1, counts.depth + 1):
         parent = mass / (counts.levels[l - 1] + 2.0 * a0)

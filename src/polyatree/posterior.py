@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .hbeta import CountsTree, accumulate_counts, conditional_predictive_density
+from .hbeta import (
+    CountsTree,
+    _check_a0,
+    _log_path_density,
+    accumulate_counts,
+    conditional_predictive_density,
+)
 from .segmentation import Segmentation, SegmentationFamily, as_points, path_indices
 
 __all__ = [
@@ -39,8 +44,7 @@ class LogGammaTables:
     """
 
     def __init__(self, a0: float, nmax: int):
-        if a0 <= 0:
-            raise ValueError(f"a0 must be positive, got {a0}")
+        _check_a0(a0)
         self.a0 = float(a0)
         self._const = 2.0 * gammaln(self.a0) - gammaln(2.0 * self.a0)
         self._nmax = -1
@@ -147,56 +151,28 @@ def mixture_predictive_density(points, model: PosteriorModel):
     return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
-def _delta_add(levels: Sequence[np.ndarray], path: np.ndarray, tables: LogGammaTables) -> float:
-    """Change in log unnormalized weight from adding one point along `path`."""
-    depth = len(path)
-    m = int(levels[0][0])
-    tables.ensure(m + 2)
-    delta = 0.0
-    for l in range(1, depth + 1):
-        parent = int(path[l - 2]) if l >= 2 else 0
-        left = 2 * parent
-        n = int(levels[l - 1][parent])
-        k = int(levels[l][left])
-        k_new = k + (1 if int(path[l - 1]) == left else 0)
-        delta += float(tables.log_betabinom(k_new, n + 1) - tables.log_betabinom(k, n))
-    k_leaf = int(levels[depth][int(path[depth - 1])])
-    delta += float(tables.F[k_leaf + 1] - tables.F[k_leaf] - tables.F[m + 1] + tables.F[m])
-    return delta
-
-
-def _delta_remove(levels: Sequence[np.ndarray], path: np.ndarray, tables: LogGammaTables) -> float:
-    """Change in log unnormalized weight from removing one point along `path`."""
-    depth = len(path)
-    m = int(levels[0][0])
-    tables.ensure(m + 1)
-    delta = 0.0
-    for l in range(1, depth + 1):
-        parent = int(path[l - 2]) if l >= 2 else 0
-        left = 2 * parent
-        n = int(levels[l - 1][parent])
-        k = int(levels[l][left])
-        k_new = k - (1 if int(path[l - 1]) == left else 0)
-        delta += float(tables.log_betabinom(k_new, n - 1) - tables.log_betabinom(k, n))
-    k_leaf = int(levels[depth][int(path[depth - 1])])
-    delta += float(tables.F[k_leaf - 1] - tables.F[k_leaf] - tables.F[m - 1] + tables.F[m])
-    return delta
+def _add_along_path(levels, path: np.ndarray, sign: int) -> None:
+    """Add sign to the root count and to every node count along path."""
+    levels[0][0] += sign
+    for l in range(1, len(levels)):
+        levels[l][path[l - 1]] += sign
 
 
 class IncrementalModel:
     """Mutable clone of a fitted model supporting one-point updates.
 
-    Adding or removing a point touches only the nodes along its path in
-    each member, so an update costs O(depth) per segmentation including
-    the weight adjustment.  Intended for leave-one-out loops; the parent
-    model is never modified.
+    A member's unnormalized weight is the marginal probability of the
+    observed leaf sequence, so by Bayes' rule adding a point multiplies it
+    by the predictive probability of the point's leaf given the other
+    points, and removing one divides by it.  An update therefore costs
+    one count-ratio chain along the point's path per member, O(depth).
+    Intended for leave-one-out loops; the parent model is never modified.
     """
 
     def __init__(self, model: PosteriorModel):
         self.family = model.family
         self.a0 = model.a0
         self.m = model.m
-        self.tables = LogGammaTables(model.a0, model.m + 16)
         self._levels = [[lvl.copy() for lvl in c.levels] for c in model.counts]
         self.log_unnormalized = model.log_unnormalized.copy()
 
@@ -205,34 +181,35 @@ class IncrementalModel:
         return self.log_unnormalized - logsumexp(self.log_unnormalized)
 
     def add_point(self, u) -> None:
-        pts = as_points(u, self.family.ndim)
-        if pts.shape[0] != 1:
-            raise ValueError("add_point takes a single point")
-        for j, seg in enumerate(self.family):
-            path = path_indices(pts, seg)[0]
-            levels = self._levels[j]
-            self.log_unnormalized[j] += _delta_add(levels, path, self.tables)
-            levels[0][0] += 1
-            for l in range(1, seg.depth + 1):
-                levels[l][path[l - 1]] += 1
-        self.m += 1
+        self._update(u, +1)
 
     def remove_point(self, u) -> None:
+        self._update(u, -1)
+
+    def _update(self, u, sign: int) -> None:
+        """Move one point in (sign +1) or out (sign -1) of every member.
+
+        The weight change is the log predictive leaf probability of the
+        point evaluated on the counts without it; a removal is checked
+        against every member before any counts change.
+        """
         pts = as_points(u, self.family.ndim)
         if pts.shape[0] != 1:
-            raise ValueError("remove_point takes a single point")
-        if self.m == 0:
-            raise ValueError("no points to remove")
-        for j, seg in enumerate(self.family):
-            path = path_indices(pts, seg)[0]
-            levels = self._levels[j]
-            if levels[seg.depth][path[-1]] <= 0:
+            raise ValueError("an update takes a single point")
+        paths = [path_indices(pts, seg) for seg in self.family]
+        if sign < 0:
+            if self.m == 0:
+                raise ValueError("no points to remove")
+            if any(levels[-1][path[0, -1]] <= 0 for levels, path in zip(self._levels, paths)):
                 raise ValueError("no observation in that leaf to remove")
-            self.log_unnormalized[j] += _delta_remove(levels, path, self.tables)
-            levels[0][0] -= 1
-            for l in range(1, seg.depth + 1):
-                levels[l][path[l - 1]] -= 1
-        self.m -= 1
+        for j, (levels, path) in enumerate(zip(self._levels, paths)):
+            if sign < 0:
+                _add_along_path(levels, path[0], -1)
+            log_mass = _log_path_density(levels, path, self.a0)[0] - path.shape[1] * np.log(2.0)
+            self.log_unnormalized[j] += sign * log_mass
+            if sign > 0:
+                _add_along_path(levels, path[0], +1)
+        self.m += sign
 
     def snapshot(self) -> PosteriorModel:
         counts = tuple(

@@ -224,11 +224,10 @@ def sample_posterior_predictive(model: PosteriorModel, n: int, rng=None) -> Pred
     if n < 1:
         raise ValueError("n must be >= 1")
     gen, seed = _as_rng_and_seed(rng)
-    masses = [leaf_predictive_masses(c, model.a0) for c in model.counts]
     points, member, draw, leaf = _sample_components(
         model.family,
         model.weights,
-        lambda j: masses[j],
+        lambda j: leaf_predictive_masses(model.counts[j], model.a0),
         n,
         gen,
         lambda member, g: np.full(member.size, -1, dtype=np.int64),

@@ -95,7 +95,7 @@ def as_points(u, ndim: int) -> np.ndarray:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != ndim:
         raise ValueError(f"expected points of dimension {ndim}, got shape {np.shape(u)}")
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):  # NaN fails too
         raise ValueError("coordinates must lie in [0, 1]")
     return pts
 

@@ -20,13 +20,12 @@ from .. import conformal as conf
 from .. import predictive as pred
 from ..encoding import ColumnSchema, decode, encode, fit_encoding
 from ..hbeta import (
-    accumulate_counts,
     counts_from_leaf_counts,
     leaf_predictive_masses,
     pi_from_phi,
     sample_phi_prior,
 )
-from ..posterior import LogGammaTables, PosteriorModel, fit, log_unnormalized_weight
+from ..posterior import PosteriorModel, fit
 from ..segmentation import (
     Segmentation,
     SegmentationFamily,
@@ -368,21 +367,18 @@ def run_2d_study(
     pearson = {name: np.empty((runs, 16)) for name in SEG_2D_NAMES}
     pearson_counts = {name: np.empty((runs, 16)) for name in SEG_2D_NAMES}
     weights = np.empty((runs, n_segs))
-    tables = LogGammaTables(a0, m)
     streams = np.random.SeedSequence(seed).spawn(runs)
     for r, stream in enumerate(streams):
         gen = np.random.default_rng(stream)
-        pts = density.sample(m, gen)
-        log_w = np.empty(n_segs)
-        for k, (name, seg) in enumerate(zip(SEG_2D_NAMES, family)):
-            counts = accumulate_counts(pts, seg)
-            log_w[k] = log_unnormalized_weight(counts, a0, tables)
+        model = fit(density.sample(m, gen), family, a0)
+        for k, (name, counts) in enumerate(zip(SEG_2D_NAMES, model.counts)):
             pi_hat = leaf_predictive_masses(counts, a0)
             # standard (observed - expected)/sqrt(expected) scaling, so the
             # raw-histogram X2 has expectation exactly #cells - 1
             scale = np.sqrt(m / true_masses[k])
             pearson[name][r] = (pi_hat - true_masses[k]) * scale
             pearson_counts[name][r] = (counts.levels[-1] / m - true_masses[k]) * scale
+        log_w = model.log_unnormalized
         weights[r] = np.exp(log_w - log_w.max())
         weights[r] /= weights[r].sum()
 
@@ -635,13 +631,8 @@ def run_highdim_study(
     family = highdim_family()
     model = fit(points, family, a0)
     pairs = [tuple(sorted(set(d for d in seg.dims if d <= 8))) for seg in family]
-    tables = LogGammaTables(a0, m)
-    swapped = np.array(
-        [
-            log_unnormalized_weight(accumulate_counts(points, move_prefix_to_suffix(seg)), a0, tables)
-            for seg in family
-        ]
-    )
+    swapped_family = SegmentationFamily(tuple(move_prefix_to_suffix(seg) for seg in family))
+    swapped = fit(points, swapped_family, a0).log_unnormalized
     sample = pred.sample_posterior_predictive(model, n, sample_rng)
     dummy_high = sample.points[:, 8:10] >= 0.5
     valid = ~(dummy_high[:, 0] & dummy_high[:, 1])  # both dummies high names no level

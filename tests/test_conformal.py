@@ -36,21 +36,30 @@ class TestExactScorer:
     def test_matches_brute_force_with_candidate(self, rng):
         fam = tiny_family()
         train = rng.uniform(size=(17, 2))
-        cand = np.array([0.63, 0.31])
+        # interior, both ends of y, the right edge of x, and the centre of
+        # a training point's leaf (the 4 x 4 grid of the depth-4 members)
+        candidates = [
+            np.array([0.63, 0.31]),
+            np.array([0.63, 0.0]),
+            np.array([0.2, 1.0]),
+            np.array([1.0, 0.45]),
+            (np.floor(train[5] * 4) + 0.5) / 4,
+        ]
         scorer = _ExactScorer(train, ConformalConfig(fam))
-        fast = scorer.loo_scores(cand)
-        slow = np.array(
-            [
-                brute_force_score(
-                    np.vstack([np.delete(train, i, axis=0), cand]), fam, 1.0, train[i]
-                )
-                for i in range(17)
-            ]
-        )
-        assert np.allclose(fast, slow, atol=1e-10)
-        assert scorer.score_point(cand) == pytest.approx(
-            brute_force_score(train, fam, 1.0, cand), abs=1e-12
-        )
+        for cand in candidates:
+            fast = scorer.loo_scores(cand)
+            slow = np.array(
+                [
+                    brute_force_score(
+                        np.vstack([np.delete(train, i, axis=0), cand]), fam, 1.0, train[i]
+                    )
+                    for i in range(17)
+                ]
+            )
+            assert np.allclose(fast, slow, atol=1e-10)
+            assert scorer.score_point(cand) == pytest.approx(
+                brute_force_score(train, fam, 1.0, cand), abs=1e-12
+            )
 
     def test_matches_brute_force_leave_one_out(self, rng):
         fam = tiny_family()

@@ -158,25 +158,31 @@ class TestMixtureDensity:
 
 
 class TestIncrementalModel:
-    @given(seed=st.integers(0, 5_000))
-    def test_matches_refit_after_updates(self, seed):
-        gen = np.random.default_rng(seed)
-        fam = enumerate_balanced_family(2, {1: 2, 2: 1})
-        pts = gen.uniform(size=(12, 2))
-        model = fit(pts, fam, 1.0)
-        inc = IncrementalModel(model)
-        extra = gen.uniform(size=(3, 2))
-        for u in extra:
-            inc.add_point(u)
-        inc.remove_point(pts[4])
-        target = np.vstack([np.delete(pts, 4, axis=0), extra])
-        ref = fit(target, fam, 1.0)
-        assert np.allclose(inc.log_unnormalized, ref.log_unnormalized, atol=1e-9)
-        assert np.allclose(inc.log_weights, ref.log_weights, atol=1e-9)
-        snap = inc.snapshot()
-        for ca, cb in zip(snap.counts, ref.counts):
-            for la, lb in zip(ca.levels, cb.levels):
-                assert np.array_equal(la, lb)
+    @given(seed=st.integers(0, 5_000), a0=st.floats(0.05, 20.0))
+    def test_matches_refit_after_updates(self, seed, a0):
+        # the second family mixes depths and leaves empty parents under
+        # the first split, where the count-ratio chain stops early
+        families = [
+            enumerate_balanced_family(2, {1: 2, 2: 1}),
+            SegmentationFamily((build((1, 1), 2), build((2, 2, 1), 2))),
+        ]
+        for fam, a in zip(families, (1.0, a0)):
+            gen = np.random.default_rng(seed)
+            pts = gen.uniform(size=(12, 2))
+            model = fit(pts, fam, a)
+            inc = IncrementalModel(model)
+            extra = gen.uniform(size=(3, 2))
+            for u in extra:
+                inc.add_point(u)
+            inc.remove_point(pts[4])
+            target = np.vstack([np.delete(pts, 4, axis=0), extra])
+            ref = fit(target, fam, a)
+            assert np.allclose(inc.log_unnormalized, ref.log_unnormalized, atol=1e-9)
+            assert np.allclose(inc.log_weights, ref.log_weights, atol=1e-9)
+            snap = inc.snapshot()
+            for ca, cb in zip(snap.counts, ref.counts):
+                for la, lb in zip(ca.levels, cb.levels):
+                    assert np.array_equal(la, lb)
 
     def test_remove_then_add_restores(self, rng):
         fam = enumerate_balanced_family(2, {1: 1, 2: 2})
@@ -193,6 +199,20 @@ class TestIncrementalModel:
         inc = IncrementalModel(model)
         with pytest.raises(ValueError):
             inc.remove_point(np.array([0.9, 0.9]))
+
+    def test_rejected_removal_changes_nothing(self):
+        # member 0 holds the point in that leaf, member 1 does not: the
+        # removal must be refused before member 0 is touched
+        fam = SegmentationFamily((build((1, 1), 2), build((2, 2), 2)))
+        model = fit(np.array([[0.1, 0.9]]), fam, 1.0)
+        inc = IncrementalModel(model)
+        with pytest.raises(ValueError, match="no observation in that leaf"):
+            inc.remove_point(np.array([0.1, 0.1]))
+        assert inc.m == 1
+        assert np.array_equal(inc.log_unnormalized, model.log_unnormalized)
+        for ca, cb in zip(inc.snapshot().counts, model.counts):
+            for la, lb in zip(ca.levels, cb.levels):
+                assert np.array_equal(la, lb)
 
     def test_parent_model_untouched(self, rng):
         fam = enumerate_balanced_family(2, {1: 1, 2: 1})
