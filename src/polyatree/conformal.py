@@ -10,27 +10,34 @@ alpha.
 
 By default scores use the exact predictive CDF, which is a closed-form
 product of count ratios, so a swapped-set score only needs count
-adjustments along two paths.  The scorer below batches all leave-one-out
-scores for one candidate.  Column masses are recomputed only on the
-subtree of boxes meeting the removed point's x column.  Weight changes
-follow from Bayes' rule, p(D + u | S) = p(D | S) p(u | D, S): a member's
-weight gains the candidate's predictive leaf mass on the training set
-and loses the removed point's leaf mass on its swapped set, which the
-column masses already hold.  Setting `draws_per_seg` instead scores with
-a freshly seeded finite mixture of posterior draws, matching the
+adjustments along two paths.  The scorer below locates each point once
+in every member and computes, per member, all m leave-one-out scores of
+one candidate in a single array pass: each level gathers the node counts
+of every point's x column at once and takes its own point out.  Weight
+changes follow from Bayes' rule, p(D + u | S) = p(D | S) p(u | D, S): a
+member's weight gains the candidate's predictive leaf mass on the
+training set and loses the removed point's leaf mass on its swapped set,
+which the column masses already hold.  Swapped-set scores depend on the
+candidate only through its leaf in each member, so candidates that share
+all their leaves share one pass; the candidates' own scores come from
+one pass per member over their columns on the training counts.  Members
+mix as densities at x: posterior weight times column mass times the
+number of x columns.  Setting `draws_per_seg` instead scores with a
+freshly seeded finite mixture of posterior draws, matching the
 sampling-based evaluation of the predictive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import predictive as pred
 from .hbeta import _check_a0
 from .posterior import IncrementalModel, PosteriorModel, _add_along_path, fit
-from .segmentation import SegmentationFamily, as_points, path_indices
+from .segmentation import SegmentationFamily, _locate, as_points
 
 __all__ = [
     "ConformalConfig",
@@ -92,72 +99,101 @@ class ConformalBand:
 class _MemberState:
     """Per-segmentation precomputation for batched leave-one-out scoring."""
 
-    def __init__(self, seg, levels, train_pts):
+    def __init__(self, seg, levels, paths):
         self.seg = seg
-        self.depth = seg.depth
         self.levels = levels
-        self.sx = sum(1 for d in seg.dims if d == 1)
-        self.paths = path_indices(train_pts, seg)  # (m, L)
-        self.ycell = _cells(seg, self.paths, 2)
-        xcell = _cells(seg, self.paths, 1)
-        self.groups = {int(c): np.flatnonzero(xcell == c) for c in np.unique(xcell)}
-        self._subtrees: dict[int, list[np.ndarray]] = {}
-
-    def subtree(self, xcell: int) -> list[np.ndarray]:
-        """Node indices per level whose boxes meet the given x column."""
-        cached = self._subtrees.get(xcell)
-        if cached is not None:
-            return cached
-        nodes = [np.zeros(1, dtype=np.int64)]
-        used_x = 0
-        for dim in self.seg.dims:
-            prev = nodes[-1]
-            if dim == 1:
-                bit = (xcell >> (self.sx - 1 - used_x)) & 1
-                used_x += 1
-                nodes.append(2 * prev + bit)
-            else:
-                nxt = np.empty(2 * prev.size, dtype=np.int64)
-                nxt[0::2] = 2 * prev
-                nxt[1::2] = 2 * prev + 1
-                nodes.append(nxt)
-        self._subtrees[xcell] = nodes
-        return nodes
+        self.yoff = _column_offsets(seg)
+        self.xnode, self.ypos = _column_coords(seg, paths)
 
 
-def _cells(seg, paths: np.ndarray, dim: int) -> np.ndarray:
-    """Cell index along `dim` at the member's own resolution, per path (n, L)."""
-    cell = np.zeros(paths.shape[0], dtype=np.int64)
+def _column_offsets(seg) -> list[np.ndarray]:
+    """Per level, the node offsets of one x column's boxes, in y order.
+
+    A box's node index is the sum of the contributions of its x bits and
+    of its y bits, so a column's boxes at level l are its lowest box plus
+    these offsets.
+    """
+    off = np.zeros(1, dtype=np.int64)
+    out = []
+    for d in seg.dims:
+        off = 2 * off if d == 1 else (2 * off[:, None] + np.arange(2)).ravel()
+        out.append(off)
+    return out
+
+
+def _column_coords(seg, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point and level (n, L): the node of its x column's lowest box and
+    its own box's position in the column (its y-prefix)."""
+    xnode = np.empty(paths.shape, dtype=np.int64)
+    ypos = np.empty(paths.shape, dtype=np.int64)
+    x = y = np.zeros(paths.shape[0], dtype=np.int64)
     for l, d in enumerate(seg.dims):
-        if d == dim:
-            cell = 2 * cell + (paths[:, l] & 1)
-    return cell
+        bit = paths[:, l] & 1
+        x, y = (2 * x + bit, y) if d == 1 else (2 * x, 2 * y + bit)
+        xnode[:, l], ypos[:, l] = x, y
+    return xnode, ypos
+
+
+def _column_masses(a0, levels, yoff, xnode, ypos=None) -> np.ndarray:
+    """Y-cell leaf masses (n, ny) of each point's x column under `levels`.
+
+    xnode and ypos come from `_column_coords`.  With ypos given, each row
+    removes its own point from the counts first.  Each level is one gather
+    of the column's node counts for all n points at once.
+    """
+    n = xnode.shape[0]
+    prev = np.full((n, 1), float(levels[0][0] - (0 if ypos is None else 1)))
+    masses = np.ones((n, 1))
+    for l in range(1, len(levels)):
+        cur = levels[l][xnode[:, l - 1, None] + yoff[l - 1]].astype(np.float64)
+        if ypos is not None:
+            cur[np.arange(n), ypos[:, l - 1]] -= 1.0
+        if cur.shape[1] == masses.shape[1]:  # x split: one child per column box
+            masses = masses * (cur + a0) / (prev + 2.0 * a0)
+        else:  # y split: both children stay in the column
+            masses = np.repeat(masses, 2, axis=1) * (cur + a0) / (
+                np.repeat(prev, 2, axis=1) + 2.0 * a0
+            )
+        prev = cur
+    return masses
 
 
 def _cdf_at(masses: np.ndarray, y_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mass below each y, total column mass) per column of masses (ny, n_eval)."""
-    ny, n_eval = masses.shape
+    """(mass below each y, total column mass) per row of masses (n_eval, ny)."""
+    n_eval, ny = masses.shape
     cell = np.minimum((y_values * ny).astype(np.int64), ny - 1)
     frac = y_values * ny - cell
-    cums = np.vstack([np.zeros(n_eval), np.cumsum(masses, axis=0)])
-    cols = np.arange(n_eval)
-    below = cums[cell, cols] + frac * masses[cell, cols]
-    return below, cums[-1]
+    cums = np.hstack([np.zeros((n_eval, 1)), np.cumsum(masses, axis=1)])
+    rows = np.arange(n_eval)
+    below = cums[rows, cell] + frac * masses[rows, cell]
+    return below, cums[:, -1]
 
 
-def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray) -> np.ndarray:
+def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     """Weight-averaged conditional CDF from per-member arrays (members, n).
 
-    Members are summed one at a time so that equal inputs give equal
-    scores whatever n is.
+    A member enters with its posterior weight times its marginal density
+    at x, which is its column mass times its number of x columns (ncols,
+    shape (members, 1)), so members of different x resolution mix as
+    densities.  Members are summed one at a time so that equal inputs
+    give equal scores whatever n is.
     """
-    weights = np.exp(log_w - log_w.max(axis=0, keepdims=True))
+    weights = np.exp(log_w - log_w.max(axis=0, keepdims=True)) * ncols
     num = np.zeros(below.shape[1])
     den = np.zeros(below.shape[1])
     for j in range(weights.shape[0]):
         num += weights[j] * below[j]
         den += weights[j] * total[j]
     return num / den
+
+
+class _Candidates(NamedTuple):
+    """Candidates (n, 2) located in every member, with their own scores."""
+
+    points: np.ndarray
+    scores: np.ndarray  # (n,) score on the training set
+    paths: np.ndarray  # (members, n, deepest L)
+    log_mass: np.ndarray | None  # (members, n) log predictive leaf mass
 
 
 class _ExactScorer:
@@ -167,81 +203,77 @@ class _ExactScorer:
         self.pts = as_points(train, 2) if np.size(train) else np.zeros((0, 2))
         self.m = self.pts.shape[0]
         self.a0 = config.a0
+        self.family = config.family
         model = fit(self.pts, config.family, config.a0)
         self.log_w0 = model.log_unnormalized
+        paths = _locate(self.pts, config.family)
         self.members = [
-            _MemberState(seg, c.levels, self.pts) for seg, c in zip(config.family, model.counts)
+            _MemberState(seg, c.levels, p[:, : seg.depth])
+            for seg, c, p in zip(config.family, model.counts, paths)
         ]
+        self.ncols = np.array([[2.0 ** sum(d == 1 for d in seg.dims)] for seg in config.family])
 
-    def _column_masses(self, ms: _MemberState, levels, xcell: int, idx):
-        """Y-cell leaf masses (ny, n_eval) of one x column under `levels`.
+    def candidates(self, cands: np.ndarray) -> _Candidates:
+        """Locate candidates once and score them on the training set.
 
-        Each column of the result removes the corresponding training point
-        in idx; idx None evaluates `levels` unmodified (one column).
+        Per member, one pass builds every candidate's column masses on the
+        training counts; they give its score and its log predictive leaf
+        mass, which each of its swapped sets' weights gains.
         """
-        a0 = self.a0
-        nodes = ms.subtree(xcell)
-        n_eval = 1 if idx is None else idx.size
-        prev = np.full((1, n_eval), float(levels[0][0] - (0 if idx is None else 1)))
-        masses = np.ones((1, n_eval))
-        for l in range(1, ms.depth + 1):
-            s = nodes[l]
-            cur = np.repeat(levels[l][s].astype(np.float64)[:, None], n_eval, axis=1)
-            if idx is not None:
-                ypos = np.searchsorted(s, ms.paths[idx, l - 1])
-                cur[ypos, np.arange(n_eval)] -= 1.0
-            if s.size == masses.shape[0]:  # x split: one child per subtree node
-                masses = masses * (cur + a0) / (prev + 2.0 * a0)
-            else:  # y split: both children stay in the column
-                masses = np.repeat(masses, 2, axis=0) * (cur + a0) / (
-                    np.repeat(prev, 2, axis=0) + 2.0 * a0
-                )
-            prev = cur
-        return masses
+        paths = _locate(cands, self.family)
+        shape = (len(self.members), cands.shape[0])
+        log_mass, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
+        for j, ms in enumerate(self.members):
+            xnode, ypos = _column_coords(ms.seg, paths[j, :, : ms.seg.depth])
+            masses = _column_masses(self.a0, ms.levels, ms.yoff, xnode)
+            below[j], total[j] = _cdf_at(masses, cands[:, 1])
+            log_mass[j] = np.log(masses[np.arange(shape[1]), ypos[:, -1]])
+        scores = _mix(self.log_w0[:, None], below, total, self.ncols)
+        return _Candidates(cands, scores, paths, log_mass)
 
-    def _own_column(self, ms: _MemberState, pt: np.ndarray):
-        """Path of pt and the masses of its x column on the training counts."""
-        path = path_indices(pt[None, :], ms.seg)
-        return path, self._column_masses(ms, ms.levels, int(_cells(ms.seg, path, 1)[0]), None)
+    def swapped(self, located: _Candidates, i: int) -> np.ndarray:
+        """Swapped-set scores of candidate i of `located`."""
+        return self._loo(located.paths[:, i], located.log_mass[:, i])
+
+    def _loo(self, cpaths, log_cand) -> np.ndarray:
+        """Score of each training point on the other m-1 points, plus the
+        candidate along cpaths (members, L) when given.
+
+        Each member scores all m points in one array pass.  By Bayes' rule
+        a swapped set's log weight is the training set's, plus the
+        candidate's log predictive leaf mass, minus the removed point's log
+        leaf mass given the swapped set, read from the same column masses
+        that give its score.
+        """
+        shape = (len(self.members), self.m)
+        log_w, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
+        rows = np.arange(self.m)
+        for j, ms in enumerate(self.members):
+            levels, lc = ms.levels, 0.0
+            if cpaths is not None:
+                lc = log_cand[j]
+                levels = [lvl.copy() for lvl in levels]
+                _add_along_path(levels, cpaths[j, : ms.seg.depth], +1)
+            masses = _column_masses(self.a0, levels, ms.yoff, ms.xnode, ms.ypos)
+            below[j], total[j] = _cdf_at(masses, self.pts[:, 1])
+            log_own = np.log(masses[rows, ms.ypos[:, -1]])
+            # difference first: a swap that leaves the counts unchanged
+            # keeps the training weight bit for bit, so exact ties hold
+            log_w[j] = self.log_w0[j] + (lc - log_own)
+        return _mix(log_w, below, total, self.ncols)
 
     def loo_scores(self, candidate=None) -> np.ndarray:
         """Score of each training point on the other m-1 points (plus the
-        candidate when given): the swapped-set scores of the p-value.
-
-        By Bayes' rule a swapped set's log weight is the training set's,
-        plus the candidate's log predictive leaf mass, minus the removed
-        point's log leaf mass given the swapped set, read from the same
-        column masses that give its score.
-        """
+        candidate when given): the swapped-set scores of the p-value."""
         if self.m == 0:
             return np.zeros(0)
-        cand = None if candidate is None else np.asarray(candidate, dtype=np.float64)
-        shape = (len(self.members), self.m)
-        log_w, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
-        for j, ms in enumerate(self.members):
-            levels, log_cand = ms.levels, 0.0
-            if cand is not None:
-                cpath, cmasses = self._own_column(ms, cand)
-                log_cand = np.log(cmasses[_cells(ms.seg, cpath, 2)[0], 0])
-                levels = [lvl.copy() for lvl in levels]
-                _add_along_path(levels, cpath[0], +1)
-            for xcell, idx in ms.groups.items():
-                masses = self._column_masses(ms, levels, xcell, idx)
-                below[j, idx], total[j, idx] = _cdf_at(masses, self.pts[idx, 1])
-                log_own = np.log(masses[ms.ycell[idx], np.arange(idx.size)])
-                # difference first: a swap that leaves the counts unchanged
-                # keeps the training weight bit for bit, so exact ties hold
-                log_w[j, idx] = self.log_w0[j] + (log_cand - log_own)
-        return _mix(log_w, below, total)
+        if candidate is None:
+            return self._loo(None, None)
+        return self.swapped(self.candidates(as_points(candidate, 2)), 0)
 
     def score_point(self, point) -> float:
         """Conformity score of one point against the unmodified training set."""
-        pt = as_points(point, 2)[0]
-        below = np.empty((len(self.members), 1))
-        total = np.empty((len(self.members), 1))
-        for j, ms in enumerate(self.members):
-            below[j], total[j] = _cdf_at(self._own_column(ms, pt)[1], pt[1:])
-        return float(_mix(self.log_w0[:, None], below, total)[0])
+        return float(self.candidates(as_points(point, 2)).scores[0])
 
 
 class _MixtureScorer:
@@ -249,6 +281,7 @@ class _MixtureScorer:
 
     def __init__(self, train, config: ConformalConfig):
         self.config = config
+        self.family = config.family
         self.pts = as_points(train, 2) if np.size(train) else np.zeros((0, 2))
         self.m = self.pts.shape[0]
         self._train_model = fit(self.pts, config.family, config.a0)
@@ -259,11 +292,18 @@ class _MixtureScorer:
         )
         (nx, _), M = pred.grid_mass_matrix(mix)
         col = M[min(int(point[0] * nx), nx - 1)]
-        below, total = _cdf_at(col[:, None], point[1:])
+        below, total = _cdf_at(col[None, :], point[1:])
         return float(below[0] / total[0])
 
     def score_point(self, point) -> float:
         return self._score_model(self._train_model, np.asarray(point, dtype=np.float64))
+
+    def candidates(self, cands: np.ndarray) -> _Candidates:
+        scores = np.array([self._score_model(self._train_model, c) for c in cands])
+        return _Candidates(cands, scores, _locate(cands, self.family), None)
+
+    def swapped(self, located: _Candidates, i: int) -> np.ndarray:
+        return self.loo_scores(located.points[i])
 
     def loo_scores(self, candidate=None) -> np.ndarray:
         scores = np.empty(self.m)
@@ -318,10 +358,30 @@ def conformal_pvalue(train, candidate, config: ConformalConfig) -> float:
     cand = as_points(candidate, 2)[0]
     if pts.shape[0] == 0:
         return 0.0
-    scorer = _make_scorer(pts, config)
-    a_cand = scorer.score_point(cand)
-    a_train = scorer.loo_scores(cand)
-    return float(np.sum(a_train <= a_cand)) / (pts.shape[0] + 1)
+    return float(_pvalue_tables(_make_scorer(pts, config), cand[None, :])[0][0])
+
+
+def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p-values of the below- and above-direction scores of candidates (n, 2).
+
+    Swapped-set scores depend on a candidate only through its leaf in
+    every member, so candidates that share all their leaves share one
+    pass.
+    """
+    located = scorer.candidates(cands)
+    depths = np.array([seg.depth for seg in scorer.family])
+    leaves = located.paths[np.arange(depths.size), :, depths - 1]  # (members, n)
+    p_below = np.empty(cands.shape[0])
+    p_above = np.empty(cands.shape[0])
+    passes: dict[bytes, np.ndarray] = {}
+    for i, a_cand in enumerate(located.scores):
+        key = leaves[:, i].tobytes()
+        if key not in passes:
+            passes[key] = scorer.swapped(located, i)
+        a_train = passes[key]
+        p_below[i] = np.sum(a_train <= a_cand) / (scorer.m + 1)
+        p_above[i] = np.sum(a_train >= a_cand) / (scorer.m + 1)
+    return p_below, p_above
 
 
 def default_y_grid(config: ConformalConfig) -> np.ndarray:
@@ -351,11 +411,12 @@ def conformal_band(
     x_values = np.atleast_1d(np.asarray(x_values, dtype=np.float64))
     if not np.all((x_values >= 0) & (x_values <= 1)):  # NaN fails too
         raise ValueError("x_values must lie in [0, 1]")
-    y_grid = (
-        default_y_grid(config)
-        if y_grid_size is None
-        else np.linspace(0.0, 1.0, int(y_grid_size))
-    )
+    if y_grid_size is None:
+        y_grid = default_y_grid(config)
+    elif isinstance(y_grid_size, (int, np.integer)) and y_grid_size >= 2:
+        y_grid = np.linspace(0.0, 1.0, y_grid_size)
+    else:
+        raise ValueError(f"y_grid_size must be an integer >= 2, got {y_grid_size!r}")
     pts = as_points(train, 2) if np.size(train) else np.zeros((0, 2))
     m = pts.shape[0]
     n_x, n_y = x_values.size, y_grid.size
@@ -371,16 +432,10 @@ def conformal_band(
             np.ones(n_x),
             config.endpoint,
         )
-    scorer = _make_scorer(pts, config)
-    p_below = np.empty((n_x, n_y))
-    p_above = np.empty((n_x, n_y))
-    for ix, x in enumerate(x_values):
-        for iy, y in enumerate(y_grid):
-            cand = np.array([x, y])
-            a_cand = scorer.score_point(cand)
-            a_train = scorer.loo_scores(cand)
-            p_below[ix, iy] = np.sum(a_train <= a_cand) / (m + 1)
-            p_above[ix, iy] = np.sum(a_train >= a_cand) / (m + 1)
+    cands = np.column_stack([np.repeat(x_values, n_y), np.tile(y_grid, n_x)])
+    p_below, p_above = (
+        p.reshape(n_x, n_y) for p in _pvalue_tables(_make_scorer(pts, config), cands)
+    )
     lower = np.full(n_x, np.nan)
     upper = np.full(n_x, np.nan)
     for ix in range(n_x):

@@ -23,7 +23,7 @@ from .hbeta import (
     accumulate_counts,
     conditional_predictive_density,
 )
-from .segmentation import Segmentation, SegmentationFamily, as_points, path_indices
+from .segmentation import SegmentationFamily, _locate, as_points
 
 __all__ = [
     "LogGammaTables",
@@ -196,7 +196,7 @@ class IncrementalModel:
         pts = as_points(u, self.family.ndim)
         if pts.shape[0] != 1:
             raise ValueError("an update takes a single point")
-        paths = [path_indices(pts, seg) for seg in self.family]
+        paths = [p[:, : seg.depth] for p, seg in zip(_locate(pts, self.family), self.family)]
         if sign < 0:
             if self.m == 0:
                 raise ValueError("no points to remove")

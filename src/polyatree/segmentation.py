@@ -15,6 +15,7 @@ on the closed cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -51,6 +52,10 @@ class Segmentation:
     @property
     def depth(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def _table(self) -> tuple[int, list[tuple]]:
+        return _split_table((self,))
 
     def splits_per_dim(self) -> np.ndarray:
         """Number of halvings applied to each dimension (shape (ndim,))."""
@@ -100,27 +105,57 @@ def as_points(u, ndim: int) -> np.ndarray:
     return pts
 
 
-def path_indices(points: np.ndarray, seg: Segmentation) -> np.ndarray:
-    """0-based box index at every level for each point, shape (n, L).
+def _split_table(segs: Sequence[Segmentation]) -> tuple[int, list[tuple]]:
+    """(members, per-level rows) for `_locate`.
 
-    The child rule is index = 2*parent + bit, with bit 0 for the lower
-    half of the split coordinate.  Scaling by powers of two is exact in
-    binary floating point, so location is reproducible bit-for-bit.
+    A row holds each member's split coordinate, the scale 2^(prior splits
+    of it + 1) and the top bin, scale - 1.  A lone segmentation gets a
+    column slice and plain numbers, which are cheap to build; a family
+    gets arrays of shape (members,) and (members, 1).  Levels run to the
+    deepest member; shallower members continue with splits of dimension 1,
+    which only extends their paths below their own depth.
     """
-    pts = as_points(points, seg.ndim)
-    n = pts.shape[0]
-    out = np.empty((n, seg.depth), dtype=np.int64)
-    node = np.zeros(n, dtype=np.int64)
-    splits_done = np.zeros(seg.ndim, dtype=np.int64)
-    for level, dim in enumerate(seg.dims):
-        k = splits_done[dim - 1]
-        splits_done[dim - 1] += 1
-        scale = np.int64(1) << (k + 1)
-        b = np.floor(pts[:, dim - 1] * scale).astype(np.int64)
-        np.minimum(b, scale - 1, out=b)  # coordinate exactly 1.0 stays in the top box
-        node = 2 * node + (b & 1)
-        out[:, level] = node
-    return out
+    depth = max(seg.depth for seg in segs)
+    rows = []
+    for seg in segs:
+        done = [0] * seg.ndim
+        row = []
+        for d in seg.dims + (1,) * (depth - seg.depth):
+            done[d - 1] += 1
+            row.append((d - 1, 1 << done[d - 1]))
+        rows.append(row)
+    if len(segs) == 1:
+        return 1, [(slice(d, d + 1), float(k), k - 1) for d, k in rows[0]]
+    dims, scale = np.array(rows, dtype=np.int64).transpose(2, 1, 0)  # (depth, members)
+    return len(segs), [
+        (d, k[:, None].astype(np.float64), k[:, None] - 1) for d, k in zip(dims, scale)
+    ]
+
+
+def _locate(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
+    """Paths of validated points (n, P) in one segmentation or every member
+    of a family, shape (members, n, L) for the deepest member's L.
+
+    A member's own path is ``[j, :, :depth]``.  The child rule is
+    index = 2*parent + bit, with bit 0 for the lower half of the split
+    coordinate.  Scaling by powers of two is exact in binary floating
+    point, so location is reproducible bit-for-bit.
+    """
+    members, table = segs._table
+    cols = np.ascontiguousarray(pts.T)
+    out = np.empty((len(table), members, pts.shape[0]), dtype=np.int64)
+    node = 0
+    for level, (col, scale, top) in enumerate(table):
+        b = (cols[col] * scale).astype(np.int64)  # truncation is floor on [0, 1]
+        np.minimum(b, top, out=b)  # coordinate exactly 1.0 stays in the top box
+        b &= 1
+        node = np.add(2 * node, b, out=out[level])
+    return out.transpose(1, 2, 0)
+
+
+def path_indices(points: np.ndarray, seg: Segmentation) -> np.ndarray:
+    """0-based box index at every level for each point, shape (n, L)."""
+    return _locate(as_points(points, seg.ndim), seg)[0]
 
 
 def leaf_indices(points: np.ndarray, seg: Segmentation) -> np.ndarray:
@@ -171,6 +206,10 @@ class SegmentationFamily:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def _table(self) -> tuple[int, list[tuple]]:
+        return _split_table(self.members)
 
     def __iter__(self) -> Iterator[Segmentation]:
         return iter(self.members)

@@ -194,6 +194,14 @@ class TestValidationFailures:
         main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)])
         assert main(["density", "--model", str(model_dir), "--out", str(tmp_path / "d")]) == 2
 
+    def test_conformal_grid_below_two_exits_2(self, tmp_path, rng):
+        data_path = tmp_path / "data.csv"
+        write_points_csv(data_path, rng.uniform(size=(5, 2)))
+        code = main(
+            ["conformal", "--data", str(data_path), "--grid", "1", "--out", str(tmp_path / "c")]
+        )
+        assert code == 2
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

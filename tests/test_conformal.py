@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from polyatree.conformal import (
     ConformalConfig,
     _ExactScorer,
+    _make_scorer,
     conformal_band,
     conformal_pvalue,
     conformity_score,
@@ -14,11 +15,21 @@ from polyatree.conformal import (
 )
 from polyatree.posterior import fit
 from polyatree.predictive import grid_mass_matrix
-from polyatree.segmentation import enumerate_balanced_family
+from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family
+from polyatree.simharness.studies import quantreg_family
 
 
 def tiny_family():
     return enumerate_balanced_family(2, {1: 2, 2: 2})  # 6 members, depth 4
+
+
+def ragged_family():
+    # depths 2 to 5; one member never splits x, one never splits y
+    dims = [(1, 2, 1, 2), (2, 2, 2), (1, 1), (2, 1, 1, 2, 2)]
+    return SegmentationFamily(tuple(build(d, 2) for d in dims))
+
+
+FAMILIES = {"tiny": tiny_family, "quantreg": quantreg_family, "ragged": ragged_family}
 
 
 def brute_force_score(train_model_points, family, a0, point):
@@ -61,6 +72,32 @@ class TestExactScorer:
                 brute_force_score(train, fam, 1.0, cand), abs=1e-12
             )
 
+    def test_matches_brute_force_on_ragged_family(self, rng):
+        # members of different x resolution mix as densities at x
+        fam = ragged_family()
+        train = rng.uniform(size=(9, 2))
+        scorer = _ExactScorer(train, ConformalConfig(fam, a0=2.0))
+        for cand in (np.array([0.63, 0.31]), np.array([1.0, 0.0]), train[3], None):
+            fast = scorer.loo_scores(cand)
+            slow = np.array(
+                [
+                    brute_force_score(
+                        np.delete(train, i, axis=0)
+                        if cand is None
+                        else np.vstack([np.delete(train, i, axis=0), cand]),
+                        fam,
+                        2.0,
+                        train[i],
+                    )
+                    for i in range(9)
+                ]
+            )
+            assert np.allclose(fast, slow, atol=1e-10)
+            if cand is not None:
+                assert scorer.score_point(cand) == pytest.approx(
+                    brute_force_score(train, fam, 2.0, cand), abs=1e-12
+                )
+
     def test_matches_brute_force_leave_one_out(self, rng):
         fam = tiny_family()
         train = rng.uniform(size=(11, 2))
@@ -99,7 +136,6 @@ class TestConformityScore:
         from scipy.stats import kstest
 
         from polyatree.simharness.densities import LogitNormalRegression
-        from polyatree.simharness.studies import quantreg_family
 
         dens = LogitNormalRegression()
         gen = np.random.default_rng(56)
@@ -192,8 +228,6 @@ class TestLooScores:
 
 class TestBand:
     def test_default_y_grid(self):
-        from polyatree.simharness.studies import quantreg_family
-
         grid = default_y_grid(ConformalConfig(quantreg_family()))
         assert grid.size == 33
         assert grid[0] == 0.0 and grid[-1] == 1.0
@@ -263,10 +297,29 @@ class TestBand:
             conformal_band(rng.uniform(size=(5, 2)), [0.5], 0.0, config)
 
 
+class TestBandReuse:
+    @pytest.mark.parametrize("draws", [None, 1], ids=["exact", "mixture"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_per_candidate_scoring(self, family, draws, rng):
+        # candidates sharing every leaf share one swapped-set pass; the
+        # tables equal scoring each grid point on its own, bit for bit
+        config = ConformalConfig(FAMILIES[family](), draws_per_seg=draws, seed=2)
+        # 18 grid values fall in at most 16 finest y-cells
+        m, xs, size = (12, [0.53125, 1.0], None) if draws is None else (2, [0.3], 18)
+        train = rng.uniform(size=(m, 2))
+        band = conformal_band(train, xs, 0.2, config, size)
+        scorer = _make_scorer(train, config)
+        for ix, x in enumerate(xs):
+            for iy, y in enumerate(band.y_grid):
+                cand = np.array([x, y])
+                a_cand = scorer.score_point(cand)
+                a_train = scorer.loo_scores(cand)
+                assert band.p_below[ix, iy] == np.sum(a_train <= a_cand) / (m + 1)
+                assert band.p_above[ix, iy] == np.sum(a_train >= a_cand) / (m + 1)
+
+
 class TestConfigValidation:
     def test_requires_2d_family(self):
-        from polyatree.segmentation import SegmentationFamily, build
-
         with pytest.raises(ValueError):
             ConformalConfig(SegmentationFamily((build((1, 1), 1),)))
 

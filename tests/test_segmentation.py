@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from polyatree.segmentation import (
     Segmentation,
     SegmentationFamily,
+    _locate,
     build,
     enumerate_balanced_family,
     leaf_indices,
@@ -108,6 +111,30 @@ class TestPathIndices:
         paths = path_indices(pts, seg)
         for i in range(50):
             assert tuple(paths[i] + 1) == locate(pts[i], seg).indices
+
+    @given(data=st.data(), ndim=st.integers(1, 3))
+    def test_family_location_matches_inline_binning(self, data, ndim):
+        # after its k-th split of dimension d, a path has put the point in
+        # bin min(floor(u_d * 2^k), 2^k - 1) along d, in every member
+        member = st.lists(st.integers(1, ndim), min_size=1, max_size=7)
+        members = data.draw(st.lists(member, min_size=1, max_size=5, unique_by=tuple))
+        family = SegmentationFamily(tuple(build(dims, ndim) for dims in members))
+        dyadic = st.integers(0, 7).flatmap(lambda j: st.integers(0, 2**j).map(lambda k: k / 2**j))
+        coord = st.one_of(st.floats(0.0, 1.0, allow_nan=False), dyadic, st.just(1.0))
+        rows = st.lists(st.lists(coord, min_size=ndim, max_size=ndim), min_size=1, max_size=6)
+        pts = np.array(data.draw(rows), dtype=np.float64)
+        paths = _locate(pts, family)
+        for j, seg in enumerate(family):
+            assert np.array_equal(paths[j, :, : seg.depth], path_indices(pts, seg))
+            for u, path in zip(pts, paths[j]):
+                cells, splits, parent = [0] * ndim, [0] * ndim, 0
+                for level, d in enumerate(seg.dims):
+                    assert path[level] >> 1 == parent
+                    parent = int(path[level])
+                    cells[d - 1] = 2 * cells[d - 1] + (parent & 1)
+                    splits[d - 1] += 1
+                    k = splits[d - 1]
+                    assert cells[d - 1] == min(math.floor(u[d - 1] * 2**k), 2**k - 1)
 
     @given(
         data=st.data(),

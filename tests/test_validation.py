@@ -61,3 +61,10 @@ A0_ENTRIES = {
 def test_bad_a0_rejected(entry, a0):
     with pytest.raises(ValueError, match="a0 must be finite and positive"):
         A0_ENTRIES[entry](a0)
+
+
+@pytest.mark.parametrize("train", [TRAIN, np.zeros((0, 2))], ids=["train", "empty"])
+@pytest.mark.parametrize("size", [0, 1, 2.7, -3, "9"])
+def test_bad_y_grid_size_rejected(train, size):
+    with pytest.raises(ValueError, match="y_grid_size must be an integer >= 2"):
+        conformal_band(train, [0.5], 0.1, ConformalConfig(FAMILY), y_grid_size=size)
