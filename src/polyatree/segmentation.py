@@ -54,7 +54,7 @@ class Segmentation:
         return len(self.dims)
 
     @cached_property
-    def _table(self) -> tuple[int, list[tuple]]:
+    def _table(self) -> tuple[np.ndarray, ...]:
         return _split_table((self,))
 
     def splits_per_dim(self) -> np.ndarray:
@@ -105,31 +105,26 @@ def as_points(u, ndim: int) -> np.ndarray:
     return pts
 
 
-def _split_table(segs: Sequence[Segmentation]) -> tuple[int, list[tuple]]:
-    """(members, per-level rows) for `_locate`.
+def _split_table(segs: Sequence[Segmentation]) -> tuple[np.ndarray, ...]:
+    """Split rows for `_locate`, one entry per member and level.
 
-    A row holds each member's split coordinate, the scale 2^(prior splits
-    of it + 1) and the top bin, scale - 1.  A lone segmentation gets a
-    column slice and plain numbers, which are cheap to build; a family
-    gets arrays of shape (members,) and (members, 1).  Levels run to the
-    deepest member; shallower members continue with splits of dimension 1,
-    which only extends their paths below their own depth.
+    The rows are the split coordinate, shape (members, L), the scale
+    2^(prior splits of it + 1) and the top bin, scale - 1, both shape
+    (members, L, 1), and the shift L-1-level of a level's bit in the leaf
+    index, shape (L, 1).  Levels run to the deepest member; shallower
+    members continue with splits of dimension 1, which only extends their
+    paths below their own depth.
     """
     depth = max(seg.depth for seg in segs)
     rows = []
     for seg in segs:
         done = [0] * seg.ndim
-        row = []
         for d in seg.dims + (1,) * (depth - seg.depth):
             done[d - 1] += 1
-            row.append((d - 1, 1 << done[d - 1]))
-        rows.append(row)
-    if len(segs) == 1:
-        return 1, [(slice(d, d + 1), float(k), k - 1) for d, k in rows[0]]
-    dims, scale = np.array(rows, dtype=np.int64).transpose(2, 1, 0)  # (depth, members)
-    return len(segs), [
-        (d, k[:, None].astype(np.float64), k[:, None] - 1) for d, k in zip(dims, scale)
-    ]
+            rows.append((d - 1, 1 << done[d - 1]))
+    dims, scale = np.array(rows, dtype=np.int64).reshape(len(segs), depth, 2).transpose(2, 0, 1)
+    shift = np.arange(depth - 1, -1, -1)[:, None]
+    return dims, scale[..., None].astype(np.float64), scale[..., None] - 1, shift
 
 
 def _locate(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
@@ -138,19 +133,17 @@ def _locate(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.nd
 
     A member's own path is ``[j, :, :depth]``.  The child rule is
     index = 2*parent + bit, with bit 0 for the lower half of the split
-    coordinate.  Scaling by powers of two is exact in binary floating
-    point, so location is reproducible bit-for-bit.
+    coordinate, so the leaf index holds the bits of all levels and the box
+    at a level is the leaf index shifted right by the levels below it.
+    Scaling by powers of two is exact in binary floating point, so location
+    is reproducible bit-for-bit.
     """
-    members, table = segs._table
-    cols = np.ascontiguousarray(pts.T)
-    out = np.empty((len(table), members, pts.shape[0]), dtype=np.int64)
-    node = 0
-    for level, (col, scale, top) in enumerate(table):
-        b = (cols[col] * scale).astype(np.int64)  # truncation is floor on [0, 1]
-        np.minimum(b, top, out=b)  # coordinate exactly 1.0 stays in the top box
-        b &= 1
-        node = np.add(2 * node, b, out=out[level])
-    return out.transpose(1, 2, 0)
+    dims, scale, top, shift = segs._table
+    b = (pts.T[dims] * scale).astype(np.int64)  # truncation is floor on [0, 1]
+    np.minimum(b, top, out=b)  # coordinate exactly 1.0 stays in the top box
+    b &= 1
+    b <<= shift
+    return (b.sum(axis=1, keepdims=True) >> shift).transpose(0, 2, 1)
 
 
 def path_indices(points: np.ndarray, seg: Segmentation) -> np.ndarray:
@@ -208,7 +201,7 @@ class SegmentationFamily:
         return len(self.members)
 
     @cached_property
-    def _table(self) -> tuple[int, list[tuple]]:
+    def _table(self) -> tuple[np.ndarray, ...]:
         return _split_table(self.members)
 
     def __iter__(self) -> Iterator[Segmentation]:
