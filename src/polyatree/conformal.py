@@ -30,13 +30,14 @@ sampling-based evaluation of the predictive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import predictive as pred
 from .hbeta import _check_a0
-from .posterior import IncrementalModel, PosteriorModel, _add_along_path, fit
+from .posterior import IncrementalModel, PosteriorModel, _add_point, _copy, _unstack, fit
 from .segmentation import SegmentationFamily, _locate, as_points
 
 __all__ = [
@@ -94,16 +95,6 @@ class ConformalBand:
             (float(x), float(lo), float(hi), self.alpha)
             for x, lo, hi in zip(self.x_values, self.lower, self.upper)
         ]
-
-
-class _MemberState:
-    """Per-segmentation precomputation for batched leave-one-out scoring."""
-
-    def __init__(self, seg, levels, paths):
-        self.seg = seg
-        self.levels = levels
-        self.yoff = _column_offsets(seg)
-        self.xnode, self.ypos = _column_coords(seg, paths)
 
 
 def _column_offsets(seg) -> list[np.ndarray]:
@@ -175,16 +166,11 @@ def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, ncols: np.ndar
     A member enters with its posterior weight times its marginal density
     at x, which is its column mass times its number of x columns (ncols,
     shape (members, 1)), so members of different x resolution mix as
-    densities.  Members are summed one at a time so that equal inputs
-    give equal scores whatever n is.
+    densities.  Members are summed in order by a cumulative sum, so that
+    equal inputs give equal scores whatever n is.
     """
     weights = np.exp(log_w - log_w.max(axis=0, keepdims=True)) * ncols
-    num = np.zeros(below.shape[1])
-    den = np.zeros(below.shape[1])
-    for j in range(weights.shape[0]):
-        num += weights[j] * below[j]
-        den += weights[j] * total[j]
-    return num / den
+    return np.cumsum(weights * below, axis=0)[-1] / np.cumsum(weights * total, axis=0)[-1]
 
 
 class _Candidates(NamedTuple):
@@ -206,10 +192,11 @@ class _ExactScorer:
         self.family = config.family
         model = fit(self.pts, config.family, config.a0)
         self.log_w0 = model.log_unnormalized
-        paths = _locate(self.pts, config.family)
+        self.stacks, self.counts = model._stacks, model.counts
+        # per member: its segmentation, column offsets and training points' column coordinates
         self.members = [
-            _MemberState(seg, c.levels, p[:, : seg.depth])
-            for seg, c, p in zip(config.family, model.counts, paths)
+            (seg, _column_offsets(seg), *_column_coords(seg, p[:, : seg.depth]))
+            for seg, p in zip(config.family, _locate(self.pts, config.family))
         ]
         self.ncols = np.array([[2.0 ** sum(d == 1 for d in seg.dims)] for seg in config.family])
 
@@ -223,9 +210,9 @@ class _ExactScorer:
         paths = _locate(cands, self.family)
         shape = (len(self.members), cands.shape[0])
         log_mass, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
-        for j, ms in enumerate(self.members):
-            xnode, ypos = _column_coords(ms.seg, paths[j, :, : ms.seg.depth])
-            masses = _column_masses(self.a0, ms.levels, ms.yoff, xnode)
+        for j, (seg, yoff, _, _) in enumerate(self.members):
+            xnode, ypos = _column_coords(seg, paths[j, :, : seg.depth])
+            masses = _column_masses(self.a0, self.counts[j].levels, yoff, xnode)
             below[j], total[j] = _cdf_at(masses, cands[:, 1])
             log_mass[j] = np.log(masses[np.arange(shape[1]), ypos[:, -1]])
         scores = _mix(self.log_w0[:, None], below, total, self.ncols)
@@ -239,24 +226,26 @@ class _ExactScorer:
         """Score of each training point on the other m-1 points, plus the
         candidate along cpaths (members, L) when given.
 
-        Each member scores all m points in one array pass.  By Bayes' rule
-        a swapped set's log weight is the training set's, plus the
-        candidate's log predictive leaf mass, minus the removed point's log
-        leaf mass given the swapped set, read from the same column masses
-        that give its score.
+        The candidate joins a copy of the count stacks along every member's
+        path at once; each member then scores all m points in one array
+        pass.  By Bayes' rule a swapped set's log weight is the training
+        set's, plus the candidate's log predictive leaf mass, minus the
+        removed point's log leaf mass given the swapped set, read from the
+        same column masses that give its score.
         """
         shape = (len(self.members), self.m)
         log_w, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
         rows = np.arange(self.m)
-        for j, ms in enumerate(self.members):
-            levels, lc = ms.levels, 0.0
-            if cpaths is not None:
-                lc = log_cand[j]
-                levels = [lvl.copy() for lvl in levels]
-                _add_along_path(levels, cpaths[j, : ms.seg.depth], +1)
-            masses = _column_masses(self.a0, levels, ms.yoff, ms.xnode, ms.ypos)
+        counts = self.counts
+        if cpaths is not None:
+            stacks = _copy(self.stacks)
+            _add_point(self.family, stacks, cpaths, +1)
+            counts = _unstack(self.family, stacks)
+        for j, (_, yoff, xnode, ypos) in enumerate(self.members):
+            lc = 0.0 if cpaths is None else log_cand[j]
+            masses = _column_masses(self.a0, counts[j].levels, yoff, xnode, ypos)
             below[j], total[j] = _cdf_at(masses, self.pts[:, 1])
-            log_own = np.log(masses[rows, ms.ypos[:, -1]])
+            log_own = np.log(masses[rows, ypos[:, -1]])
             # difference first: a swap that leaves the counts unchanged
             # keeps the training weight bit for bit, so exact ties hold
             log_w[j] = self.log_w0[j] + (lc - log_own)
@@ -286,20 +275,30 @@ class _MixtureScorer:
         self.m = self.pts.shape[0]
         self._train_model = fit(self.pts, config.family, config.a0)
 
-    def _score_model(self, model: PosteriorModel, point) -> float:
+    def _grid(self, model: PosteriorModel) -> np.ndarray:
+        """Grid cell masses of the seeded posterior-draw mixture of `model`."""
         mix = pred.build_mixture(
             model, self.config.draws_per_seg, np.random.default_rng(self.config.seed)
         )
-        (nx, _), M = pred.grid_mass_matrix(mix)
-        col = M[min(int(point[0] * nx), nx - 1)]
-        below, total = _cdf_at(col[None, :], point[1:])
-        return float(below[0] / total[0])
+        return pred.grid_mass_matrix(mix)[1]
+
+    @cached_property
+    def _train_grid(self) -> np.ndarray:
+        return self._grid(self._train_model)
+
+    @staticmethod
+    def _scores(M: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Column CDF scores of points (n, 2) under grid cell masses M."""
+        nx = M.shape[0]
+        cols = M[np.minimum((points[:, 0] * nx).astype(np.int64), nx - 1)]
+        below, total = _cdf_at(cols, points[:, 1])
+        return below / total
 
     def score_point(self, point) -> float:
-        return self._score_model(self._train_model, np.asarray(point, dtype=np.float64))
+        return float(self._scores(self._train_grid, np.asarray(point, dtype=np.float64)[None, :])[0])
 
     def candidates(self, cands: np.ndarray) -> _Candidates:
-        scores = np.array([self._score_model(self._train_model, c) for c in cands])
+        scores = self._scores(self._train_grid, cands)
         return _Candidates(cands, scores, _locate(cands, self.family), None)
 
     def swapped(self, located: _Candidates, i: int) -> np.ndarray:
@@ -312,7 +311,7 @@ class _MixtureScorer:
             inc.add_point(np.asarray(candidate, dtype=np.float64))
         for i in range(self.m):
             inc.remove_point(self.pts[i])
-            scores[i] = self._score_model(inc.snapshot(), self.pts[i])
+            scores[i] = self._scores(self._grid(inc.snapshot()), self.pts[i : i + 1])[0]
             inc.add_point(self.pts[i])
         return scores
 

@@ -7,6 +7,9 @@ tree, and the induced density is constant on each depth-L box.  Counting
 observations per node makes the model conjugate: node variables update to
 Beta(a0 + N_lower, a0 + N_upper), and the predictive density of a new
 point has a closed form as a product of count ratios along its path.
+The count kernels also take a leading members axis: levels of shape
+(members, 2^l) hold a stack of equal-depth members, a single tree being
+the one-member case.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class CountsTree:
 
     def validate(self) -> None:
         for l in range(1, len(self.levels)):
-            lower, upper = self.levels[l][0::2], self.levels[l][1::2]
+            lower, upper = self.levels[l][..., 0::2], self.levels[l][..., 1::2]
             if not np.array_equal(self.levels[l - 1], lower + upper):
                 raise ValueError(f"parent-sum violated between levels {l - 1} and {l}")
         if np.any(self.levels[-1] < 0):
@@ -130,25 +133,20 @@ def pi_from_phi(tree: BetaTree) -> np.ndarray:
 
 def accumulate_counts(points, seg: Segmentation) -> CountsTree:
     """Count observations in every box of the segmentation tree."""
-    pts = as_points(points, seg.ndim)
-    depth = seg.depth
-    if pts.shape[0] == 0:
-        leaves = np.zeros(1 << depth, dtype=np.int64)
-    else:
-        leaves = np.bincount(leaf_indices(pts, seg), minlength=1 << depth)
-    return counts_from_leaf_counts(leaves)
+    leaves = leaf_indices(as_points(points, seg.ndim), seg)
+    return counts_from_leaf_counts(np.bincount(leaves, minlength=1 << seg.depth))
 
 
 def counts_from_leaf_counts(leaf_counts) -> CountsTree:
     """Build the full tree from deepest-level counts by pairwise summation."""
     leaves = np.asarray(leaf_counts, dtype=np.int64)
-    size = leaves.size
+    size = leaves.shape[-1]
     if size < 2 or size & (size - 1):
         raise ValueError("leaf count vector length must be a power of two >= 2")
     levels = [leaves]
-    while levels[-1].size > 1:
+    while levels[-1].shape[-1] > 1:
         cur = levels[-1]
-        levels.append(cur[0::2] + cur[1::2])
+        levels.append(cur[..., 0::2] + cur[..., 1::2])
     return CountsTree(tuple(reversed(levels)))
 
 
@@ -184,23 +182,24 @@ def conditional_predictive_density(points, counts: CountsTree, seg: Segmentation
 def _log_path_density(levels, paths: np.ndarray, a0: float) -> np.ndarray:
     """Log predictive density at the leaf ending each path, paths (n, L).
 
-    ``levels`` are node counts as in ``CountsTree.levels``.  The result is
-    the log predictive probability of the path's leaf plus L*log(2): the
-    sum over levels of log(N_level + a0) - log(N_parent + 2*a0) + log(2),
-    with levels below an empty parent contributing exactly zero.
+    ``levels`` are node counts as in ``CountsTree.levels`` (a stack takes
+    paths (members, n, L)).  The result is the log predictive probability
+    of the path's leaf plus L*log(2): the sum over levels of log(N_level +
+    a0) - log(N_parent + 2*a0) + log(2), with levels below an empty parent
+    contributing exactly zero.
     """
-    n, depth = paths.shape
-    node_counts = np.empty((n, depth + 1), dtype=np.int64)
-    node_counts[:, 0] = levels[0][0]
+    depth = paths.shape[-1]
+    node_counts = np.empty(paths.shape[:-1] + (depth + 1,), dtype=np.int64)
+    node_counts[..., 0] = levels[0][..., :1]
     for l in range(1, depth + 1):
-        node_counts[:, l] = levels[l][paths[:, l - 1]]
-    active = node_counts[:, :-1] > 0  # below an empty parent every factor is 1
+        node_counts[..., l] = np.take_along_axis(levels[l], paths[..., l - 1], axis=-1)
+    active = node_counts[..., :-1] > 0  # below an empty parent every factor is 1
     terms = (
-        np.log(node_counts[:, 1:] + a0)
-        - np.log(node_counts[:, :-1] + 2.0 * a0)
+        np.log(node_counts[..., 1:] + a0)
+        - np.log(node_counts[..., :-1] + 2.0 * a0)
         + np.log(2.0)
     )
-    return np.sum(np.where(active, terms, 0.0), axis=1)
+    return np.sum(np.where(active, terms, 0.0), axis=-1)
 
 
 def leaf_predictive_masses(counts: CountsTree, a0: float) -> np.ndarray:
@@ -210,8 +209,8 @@ def leaf_predictive_masses(counts: CountsTree, a0: float) -> np.ndarray:
     (N_child + a0) / (N_parent + 2*a0); masses sum to one exactly.
     """
     _check_a0(a0)
-    mass = np.ones(1)
+    mass = np.ones(counts.levels[0].shape)
     for l in range(1, counts.depth + 1):
         parent = mass / (counts.levels[l - 1] + 2.0 * a0)
-        mass = np.repeat(parent, 2) * (counts.levels[l] + a0)
+        mass = np.repeat(parent, 2, axis=-1) * (counts.levels[l] + a0)
     return mass

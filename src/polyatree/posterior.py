@@ -1,17 +1,21 @@
 """Exact posterior weights over a family of segmentations.
 
-The weight of a segmentation given the data is proportional to the
-reciprocal multinomial coefficient of its deepest-level counts times a
-chain of beta-binomial probabilities, one per internal node: the lower
-child count given the parent count, with symmetric parameters (a0, a0).
-Everything is accumulated in log space with cached log-gamma lookups and
-normalized by log-sum-exp, so large families and deep trees stay stable.
+The weight of a segmentation given the data is the Polya-tree marginal
+likelihood of its leaf sequence: a product over internal nodes of
+B(N_lower + a0, N_upper + a0) / B(a0, a0), B the Beta function and
+N_lower, N_upper the counts of the node's children (the beta-binomial
+chain times the reciprocal multinomial coefficient of the leaf counts,
+whose binomial coefficients cancel).  Sums run in log space over cached
+log-gamma values and normalize by log-sum-exp.  Counts are kept as one
+stack per depth group of members, levels (members, 2^l), so fits,
+weights, densities and one-point updates are array operations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -20,8 +24,8 @@ from .hbeta import (
     CountsTree,
     _check_a0,
     _log_path_density,
-    accumulate_counts,
-    conditional_predictive_density,
+    counts_from_leaf_counts,
+    leaf_predictive_masses,
 )
 from .segmentation import SegmentationFamily, _locate, as_points
 
@@ -73,32 +77,35 @@ class LogGammaTables:
         )
 
 
-def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTables | None = None) -> float:
+def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTables | None = None):
     """Log numerator of the posterior segmentation probability.
 
-    Sum of the log reciprocal multinomial coefficient of the leaf counts
-    and the log beta-binomial chain over internal nodes.  Nodes with an
-    empty parent contribute exactly zero.
+    Every internal node with child counts (N_lower, N_upper) and N =
+    N_lower + N_upper adds log B(N_lower + a0, N_upper + a0) - log B(a0, a0)
+    = lgamma(N_lower + a0) + lgamma(N_upper + a0) - lgamma(N + 2*a0)
+    - [2 lgamma(a0) - lgamma(2*a0)], which is exactly zero for an empty
+    node.  Counts with a leading members axis give one weight per member.
     """
+    nmax = int(counts.levels[0].max())
     if tables is None:
-        tables = LogGammaTables(a0, counts.m)
+        tables = LogGammaTables(a0, nmax)
     elif tables.a0 != a0:
         raise ValueError("tables were built for a different a0")
-    tables.ensure(counts.m)
-    total = float(np.sum(tables.F[counts.levels[-1]]) - tables.F[counts.m])
+    tables.ensure(nmax)
+    total = 0.0
     for l in range(1, counts.depth + 1):
-        parents = counts.levels[l - 1]
-        occupied = parents > 0
-        if not occupied.any():
-            continue
-        lower = counts.levels[l][0::2]
-        total += float(np.sum(tables.log_betabinom(lower[occupied], parents[occupied])))
-    return total
+        child = tables.G1[counts.levels[l]]
+        node = child[..., 0::2] + child[..., 1::2] - tables.G2[counts.levels[l - 1]] - tables._const
+        total = total + np.sum(node, axis=-1)
+    return total if np.ndim(total) else float(total)
 
 
 @dataclass(frozen=True, eq=False)
 class PosteriorModel:
-    """Fitted family: per-member counts and normalized log weights."""
+    """Fitted family: per-member counts and normalized log weights.
+
+    ``counts`` are row views of ``_stacks`` (from `fit`), or get stacked
+    on first use."""
 
     family: SegmentationFamily
     counts: tuple[CountsTree, ...]
@@ -110,6 +117,14 @@ class PosteriorModel:
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
+
+    @cached_property
+    def _stacks(self) -> tuple[CountsTree, ...]:
+        trees = [[self.counts[j].levels for j in idx] for _, idx in self.family._groups]
+        return tuple(CountsTree(tuple(map(np.stack, zip(*levels)))) for levels in trees)
+
+    def _leaf_masses(self) -> list[np.ndarray]:
+        return [leaf_predictive_masses(stack, self.a0) for stack in self._stacks]
 
     def to_json_obj(self) -> dict:
         return {
@@ -131,31 +146,81 @@ class PosteriorModel:
         ]
 
 
-def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
-    """Count the data under every family member and normalize the weights."""
-    pts = as_points(points, family.ndim)
-    m = pts.shape[0]
-    tables = LogGammaTables(a0, m)
-    counts = tuple(accumulate_counts(pts, seg) for seg in family)
-    log_unnorm = np.array([log_unnormalized_weight(c, a0, tables) for c in counts])
+def _unstack(family: SegmentationFamily, stacks) -> tuple[CountsTree, ...]:
+    """Per-member trees whose levels are row views of the stacks."""
+    counts = [None] * len(family)
+    for (_, idx), stack in zip(family._groups, stacks):
+        for j, levels in zip(idx, zip(*stack.levels)):
+            counts[j] = CountsTree(levels)
+    return tuple(counts)
+
+
+def _copy(stacks) -> list[CountsTree]:
+    return [CountsTree(tuple(lvl.copy() for lvl in stack.levels)) for stack in stacks]
+
+
+def _from_stacks(family, stacks, a0: float, m: int, log_unnorm: np.ndarray) -> PosteriorModel:
     log_weights = log_unnorm - logsumexp(log_unnorm)
-    return PosteriorModel(family, counts, float(a0), m, log_weights, log_unnorm)
+    model = PosteriorModel(family, _unstack(family, stacks), float(a0), m, log_weights, log_unnorm)
+    model.__dict__["_stacks"] = tuple(stacks)  # the cache its trees are rows of
+    return model
+
+
+def _add_point(family: SegmentationFamily, stacks, paths: np.ndarray, sign: int) -> None:
+    """Add sign to the counts along every member's path, paths (members, L)."""
+    for (depth, idx), stack in zip(family._groups, stacks):
+        stack.levels[0][:, 0] += sign
+        for l in range(1, depth + 1):
+            stack.levels[l][np.arange(idx.size), paths[idx, l - 1]] += sign
+
+
+def _leaf_blocks(pts: np.ndarray, family: SegmentationFamily):
+    """(rows, leaves) per block of points: leaves as one (members, block)
+    array per depth group; a block's location pass holds at most 2^21
+    path entries, which bounds memory."""
+    step = max(1, (1 << 21) // (len(family) * family._table[0].shape[1]))
+    for start in range(0, pts.shape[0], step):
+        paths = _locate(pts[start : start + step], family)
+        yield slice(start, start + step), [paths[idx, :, depth - 1] for depth, idx in family._groups]
+
+
+def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
+    """Count the data under every family member and normalize the weights.
+
+    Per depth group, one bincount over member-offset leaves counts the
+    whole stack, and one pass per level weighs it."""
+    pts = as_points(points, family.ndim)
+    tables = LogGammaTables(a0, pts.shape[0])
+    leaf_counts = [np.zeros((idx.size, 1 << depth), dtype=np.int64) for depth, idx in family._groups]
+    for _, leaves in _leaf_blocks(pts, family):
+        for counts, leaf in zip(leaf_counts, leaves):
+            leaf = leaf + np.arange(0, counts.size, counts.shape[1])[:, None]
+            counts += np.bincount(leaf.ravel(), minlength=counts.size).reshape(counts.shape)
+    stacks = [counts_from_leaf_counts(counts) for counts in leaf_counts]
+    log_unnorm = np.empty(len(family))
+    for (_, idx), stack in zip(family._groups, stacks):
+        log_unnorm[idx] = log_unnormalized_weight(stack, a0, tables)
+    return _from_stacks(family, stacks, a0, pts.shape[0], log_unnorm)
+
+
+def _mixture_at(pts: np.ndarray, family: SegmentationFamily, weights: np.ndarray, tables) -> np.ndarray:
+    """Sum over members of w_j * table_j[leaf] * 2^L at validated points,
+    tables one (members, 2^L) array per depth group.  Members add up in
+    order (a cumulative sum), whatever the number of points."""
+    vals = np.zeros(pts.shape[0])
+    for rows, leaves in _leaf_blocks(pts, family):
+        for (depth, idx), table, leaf in zip(family._groups, tables, leaves):
+            terms = weights[idx, None] * np.take_along_axis(table, leaf, axis=-1) * (1 << depth)
+            vals[rows] += np.cumsum(terms, axis=0)[-1]
+    return vals
 
 
 def mixture_predictive_density(points, model: PosteriorModel):
-    """Posterior predictive density: weight-averaged per-member predictives."""
+    """Posterior predictive density: the weighted members' predictive leaf
+    masses times 2^L at each point's leaves."""
     pts = as_points(points, model.family.ndim)
-    vals = np.zeros(pts.shape[0])
-    for seg, counts, w in zip(model.family, model.counts, model.weights):
-        vals += w * conditional_predictive_density(pts, counts, seg, model.a0)
+    vals = _mixture_at(pts, model.family, model.weights, model._leaf_masses())
     return float(vals[0]) if np.ndim(points) == 1 else vals
-
-
-def _add_along_path(levels, path: np.ndarray, sign: int) -> None:
-    """Add sign to the root count and to every node count along path."""
-    levels[0][0] += sign
-    for l in range(1, len(levels)):
-        levels[l][path[l - 1]] += sign
 
 
 class IncrementalModel:
@@ -165,7 +230,8 @@ class IncrementalModel:
     observed leaf sequence, so by Bayes' rule adding a point multiplies it
     by the predictive probability of the point's leaf given the other
     points, and removing one divides by it.  An update therefore costs
-    one count-ratio chain along the point's path per member, O(depth).
+    one count-ratio chain along the point's path per member, O(depth),
+    run on copies of the count stacks for all members at once.
     Intended for leave-one-out loops; the parent model is never modified.
     """
 
@@ -173,7 +239,7 @@ class IncrementalModel:
         self.family = model.family
         self.a0 = model.a0
         self.m = model.m
-        self._levels = [[lvl.copy() for lvl in c.levels] for c in model.counts]
+        self._stacks = _copy(model._stacks)
         self.log_unnormalized = model.log_unnormalized.copy()
 
     @property
@@ -196,31 +262,22 @@ class IncrementalModel:
         pts = as_points(u, self.family.ndim)
         if pts.shape[0] != 1:
             raise ValueError("an update takes a single point")
-        paths = [p[:, : seg.depth] for p, seg in zip(_locate(pts, self.family), self.family)]
+        paths = _locate(pts, self.family)[:, 0]
+        groups = list(zip(self.family._groups, self._stacks))
         if sign < 0:
             if self.m == 0:
                 raise ValueError("no points to remove")
-            if any(levels[-1][path[0, -1]] <= 0 for levels, path in zip(self._levels, paths)):
+            leaves = [s.levels[-1][np.arange(idx.size), paths[idx, d - 1]] for (d, idx), s in groups]
+            if any(np.any(n <= 0) for n in leaves):
                 raise ValueError("no observation in that leaf to remove")
-        for j, (levels, path) in enumerate(zip(self._levels, paths)):
-            if sign < 0:
-                _add_along_path(levels, path[0], -1)
-            log_mass = _log_path_density(levels, path, self.a0)[0] - path.shape[1] * np.log(2.0)
-            self.log_unnormalized[j] += sign * log_mass
-            if sign > 0:
-                _add_along_path(levels, path[0], +1)
+            _add_point(self.family, self._stacks, paths, -1)
+        for (depth, idx), stack in groups:
+            chain = _log_path_density(stack.levels, paths[idx, None, :depth], self.a0)[:, 0]
+            self.log_unnormalized[idx] += sign * (chain - depth * np.log(2.0))
+        if sign > 0:
+            _add_point(self.family, self._stacks, paths, +1)
         self.m += sign
 
     def snapshot(self) -> PosteriorModel:
-        counts = tuple(
-            CountsTree(tuple(lvl.copy() for lvl in levels)) for levels in self._levels
-        )
         log_unnorm = self.log_unnormalized.copy()
-        return PosteriorModel(
-            self.family,
-            counts,
-            self.a0,
-            self.m,
-            log_unnorm - logsumexp(log_unnorm),
-            log_unnorm,
-        )
+        return _from_stacks(self.family, _copy(self._stacks), self.a0, self.m, log_unnorm)

@@ -23,8 +23,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hbeta import leaf_predictive_masses, pi_from_phi, sample_phi_posterior
-from .posterior import PosteriorModel
-from .segmentation import Segmentation, SegmentationFamily, as_points, leaf_indices
+from .posterior import PosteriorModel, _mixture_at
+from .segmentation import Segmentation, SegmentationFamily, as_points
 
 __all__ = [
     "MixtureApproximation",
@@ -136,23 +136,26 @@ def build_mixture(model: PosteriorModel, draws_per_seg: int = 50, rng=None) -> M
     return MixtureApproximation(model.family, model.weights.copy(), tuple(pis), draws_per_seg, seed)
 
 
-def _components(obj) -> tuple[SegmentationFamily, np.ndarray, list[np.ndarray]]:
-    """Family, member weights and mean leaf probabilities of either representation."""
-    if isinstance(obj, MixtureApproximation):
-        return obj.family, obj.weights, [p.mean(axis=0) for p in obj.pis]
-    if isinstance(obj, PosteriorModel):
-        probs = [leaf_predictive_masses(c, obj.a0) for c in obj.counts]
-        return obj.family, obj.weights, probs
+def _family(obj) -> SegmentationFamily:
+    if isinstance(obj, (MixtureApproximation, PosteriorModel)):
+        return obj.family
     raise TypeError(f"expected MixtureApproximation or PosteriorModel, got {type(obj)!r}")
+
+
+def _components(obj) -> tuple[SegmentationFamily, np.ndarray, list[np.ndarray]]:
+    """Family, member weights and mean leaf probabilities of either
+    representation, one (members, 2^L) table per depth group of the family."""
+    family = _family(obj)
+    if isinstance(obj, PosteriorModel):
+        return family, obj.weights, obj._leaf_masses()
+    tables = [np.stack([obj.pis[j] for j in idx]).mean(axis=1) for _, idx in family._groups]
+    return family, obj.weights, tables
 
 
 def mixture_density(points, obj):
     """Evaluate the (approximate) predictive density at each point."""
-    family, weights, probs = _components(obj)
-    pts = as_points(points, family.ndim)
-    vals = np.zeros(pts.shape[0])
-    for seg, w, pi in zip(family, weights, probs):
-        vals += w * pi[leaf_indices(pts, seg)] * (1 << seg.depth)
+    family, weights, tables = _components(obj)
+    vals = _mixture_at(as_points(points, family.ndim), family, weights, tables)
     return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
@@ -272,7 +275,7 @@ def predictive_probability(
     predictive samples, with the binomial standard error reported.
     """
     boxes = _as_boxes(region)
-    family, weights, probs = _components(obj)
+    family, weights, tables = _components(obj)
     for b in boxes:
         if len(b.lower) != family.ndim:
             raise ValueError("box dimension does not match the family")
@@ -282,13 +285,14 @@ def predictive_probability(
         raise ValueError("analytic mass needs pairwise-disjoint boxes")
     if method in ("auto", "analytic") and _boxes_disjoint(boxes):
         total = 0.0
-        for seg, w, pi in zip(family, weights, probs):
-            lo, hi = leaf_boxes(seg)
-            side = hi - lo
-            for b in boxes:
-                ov = np.minimum(hi, b.upper) - np.maximum(lo, b.lower)
-                np.clip(ov, 0.0, None, out=ov)
-                total += w * float(pi @ np.prod(ov / side, axis=1))
+        for (_, idx), table in zip(family._groups, tables):
+            for j, pi in zip(idx, table):
+                lo, hi = leaf_boxes(family[j])
+                side = hi - lo
+                for b in boxes:
+                    ov = np.minimum(hi, b.upper) - np.maximum(lo, b.lower)
+                    np.clip(ov, 0.0, None, out=ov)
+                    total += weights[j] * float(pi @ np.prod(ov / side, axis=1))
         return PredictiveProbability(total, 0.0, "analytic")
     gen, _ = _as_rng_and_seed(rng)
     if isinstance(obj, MixtureApproximation):
@@ -303,30 +307,25 @@ def predictive_probability(
 
 
 def _common_grid_shape(family: SegmentationFamily) -> tuple[int, ...]:
-    max_splits = np.zeros(family.ndim, dtype=np.int64)
-    for seg in family:
-        np.maximum(max_splits, seg.splits_per_dim(), out=max_splits)
-    return tuple(1 << int(s) for s in max_splits)
+    return tuple(1 << int(s) for s in np.max([seg.splits_per_dim() for seg in family], axis=0))
 
 
 def grid_mass_matrix(obj) -> tuple[tuple[int, int], np.ndarray]:
     """Predictive mass of every cell of the common refinement grid (2-D only).
 
     Returns ((nx, ny), M) with M[ix, iy] the mass of cell
-    [ix/nx, (ix+1)/nx) x [iy/ny, (iy+1)/ny); dimension 1 is x.
+    [ix/nx, (ix+1)/nx) x [iy/ny, (iy+1)/ny); dimension 1 is x.  Every
+    member's density is constant on each cell, so the mass is the density
+    at the cell centre divided by nx * ny, a power of two: exact.
     """
-    family, weights, probs = _components(obj)
+    family = _family(obj)
     if family.ndim != 2:
         raise ValueError("grid mass matrix is defined for 2-D families only")
     nx, ny = _common_grid_shape(family)
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     centers = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
-    M = np.zeros(nx * ny)
-    for seg, w, pi in zip(family, weights, probs):
-        leaf = leaf_indices(centers, seg)
-        M += w * pi[leaf] * ((1 << seg.depth) / (nx * ny))
-    return (nx, ny), M.reshape(nx, ny)
+    return (nx, ny), (mixture_density(centers, obj) / (nx * ny)).reshape(nx, ny)
 
 
 def _column_quantile(col: np.ndarray, q: float) -> float:
@@ -372,7 +371,7 @@ def credible_prediction_set(obj, alpha: float) -> list[Box]:
     1 - alpha under the supplied representation."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    family, _, _ = _components(obj)
+    family = _family(obj)
     if family.ndim != 2:
         raise ValueError("credible bands are defined for 2-D families only")
     if alpha == 0.0:

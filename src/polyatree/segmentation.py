@@ -204,6 +204,12 @@ class SegmentationFamily:
     def _table(self) -> tuple[np.ndarray, ...]:
         return _split_table(self.members)
 
+    @cached_property
+    def _groups(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(depth, member indices) per depth, shallowest first: count stacks."""
+        depths = np.array([s.depth for s in self.members])
+        return tuple((int(d), np.flatnonzero(depths == d)) for d in np.unique(depths))
+
     def __iter__(self) -> Iterator[Segmentation]:
         return iter(self.members)
 

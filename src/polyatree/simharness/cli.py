@@ -71,17 +71,23 @@ def _save_model(model: PosteriorModel, outdir: str) -> None:
 
 
 def _load_model(indir: str) -> PosteriorModel:
+    """Read a saved model, checking that counts.json fits model.json."""
     with open(os.path.join(indir, "model.json")) as fh:
         obj = json.load(fh)
     with open(os.path.join(indir, "counts.json")) as fh:
         counts_obj = json.load(fh)
     family = SegmentationFamily.from_json_obj(obj["family"])
     counts = tuple(CountsTree.from_json_obj(c) for c in counts_obj["counts"])
+    m = int(obj["m"])
+    if len(counts) != len(family):
+        raise ValueError(f"counts.json has {len(counts)} trees for {len(family)} family members")
+    if any(tree.depth != seg.depth or tree.m != m for seg, tree in zip(family, counts)):
+        raise ValueError(f"counts.json trees must have their members' depths and m = {m} points")
     return PosteriorModel(
         family,
         counts,
         float(obj["a0"]),
-        int(obj["m"]),
+        m,
         np.asarray(obj["log_weights"]),
         np.asarray(obj["log_unnormalized"]),
     )

@@ -24,6 +24,7 @@ from ..hbeta import (
     leaf_predictive_masses,
     pi_from_phi,
     sample_phi_prior,
+    step_density,
 )
 from ..posterior import PosteriorModel, fit
 from ..segmentation import (
@@ -31,7 +32,6 @@ from ..segmentation import (
     SegmentationFamily,
     build,
     enumerate_balanced_family,
-    leaf_indices,
     union_families,
 )
 from .densities import (
@@ -330,17 +330,22 @@ def segmentations_2d() -> SegmentationFamily:
     return SegmentationFamily(tuple(build(dims_by_name[n], 2) for n in SEG_2D_NAMES))
 
 
+def _box_masses(seg: Segmentation, density: LogisticStripDensity) -> np.ndarray:
+    """True probability of each of the segmentation's deepest boxes."""
+    lo, hi = pred.leaf_boxes(seg)
+    return np.array(
+        [density.box_mass(lo[j, 0], hi[j, 0], lo[j, 1], hi[j, 1]) for j in range(lo.shape[0])]
+    )
+
+
 def approximation_rmse(seg: Segmentation, density: LogisticStripDensity, grid: int = 1024) -> float:
     """Root integrated squared distance between the density and its best
     step approximation on the segmentation's deepest boxes (midpoint rule)."""
-    lo, hi = pred.leaf_boxes(seg)
-    masses = np.array(
-        [density.box_mass(lo[j, 0], hi[j, 0], lo[j, 1], hi[j, 1]) for j in range(lo.shape[0])]
-    )
+    masses = _box_masses(seg, density)
     xs = (np.arange(grid) + 0.5) / grid
     ys = (np.arange(grid) + 0.5) / grid
     centers = np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
-    step = masses[leaf_indices(centers, seg)] * (1 << seg.depth)
+    step = step_density(centers, seg, masses)
     true_vals = np.repeat(density.pdf(np.column_stack([xs, np.full(grid, 0.5)])), grid)
     return float(np.sqrt(np.mean((true_vals - step) ** 2)))
 
@@ -355,12 +360,7 @@ def run_2d_study(
         meta={"study": "sim2d", "m": m, "a0": a0, "runs": runs, "seed": seed, "grid": grid}
     )
     for name, seg in zip(SEG_2D_NAMES, family):
-        lo, hi = pred.leaf_boxes(seg)
-        true_masses.append(
-            np.array(
-                [density.box_mass(lo[j, 0], hi[j, 0], lo[j, 1], hi[j, 1]) for j in range(16)]
-            )
-        )
+        true_masses.append(_box_masses(seg, density))
         report.approx_rmse[name] = approximation_rmse(seg, density, grid)
 
     n_segs = len(family)

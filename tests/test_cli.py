@@ -202,6 +202,31 @@ class TestValidationFailures:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda model, counts: counts["counts"].pop(),  # fewer trees than members
+            lambda model, counts: model.update(m=model["m"] + 1),  # m disagrees with the trees
+            lambda model, counts: counts["counts"][0].update(
+                levels=counts["counts"][0]["levels"][:-1]  # tree shallower than its member
+            ),
+        ],
+        ids=["fewer-trees", "m-mismatch", "depth-mismatch"],
+    )
+    @pytest.mark.parametrize("command", [["density", "--grid", "2"], ["sample", "--n", "5"]])
+    def test_counts_not_matching_model_exit_2(self, tmp_path, rng, corrupt, command):
+        data_path = tmp_path / "data.csv"
+        write_points_csv(data_path, rng.uniform(size=(12, 2)))
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)]) == 0
+        model = json.loads((model_dir / "model.json").read_text())
+        counts = json.loads((model_dir / "counts.json").read_text())
+        corrupt(model, counts)
+        (model_dir / "model.json").write_text(json.dumps(model))
+        (model_dir / "counts.json").write_text(json.dumps(counts))
+        code = main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
+        assert code == 2
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import betabinom
 
-from polyatree.hbeta import accumulate_counts, counts_from_leaf_counts
+from polyatree.hbeta import accumulate_counts, conditional_predictive_density, counts_from_leaf_counts
 from polyatree.posterior import (
     IncrementalModel,
     LogGammaTables,
@@ -15,6 +16,38 @@ from polyatree.posterior import (
 from polyatree.predictive import grid_mass_matrix
 from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family
 from polyatree.simharness.studies import TABLE1_TARGETS, table1_family, table1_points
+
+
+def oracle_log_weight(points, seg, a0):
+    """Beta-binomial chain down the tree plus the log reciprocal multinomial
+    coefficient of the leaf counts, from an independent recount: floor
+    binning per level, node counts by np.unique, scipy's betabinom."""
+    node = np.zeros(points.shape[0], dtype=np.int64)
+    done = np.zeros(seg.ndim, dtype=np.int64)
+    total = 0.0
+    for d in seg.dims:
+        done[d - 1] += 1
+        cells = 2 ** done[d - 1]
+        cell = np.minimum(np.floor(points[:, d - 1] * cells), cells - 1).astype(np.int64)
+        child = 2 * node + cell % 2
+        parents, n = np.unique(node, return_counts=True)
+        lower = np.array([np.sum(child == 2 * p) for p in parents])
+        total += np.sum(betabinom.logpmf(lower, n, a0, a0))
+        node = child
+    _, leaf = np.unique(node, return_counts=True)
+    return total + np.sum(gammaln(leaf + 1.0)) - gammaln(points.shape[0] + 1.0)
+
+
+def oracle_points(seed, m, ndim):
+    """Uniform points with a share on dyadic boundaries and at 1.0."""
+    gen = np.random.default_rng(seed)
+    pts = gen.uniform(size=(m, ndim))
+    edge = gen.uniform(size=pts.shape) < 0.3
+    pts[edge] = gen.integers(0, 33, size=int(edge.sum())) / 32
+    return pts
+
+
+dims_2_to_5 = st.lists(st.integers(1, 2), min_size=2, max_size=5).map(tuple)
 
 
 class TestLogGammaTables:
@@ -121,6 +154,32 @@ class TestFit:
         assert len(rows) == len(fam) and rows[0][0] == "[1, 2]"
 
 
+class TestWeightOracle:
+    @given(
+        splits=st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda k: 2 <= sum(k) <= 5),
+        m=st.integers(0, 60),
+        a0=st.floats(0.05, 20.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_balanced_family(self, splits, m, a0, seed):
+        fam = enumerate_balanced_family(2, {1: splits[0], 2: splits[1]})
+        pts = oracle_points(seed, m, 2)
+        ref = [oracle_log_weight(pts, seg, a0) for seg in fam]
+        np.testing.assert_allclose(fit(pts, fam, a0).log_unnormalized, ref, rtol=1e-12)
+
+    @given(
+        dims=st.lists(dims_2_to_5, min_size=2, max_size=6, unique=True),
+        m=st.integers(0, 60),
+        a0=st.floats(0.05, 20.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_ragged_family(self, dims, m, a0, seed):
+        fam = SegmentationFamily(tuple(build(d, 2) for d in dims))
+        pts = oracle_points(seed, m, 2)
+        ref = [oracle_log_weight(pts, seg, a0) for seg in fam]
+        np.testing.assert_allclose(fit(pts, fam, a0).log_unnormalized, ref, rtol=1e-12)
+
+
 class TestMixtureDensity:
     def test_empty_sample_is_uniform(self):
         fam = enumerate_balanced_family(2, {1: 2, 2: 2})
@@ -140,6 +199,21 @@ class TestMixtureDensity:
             mixture_predictive_density(pts, model),
             conditional_predictive_density(pts, model.counts[0], seg, 0.8),
         )
+
+    @given(
+        dims=st.lists(dims_2_to_5, min_size=2, max_size=6, unique=True),
+        a0=st.floats(0.05, 20.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_ragged_family_matches_weighted_chains(self, dims, a0, seed):
+        fam = SegmentationFamily(tuple(build(d, 2) for d in dims))
+        model = fit(oracle_points(seed, 25, 2), fam, a0)
+        pts = np.vstack([oracle_points(seed + 1, 40, 2), [[1.0, 1.0], [0.5, 1.0], [1.0, 0.25]]])
+        ref = sum(
+            w * conditional_predictive_density(pts, c, seg, a0)
+            for seg, c, w in zip(fam, model.counts, model.weights)
+        )
+        np.testing.assert_allclose(mixture_predictive_density(pts, model), ref, rtol=1e-12)
 
     def test_integrates_to_one_on_refinement_grid(self, rng):
         # exact box sum over the common refinement of all members

@@ -292,6 +292,19 @@ class TestGridMassMatrix:
         with pytest.raises(ValueError):
             grid_mass_matrix(model)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda obj: grid_mass_matrix(obj),
+            lambda obj: credible_prediction_set(obj, 0.1),
+            lambda obj: mixture_density([0.5, 0.5], obj),
+        ],
+        ids=["grid", "credible", "density"],
+    )
+    def test_rejects_other_types(self, call):
+        with pytest.raises(TypeError, match="expected MixtureApproximation or PosteriorModel"):
+            call(small_family())
+
     def test_masses_match_leaf_masses_for_single_member(self, rng):
         seg = build((1, 2), 2)
         fam = SegmentationFamily((seg,))
