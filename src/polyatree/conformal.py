@@ -22,9 +22,9 @@ candidate only through its leaf in each member, so candidates that share
 all their leaves share one pass; the candidates' own scores come from
 one pass per member over their columns on the training counts.  Members
 mix as densities at x: posterior weight times column mass times the
-number of x columns.  Setting `draws_per_seg` instead scores with a
-freshly seeded finite mixture of posterior draws, matching the
-sampling-based evaluation of the predictive.
+number of x columns.  Setting `draws_per_seg` instead scores every set,
+swapped and weighted as above, with a freshly seeded finite mixture of
+posterior draws, matching the sampling-based evaluation of the predictive.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import predictive as pred
 from .hbeta import _check_a0
-from .posterior import IncrementalModel, PosteriorModel, _add_point, _copy, _unstack, fit
+from .posterior import PosteriorModel, _add_point, _copy, _from_stacks, _log_leaf_mass, _unstack, fit
 from .segmentation import SegmentationFamily, _locate, as_points
 
 __all__ = [
@@ -95,6 +95,18 @@ class ConformalBand:
             (float(x), float(lo), float(hi), self.alpha)
             for x, lo, hi in zip(self.x_values, self.lower, self.upper)
         ]
+
+
+def _train_points(train) -> np.ndarray:
+    """Validated training points (m, 2); an empty sample gives m = 0."""
+    return as_points(train, 2) if np.size(train) else np.zeros((0, 2))
+
+
+def _orient(direction: str):
+    """Map from below-direction scores to `direction` ("below" or "above")."""
+    if direction not in ("below", "above"):
+        raise ValueError(f"unknown direction {direction!r}")
+    return (lambda s: s) if direction == "below" else (lambda s: 1.0 - s)
 
 
 def _column_offsets(seg) -> list[np.ndarray]:
@@ -174,25 +186,45 @@ def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, ncols: np.ndar
 
 
 class _Candidates(NamedTuple):
-    """Candidates (n, 2) located in every member, with their own scores."""
+    """Candidates located in every member, with their own scores."""
 
-    points: np.ndarray
     scores: np.ndarray  # (n,) score on the training set
     paths: np.ndarray  # (members, n, deepest L)
-    log_mass: np.ndarray | None  # (members, n) log predictive leaf mass
+    log_mass: np.ndarray  # (members, n) log predictive leaf mass on the training set
 
 
-class _ExactScorer:
+class _Scorer:
+    """Methods shared by both scorers, which give `candidates` and `_loo`."""
+
+    def swapped(self, located: _Candidates, i: int) -> np.ndarray:
+        """Swapped-set scores of candidate i of `located`."""
+        return self._loo(located.paths[:, i], located.log_mass[:, i])
+
+    def loo_scores(self, candidate=None) -> np.ndarray:
+        """Score of each training point on the other m-1 points (plus the
+        candidate when given): the swapped-set scores of the p-value."""
+        if self.m == 0:
+            return np.zeros(0)
+        if candidate is None:
+            return self._loo(None, None)
+        return self.swapped(self.candidates(as_points(candidate, 2)), 0)
+
+    def score_point(self, point) -> float:
+        """Conformity score of one point against the unmodified training set."""
+        return float(self.candidates(as_points(point, 2)).scores[0])
+
+
+class _ExactScorer(_Scorer):
     """Batched leave-one-out conformity scores under the exact predictive CDF."""
 
     def __init__(self, train, config: ConformalConfig):
-        self.pts = as_points(train, 2) if np.size(train) else np.zeros((0, 2))
+        self.pts = _train_points(train)
         self.m = self.pts.shape[0]
         self.a0 = config.a0
         self.family = config.family
         model = fit(self.pts, config.family, config.a0)
         self.log_w0 = model.log_unnormalized
-        self.stacks, self.counts = model._stacks, model.counts
+        self.stacks, self.levels = model._stacks, [c.levels for c in model.counts]
         # per member: its segmentation, column offsets and training points' column coordinates
         self.members = [
             (seg, _column_offsets(seg), *_column_coords(seg, p[:, : seg.depth]))
@@ -212,15 +244,11 @@ class _ExactScorer:
         log_mass, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
         for j, (seg, yoff, _, _) in enumerate(self.members):
             xnode, ypos = _column_coords(seg, paths[j, :, : seg.depth])
-            masses = _column_masses(self.a0, self.counts[j].levels, yoff, xnode)
+            masses = _column_masses(self.a0, self.levels[j], yoff, xnode)
             below[j], total[j] = _cdf_at(masses, cands[:, 1])
             log_mass[j] = np.log(masses[np.arange(shape[1]), ypos[:, -1]])
         scores = _mix(self.log_w0[:, None], below, total, self.ncols)
-        return _Candidates(cands, scores, paths, log_mass)
-
-    def swapped(self, located: _Candidates, i: int) -> np.ndarray:
-        """Swapped-set scores of candidate i of `located`."""
-        return self._loo(located.paths[:, i], located.log_mass[:, i])
+        return _Candidates(scores, paths, log_mass)
 
     def _loo(self, cpaths, log_cand) -> np.ndarray:
         """Score of each training point on the other m-1 points, plus the
@@ -236,14 +264,14 @@ class _ExactScorer:
         shape = (len(self.members), self.m)
         log_w, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
         rows = np.arange(self.m)
-        counts = self.counts
+        levels = self.levels
         if cpaths is not None:
             stacks = _copy(self.stacks)
             _add_point(self.family, stacks, cpaths, +1)
-            counts = _unstack(self.family, stacks)
+            levels = _unstack(self.family, [zip(*s.levels) for s in stacks])
         for j, (_, yoff, xnode, ypos) in enumerate(self.members):
             lc = 0.0 if cpaths is None else log_cand[j]
-            masses = _column_masses(self.a0, counts[j].levels, yoff, xnode, ypos)
+            masses = _column_masses(self.a0, levels[j], yoff, xnode, ypos)
             below[j], total[j] = _cdf_at(masses, self.pts[:, 1])
             log_own = np.log(masses[rows, ypos[:, -1]])
             # difference first: a swap that leaves the counts unchanged
@@ -251,35 +279,22 @@ class _ExactScorer:
             log_w[j] = self.log_w0[j] + (lc - log_own)
         return _mix(log_w, below, total, self.ncols)
 
-    def loo_scores(self, candidate=None) -> np.ndarray:
-        """Score of each training point on the other m-1 points (plus the
-        candidate when given): the swapped-set scores of the p-value."""
-        if self.m == 0:
-            return np.zeros(0)
-        if candidate is None:
-            return self._loo(None, None)
-        return self.swapped(self.candidates(as_points(candidate, 2)), 0)
 
-    def score_point(self, point) -> float:
-        """Conformity score of one point against the unmodified training set."""
-        return float(self.candidates(as_points(point, 2)).scores[0])
-
-
-class _MixtureScorer:
-    """Scores from a finite posterior-draw mixture, re-seeded per score."""
+class _MixtureScorer(_Scorer):
+    """Scores from a finite posterior-draw mixture, re-seeded per score;
+    swapped sets and their weights are built as in the exact scorer."""
 
     def __init__(self, train, config: ConformalConfig):
         self.config = config
         self.family = config.family
-        self.pts = as_points(train, 2) if np.size(train) else np.zeros((0, 2))
+        self.pts = _train_points(train)
         self.m = self.pts.shape[0]
         self._train_model = fit(self.pts, config.family, config.a0)
+        self._paths = _locate(self.pts, config.family)
 
     def _grid(self, model: PosteriorModel) -> np.ndarray:
         """Grid cell masses of the seeded posterior-draw mixture of `model`."""
-        mix = pred.build_mixture(
-            model, self.config.draws_per_seg, np.random.default_rng(self.config.seed)
-        )
+        mix = pred.build_mixture(model, self.config.draws_per_seg, self.config.seed)
         return pred.grid_mass_matrix(mix)[1]
 
     @cached_property
@@ -292,27 +307,30 @@ class _MixtureScorer:
         nx = M.shape[0]
         cols = M[np.minimum((points[:, 0] * nx).astype(np.int64), nx - 1)]
         below, total = _cdf_at(cols, points[:, 1])
+        if np.any(total <= 0.0):  # drawn leaf probabilities can underflow to 0
+            raise ValueError("conditional mass is zero in this column")
         return below / total
 
-    def score_point(self, point) -> float:
-        return float(self._scores(self._train_grid, np.asarray(point, dtype=np.float64)[None, :])[0])
-
     def candidates(self, cands: np.ndarray) -> _Candidates:
-        scores = self._scores(self._train_grid, cands)
-        return _Candidates(cands, scores, _locate(cands, self.family), None)
+        paths = _locate(cands, self.family)
+        log_mass = _log_leaf_mass(self.family, self._train_model._stacks, paths, self.config.a0)
+        return _Candidates(self._scores(self._train_grid, cands), paths, log_mass)
 
-    def swapped(self, located: _Candidates, i: int) -> np.ndarray:
-        return self.loo_scores(located.points[i])
-
-    def loo_scores(self, candidate=None) -> np.ndarray:
+    def _loo(self, cpaths, log_cand) -> np.ndarray:
+        family, a0 = self.family, self.config.a0
+        stacks, lc, m = self._train_model._stacks, 0.0, self.m - 1
+        if cpaths is not None:
+            stacks, lc, m = _copy(stacks), log_cand, self.m
+            _add_point(family, stacks, cpaths, +1)
         scores = np.empty(self.m)
-        inc = IncrementalModel(self._train_model)
-        if candidate is not None:
-            inc.add_point(np.asarray(candidate, dtype=np.float64))
         for i in range(self.m):
-            inc.remove_point(self.pts[i])
-            scores[i] = self._scores(self._grid(inc.snapshot()), self.pts[i : i + 1])[0]
-            inc.add_point(self.pts[i])
+            swapped = _copy(stacks)
+            _add_point(family, swapped, self._paths[:, i], -1)
+            log_own = _log_leaf_mass(family, swapped, self._paths[:, i : i + 1], a0)[:, 0]
+            # difference first, as in the exact scorer
+            log_w = self._train_model.log_unnormalized + (lc - log_own)
+            grid = self._grid(_from_stacks(family, swapped, a0, m, log_w))
+            scores[i] = self._scores(grid, self.pts[i : i + 1])[0]
         return scores
 
 
@@ -328,22 +346,17 @@ def conformity_score(train, point, config: ConformalConfig, direction: str = "be
     direction "below" gives Pr(U_y <= u_y | U_x = u_x, train); "above"
     gives the complementary upper-tail score.
     """
-    if direction not in ("below", "above"):
-        raise ValueError(f"unknown direction {direction!r}")
+    orient = _orient(direction)
     pt = as_points(point, 2)[0]
     if np.size(train) == 0:
-        score = float(pt[1])  # empty sample: the predictive is uniform
-    else:
-        score = _make_scorer(train, config).score_point(pt)
-    return score if direction == "below" else 1.0 - score
+        return orient(float(pt[1]))  # empty sample: the predictive is uniform
+    return orient(_make_scorer(train, config).score_point(pt))
 
 
 def loo_scores(train, config: ConformalConfig, direction: str = "below") -> np.ndarray:
     """Score of each training point against the remaining m-1 points."""
-    if direction not in ("below", "above"):
-        raise ValueError(f"unknown direction {direction!r}")
-    scores = _make_scorer(train, config).loo_scores()
-    return scores if direction == "below" else 1.0 - scores
+    orient = _orient(direction)
+    return orient(_make_scorer(train, config).loo_scores())
 
 
 def conformal_pvalue(train, candidate, config: ConformalConfig) -> float:
@@ -353,7 +366,7 @@ def conformal_pvalue(train, candidate, config: ConformalConfig) -> float:
     score is excluded from the numerator range, giving values k/(m+1)
     with k in 0..m.
     """
-    pts = as_points(train, 2) if np.size(train) else np.zeros((0, 2))
+    pts = _train_points(train)
     cand = as_points(candidate, 2)[0]
     if pts.shape[0] == 0:
         return 0.0
@@ -416,25 +429,15 @@ def conformal_band(
         y_grid = np.linspace(0.0, 1.0, y_grid_size)
     else:
         raise ValueError(f"y_grid_size must be an integer >= 2, got {y_grid_size!r}")
-    pts = as_points(train, 2) if np.size(train) else np.zeros((0, 2))
+    pts = _train_points(train)
     m = pts.shape[0]
     n_x, n_y = x_values.size, y_grid.size
-    if m == 0:
-        full = np.ones((n_x, n_y))
-        return ConformalBand(
-            x_values,
-            y_grid,
-            alpha,
-            full,
-            full.copy(),
-            np.zeros(n_x),
-            np.ones(n_x),
-            config.endpoint,
-        )
-    cands = np.column_stack([np.repeat(x_values, n_y), np.tile(y_grid, n_x)])
-    p_below, p_above = (
-        p.reshape(n_x, n_y) for p in _pvalue_tables(_make_scorer(pts, config), cands)
-    )
+    if m == 0:  # every candidate conforms; the grid runs from 0 to 1
+        p_below, p_above = np.ones((n_x, n_y)), np.ones((n_x, n_y))
+    else:
+        cands = np.column_stack([np.repeat(x_values, n_y), np.tile(y_grid, n_x)])
+        tables = _pvalue_tables(_make_scorer(pts, config), cands)
+        p_below, p_above = (p.reshape(n_x, n_y) for p in tables)
     lower = np.full(n_x, np.nan)
     upper = np.full(n_x, np.nan)
     for ix in range(n_x):

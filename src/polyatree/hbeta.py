@@ -9,7 +9,8 @@ Beta(a0 + N_lower, a0 + N_upper), and the predictive density of a new
 point has a closed form as a product of count ratios along its path.
 The count kernels also take a leading members axis: levels of shape
 (members, 2^l) hold a stack of equal-depth members, a single tree being
-the one-member case.
+the one-member case.  Posterior draws pass leading axes through as well:
+a stack broadcast to (members, draws, 2^l) takes one Beta call per level.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ def _check_a0(a0: float) -> None:
     """Reject a concentration that is not a finite positive number."""
     if not (np.isfinite(a0) and a0 > 0):
         raise ValueError(f"a0 must be finite and positive, got {a0}")
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,29 +99,27 @@ def sample_phi_prior(depth: int, a0: float, rng=None) -> BetaTree:
     _check_a0(a0)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    gen = _as_rng(rng)
+    gen = np.random.default_rng(rng)  # a Generator comes back unaltered
     return BetaTree(tuple(gen.beta(a0, a0, size=1 << l) for l in range(depth)))
 
 
 def sample_phi_posterior(counts: CountsTree, a0: float, rng=None) -> BetaTree:
-    """Conjugate draws Beta(a0 + N_lower, a0 + N_upper) at every node."""
+    """Conjugate draws Beta(a0 + N_lower, a0 + N_upper) at every node;
+    leading axes of the count levels, such as (members, draws), pass through."""
     _check_a0(a0)
-    gen = _as_rng(rng)
-    levels = []
-    for l in range(1, counts.depth + 1):
-        lower = counts.levels[l][0::2]
-        upper = counts.levels[l][1::2]
-        levels.append(gen.beta(a0 + lower, a0 + upper))
-    return BetaTree(tuple(levels))
+    gen = np.random.default_rng(rng)
+    levels = counts.levels[1:]
+    return BetaTree(tuple(gen.beta(a0 + lvl[..., 0::2], a0 + lvl[..., 1::2]) for lvl in levels))
 
 
 def pi_from_phi(tree: BetaTree) -> np.ndarray:
-    """Leaf probabilities: product of lower/upper conditionals along each path."""
-    pi = np.ones(1)
+    """Leaf probabilities: product of lower/upper conditionals along each
+    path, built along the last axis, so leading axes pass through."""
+    pi = np.ones(tree.levels[0].shape)
     for phi in tree.levels:
-        nxt = np.empty(2 * pi.size)
-        nxt[0::2] = phi * pi
-        nxt[1::2] = (1.0 - phi) * pi
+        nxt = np.empty(pi.shape[:-1] + (2 * pi.shape[-1],))
+        nxt[..., 0::2] = phi * pi
+        nxt[..., 1::2] = (1.0 - phi) * pi
         pi = nxt
     return pi
 

@@ -146,13 +146,14 @@ class PosteriorModel:
         ]
 
 
-def _unstack(family: SegmentationFamily, stacks) -> tuple[CountsTree, ...]:
-    """Per-member trees whose levels are row views of the stacks."""
-    counts = [None] * len(family)
+def _unstack(family: SegmentationFamily, stacks) -> list:
+    """Per member, its row of its depth group's stack (anything that
+    iterates over its members; array rows are views)."""
+    rows = [None] * len(family)
     for (_, idx), stack in zip(family._groups, stacks):
-        for j, levels in zip(idx, zip(*stack.levels)):
-            counts[j] = CountsTree(levels)
-    return tuple(counts)
+        for j, row in zip(idx, stack):
+            rows[j] = row
+    return rows
 
 
 def _copy(stacks) -> list[CountsTree]:
@@ -161,7 +162,8 @@ def _copy(stacks) -> list[CountsTree]:
 
 def _from_stacks(family, stacks, a0: float, m: int, log_unnorm: np.ndarray) -> PosteriorModel:
     log_weights = log_unnorm - logsumexp(log_unnorm)
-    model = PosteriorModel(family, _unstack(family, stacks), float(a0), m, log_weights, log_unnorm)
+    counts = tuple(map(CountsTree, _unstack(family, [zip(*s.levels) for s in stacks])))
+    model = PosteriorModel(family, counts, float(a0), m, log_weights, log_unnorm)
     model.__dict__["_stacks"] = tuple(stacks)  # the cache its trees are rows of
     return model
 
@@ -172,6 +174,15 @@ def _add_point(family: SegmentationFamily, stacks, paths: np.ndarray, sign: int)
         stack.levels[0][:, 0] += sign
         for l in range(1, depth + 1):
             stack.levels[l][np.arange(idx.size), paths[idx, l - 1]] += sign
+
+
+def _log_leaf_mass(family: SegmentationFamily, stacks, paths: np.ndarray, a0: float) -> np.ndarray:
+    """Log predictive probability (members, n) of the leaf ending each of the
+    members' paths (members, n, L) given the stacks: the chain less L log 2."""
+    out = np.empty(paths.shape[:2])
+    for (depth, idx), stack in zip(family._groups, stacks):
+        out[idx] = _log_path_density(stack.levels, paths[idx, :, :depth], a0) - depth * np.log(2.0)
+    return out
 
 
 def _leaf_blocks(pts: np.ndarray, family: SegmentationFamily):
@@ -263,17 +274,16 @@ class IncrementalModel:
         if pts.shape[0] != 1:
             raise ValueError("an update takes a single point")
         paths = _locate(pts, self.family)[:, 0]
-        groups = list(zip(self.family._groups, self._stacks))
         if sign < 0:
             if self.m == 0:
                 raise ValueError("no points to remove")
+            groups = zip(self.family._groups, self._stacks)
             leaves = [s.levels[-1][np.arange(idx.size), paths[idx, d - 1]] for (d, idx), s in groups]
             if any(np.any(n <= 0) for n in leaves):
                 raise ValueError("no observation in that leaf to remove")
             _add_point(self.family, self._stacks, paths, -1)
-        for (depth, idx), stack in groups:
-            chain = _log_path_density(stack.levels, paths[idx, None, :depth], self.a0)[:, 0]
-            self.log_unnormalized[idx] += sign * (chain - depth * np.log(2.0))
+        log_mass = _log_leaf_mass(self.family, self._stacks, paths[:, None], self.a0)[:, 0]
+        self.log_unnormalized += sign * log_mass
         if sign > 0:
             _add_point(self.family, self._stacks, paths, +1)
         self.m += sign

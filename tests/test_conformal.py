@@ -14,7 +14,7 @@ from polyatree.conformal import (
     loo_scores,
 )
 from polyatree.posterior import fit
-from polyatree.predictive import grid_mass_matrix
+from polyatree.predictive import build_mixture, grid_mass_matrix
 from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family
 from polyatree.simharness.studies import quantreg_family
 
@@ -32,10 +32,12 @@ def ragged_family():
 FAMILIES = {"tiny": tiny_family, "quantreg": quantreg_family, "ragged": ragged_family}
 
 
-def brute_force_score(train_model_points, family, a0, point):
-    """Independent scoring route: full refit plus grid-column CDF."""
+def brute_force_score(train_model_points, family, a0, point, draws=None, seed=0):
+    """Independent scoring route: full refit (and a freshly seeded draw
+    mixture when draws is given) plus grid-column CDF."""
     model = fit(train_model_points, family, a0)
-    (nx, ny), M = grid_mass_matrix(model)
+    obj = model if draws is None else build_mixture(model, draws, np.random.default_rng(seed))
+    (nx, ny), M = grid_mass_matrix(obj)
     x, y = float(point[0]), float(point[1])
     col = M[min(int(x * nx), nx - 1)]
     cell = min(int(y * ny), ny - 1)
@@ -153,6 +155,29 @@ class TestConformityScore:
             train, [0.4, 0.6], ConformalConfig(fam, draws_per_seg=800, seed=3)
         )
         assert abs(mc - exact) < 0.05
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_mixture_swapped_scores_match_refits(self, family, rng):
+        fam = FAMILIES[family]()
+        train = rng.uniform(size=(7, 2))
+        cand = np.array([0.63, 0.31])
+        scorer = _make_scorer(train, ConformalConfig(fam, a0=0.8, draws_per_seg=2, seed=5))
+        slow = [
+            brute_force_score(np.vstack([np.delete(train, i, axis=0), cand]), fam, 0.8, train[i], 2, 5)
+            for i in range(7)
+        ]
+        np.testing.assert_allclose(scorer.loo_scores(cand), slow, rtol=0, atol=1e-12)
+        assert scorer.score_point(cand) == pytest.approx(
+            brute_force_score(train, fam, 0.8, cand, 2, 5), abs=1e-12
+        )
+
+    def test_mixture_swap_keeps_exact_tie(self):
+        # a candidate equal to training point 3 leaves that point's swapped
+        # set equal to the training set, so the two scores tie exactly
+        for seed in range(30):
+            train = np.random.default_rng(seed).uniform(size=(12, 2))
+            scorer = _make_scorer(train, ConformalConfig(tiny_family(), draws_per_seg=1, seed=seed))
+            assert scorer.loo_scores(train[3])[3] == scorer.score_point(train[3])
 
     def test_mixture_scores_deterministic_given_seed(self, rng):
         fam = tiny_family()

@@ -105,6 +105,23 @@ class TestPiFromPhi:
                 pi_from_phi(tree), brute_force_leaf_products(tree), atol=1e-14
             )
 
+    @given(
+        depth=st.integers(1, 6),
+        members=st.integers(1, 4),
+        draws=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_stacked_tree_matches_rows(self, depth, members, draws, seed):
+        # leading (members, draws) axes pass through, bit for bit
+        gen = np.random.default_rng(seed)
+        tree = BetaTree(tuple(gen.uniform(size=(members, draws, 1 << l)) for l in range(depth)))
+        stacked = pi_from_phi(tree)
+        assert stacked.shape == (members, draws, 1 << depth)
+        for j in range(members):
+            for h in range(draws):
+                row = pi_from_phi(BetaTree(tuple(lvl[j, h] for lvl in tree.levels)))
+                assert np.array_equal(stacked[j, h], row)
+
     @given(depth=st.integers(1, 8), seed=st.integers(0, 10_000))
     def test_sums_to_one(self, depth, seed):
         pi = pi_from_phi(sample_phi_prior(depth, 0.5, seed))
@@ -288,6 +305,15 @@ class TestPosteriorSampling:
         )
         se = draws.std(ddof=1, axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - 0.5) <= 3 * se)
+
+    def test_one_tree_reproduces_per_level_draws(self):
+        # a single tree draws level by level, one Beta call per level
+        counts = counts_from_leaf_counts([3, 0, 1, 4, 0, 0, 2, 5])
+        gen = np.random.default_rng(31)
+        expect = [gen.beta(0.7 + lvl[0::2], 0.7 + lvl[1::2]) for lvl in counts.levels[1:]]
+        got = sample_phi_posterior(counts, 0.7, 31).levels
+        assert len(got) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 
     def test_rejects_nonpositive_a0(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,12 @@ def small_family():
     return enumerate_balanced_family(2, {1: 2, 2: 2})  # 6 members, depth 4
 
 
+def ragged_family():
+    # depths 2 to 5, four depth groups; one member never splits x, one never splits y
+    dims = [(1, 2, 1, 2), (2, 2, 2), (1, 1), (2, 1, 1, 2, 2)]
+    return SegmentationFamily(tuple(build(d, 2) for d in dims))
+
+
 @pytest.fixture
 def fitted(rng):
     return fit(rng.uniform(size=(40, 2)), small_family(), 1.0)
@@ -35,6 +41,16 @@ class TestBuildMixture:
         assert all(p.shape == (7, 16) for p in mix.pis)
         assert mix.component_weights().sum() == pytest.approx(1.0)
         assert np.allclose([p.sum(axis=1) for p in mix.pis], 1.0)
+
+    def test_ragged_family_rows(self, rng):
+        fam = ragged_family()
+        model = fit(rng.uniform(size=(30, 2)), fam, 0.8)
+        mix = build_mixture(model, 4000, 3)
+        for seg, pis, counts in zip(fam, mix.pis, model.counts):
+            assert pis.shape == (4000, 1 << seg.depth) and pis.flags.c_contiguous
+            np.testing.assert_allclose(pis.sum(axis=1), 1.0, rtol=1e-12)
+            se = pis.std(axis=0, ddof=1) / np.sqrt(pis.shape[0])
+            assert np.all(np.abs(pis.mean(axis=0) - leaf_predictive_masses(counts, 0.8)) <= 4 * se)
 
     def test_single_member_single_draw(self, rng):
         fam = SegmentationFamily((build((1, 2), 2),))
@@ -147,6 +163,24 @@ class TestPredictiveProbability:
         mc = predictive_probability(region, mix, method="mc", mc_samples=100_000, rng=2)
         assert abs(mc.value - exact) <= 3 * mc.stderr + 1e-12
         assert mc.method == "mc" and mc.stderr > 0
+
+    def test_ragged_family_matches_member_loop(self, rng):
+        fam = ragged_family()
+        model = fit(rng.uniform(size=(25, 2)), fam, 1.0)
+        mix = build_mixture(model, 3, 8)
+        region = [Box((0.05, 0.1), (0.4, 0.55)), Box((0.6, 0.0), (0.9, 0.3)), Box((0.4, 0.6), (1.0, 1.0))]
+        tables = {
+            "exact": (model, [leaf_predictive_masses(c, 1.0) for c in model.counts]),
+            "mixture": (mix, [p.mean(axis=0) for p in mix.pis]),
+        }
+        for obj, leaf_probs in tables.values():
+            ref = 0.0
+            for seg, w, pi in zip(fam, obj.weights, leaf_probs):
+                lo, hi = leaf_boxes(seg)
+                for b in region:
+                    ov = np.clip(np.minimum(hi, b.upper) - np.maximum(lo, b.lower), 0.0, None)
+                    ref += w * float(pi @ np.prod(ov / (hi - lo), axis=1))
+            assert predictive_probability(region, obj).value == pytest.approx(ref, rel=1e-12)
 
     def test_overlapping_boxes_fall_back_to_mc(self, fitted):
         mix = build_mixture(fitted, 3, 0)

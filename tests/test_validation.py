@@ -1,9 +1,10 @@
-"""Non-finite input is rejected where it enters the package."""
+"""Non-finite input, and input with no mass to condition on, is rejected
+where it enters the package."""
 
 import numpy as np
 import pytest
 
-from polyatree.conformal import ConformalConfig, conformal_band, conformal_pvalue
+from polyatree.conformal import ConformalConfig, conformal_band, conformal_pvalue, conformity_score
 from polyatree.hbeta import (
     accumulate_counts,
     conditional_predictive_density,
@@ -17,7 +18,7 @@ from polyatree.posterior import (
     fit,
     mixture_predictive_density,
 )
-from polyatree.segmentation import enumerate_balanced_family, path_indices
+from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family, path_indices
 
 FAMILY = enumerate_balanced_family(2, {1: 1, 2: 1})
 SEG = FAMILY[0]
@@ -68,3 +69,12 @@ def test_bad_a0_rejected(entry, a0):
 def test_bad_y_grid_size_rejected(train, size):
     with pytest.raises(ValueError, match="y_grid_size must be an integer >= 2"):
         conformal_band(train, [0.5], 0.1, ConformalConfig(FAMILY), y_grid_size=size)
+
+
+def test_zero_mass_column_rejected():
+    # with a tiny a0 the drawn probability of the empty right half underflows to 0
+    family = SegmentationFamily((build((1, 1, 2, 2), 2),))
+    train = np.array([[0.05, 0.1], [0.15, 0.05], [0.1, 0.18]])
+    config = ConformalConfig(family, a0=1e-4, draws_per_seg=1)
+    with pytest.raises(ValueError, match="conditional mass is zero in this column"):
+        conformity_score(train, [0.9, 0.5], config)
