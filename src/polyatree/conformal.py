@@ -8,36 +8,38 @@ scores of each training point on the swapped set (that point replaced by
 the candidate); the prediction set keeps candidates whose p-value exceeds
 alpha.
 
-By default scores use the exact predictive CDF, which is a closed-form
-product of count ratios, so a swapped-set score only needs count
-adjustments along two paths.  The scorer below locates each point once
-in every member and computes, per member, all m leave-one-out scores of
-one candidate in a single array pass: each level gathers the node counts
-of every point's x column at once and takes its own point out.  Weight
-changes follow from Bayes' rule, p(D + u | S) = p(D | S) p(u | D, S): a
-member's weight gains the candidate's predictive leaf mass on the
-training set and loses the removed point's leaf mass on its swapped set,
-which the column masses already hold.  Swapped-set scores depend on the
-candidate only through its leaf in each member, so candidates that share
-all their leaves share one pass; the candidates' own scores come from
-one pass per member over their columns on the training counts.  Members
-mix as densities at x: posterior weight times column mass times the
-number of x columns.  Setting `draws_per_seg` instead scores every set,
-swapped and weighted as above, with a freshly seeded finite mixture of
-posterior draws, matching the sampling-based evaluation of the predictive.
+By default scores use the exact predictive CDF.  Every score of one
+candidate's p-value is then a leave-one-out score of the augmented sample,
+the training set plus the candidate: one of its m+1 points scored against
+the other m.  One pass scores any set of such rows on one count state.  It
+reads each depth group's predictive leaf masses on the augmented counts at
+the common-grid cells of a row's x column.  Taking the row out changes
+counts only along its own path, so each cell's mass is corrected by one
+factor, set by the depth to which the cell's leaf shares that path.  Rows
+in one common-grid cell share their leaves, so each occupied cell's column
+is built once per pass.  A swapped set's weight follows from Bayes' rule,
+p(D + c - u) = p(D) p(c | D) / p(u | D + c - u): the training weight plus
+the candidate's log leaf mass less the removed point's, both read in the
+same pass.  Candidates that share all their leaves share the augmented
+counts and enter one pass as extra rows, so a candidate and a training
+point at the same place tie exactly.  Members mix as densities at x:
+posterior weight times column mass on the common grid times 2^depth / ny.
+Setting `draws_per_seg` instead scores every set, swapped and weighted as
+above, with a freshly seeded finite mixture of posterior draws, matching
+the sampling-based evaluation of the predictive; taking a candidate back
+out leaves the training set, whose mixture is drawn once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import predictive as pred
-from .hbeta import _check_a0
-from .posterior import PosteriorModel, _add_point, _copy, _from_stacks, _log_leaf_mass, _unstack, fit
+from .hbeta import _check_a0, _check_count, _path_counts, leaf_predictive_masses
+from .posterior import PosteriorModel, _add_point, _copy, _from_stacks, _log_leaf_mass, fit
 from .segmentation import SegmentationFamily, _locate, as_points
 
 __all__ = [
@@ -71,8 +73,8 @@ class ConformalConfig:
         if self.family.ndim != 2:
             raise ValueError("conformal scoring is defined for 2-D families")
         _check_a0(self.a0)
-        if self.draws_per_seg is not None and self.draws_per_seg < 1:
-            raise ValueError("draws_per_seg must be >= 1 when given")
+        if self.draws_per_seg is not None:
+            _check_count("draws_per_seg", self.draws_per_seg, 1)
         if self.endpoint not in ("grid", "interpolated"):
             raise ValueError(f"unknown endpoint rule {self.endpoint!r}")
 
@@ -109,96 +111,37 @@ def _orient(direction: str):
     return (lambda s: s) if direction == "below" else (lambda s: 1.0 - s)
 
 
-def _column_offsets(seg) -> list[np.ndarray]:
-    """Per level, the node offsets of one x column's boxes, in y order.
-
-    A box's node index is the sum of the contributions of its x bits and
-    of its y bits, so a column's boxes at level l are its lowest box plus
-    these offsets.
-    """
-    off = np.zeros(1, dtype=np.int64)
-    out = []
-    for d in seg.dims:
-        off = 2 * off if d == 1 else (2 * off[:, None] + np.arange(2)).ravel()
-        out.append(off)
-    return out
+def _bin(values: np.ndarray, n: int) -> np.ndarray:
+    """Index of the cell of [0, 1] split into n that holds each value; 1 is in the top cell."""
+    return np.minimum((values * n).astype(np.int64), n - 1)
 
 
-def _column_coords(seg, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point and level (n, L): the node of its x column's lowest box and
-    its own box's position in the column (its y-prefix)."""
-    xnode = np.empty(paths.shape, dtype=np.int64)
-    ypos = np.empty(paths.shape, dtype=np.int64)
-    x = y = np.zeros(paths.shape[0], dtype=np.int64)
-    for l, d in enumerate(seg.dims):
-        bit = paths[:, l] & 1
-        x, y = (2 * x + bit, y) if d == 1 else (2 * x, 2 * y + bit)
-        xnode[:, l], ypos[:, l] = x, y
-    return xnode, ypos
-
-
-def _column_masses(a0, levels, yoff, xnode, ypos=None) -> np.ndarray:
-    """Y-cell leaf masses (n, ny) of each point's x column under `levels`.
-
-    xnode and ypos come from `_column_coords`.  With ypos given, each row
-    removes its own point from the counts first.  Each level is one gather
-    of the column's node counts for all n points at once.
-    """
-    n = xnode.shape[0]
-    prev = np.full((n, 1), float(levels[0][0] - (0 if ypos is None else 1)))
-    masses = np.ones((n, 1))
-    for l in range(1, len(levels)):
-        cur = levels[l][xnode[:, l - 1, None] + yoff[l - 1]].astype(np.float64)
-        if ypos is not None:
-            cur[np.arange(n), ypos[:, l - 1]] -= 1.0
-        if cur.shape[1] == masses.shape[1]:  # x split: one child per column box
-            masses = masses * (cur + a0) / (prev + 2.0 * a0)
-        else:  # y split: both children stay in the column
-            masses = np.repeat(masses, 2, axis=1) * (cur + a0) / (
-                np.repeat(prev, 2, axis=1) + 2.0 * a0
-            )
-        prev = cur
-    return masses
-
-
-def _cdf_at(masses: np.ndarray, y_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mass below each y, total column mass) per row of masses (n_eval, ny)."""
-    n_eval, ny = masses.shape
-    cell = np.minimum((y_values * ny).astype(np.int64), ny - 1)
+def _cdf_at(masses: np.ndarray, y_values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mass below y, total mass) of column cols[i] of masses (..., k, ny)
+    at y_values[i], each shape (..., n): leading axes such as members pass
+    through."""
+    ny = masses.shape[-1]
+    cell = _bin(y_values, ny)
     frac = y_values * ny - cell
-    cums = np.hstack([np.zeros((n_eval, 1)), np.cumsum(masses, axis=1)])
-    rows = np.arange(n_eval)
-    below = cums[rows, cell] + frac * masses[rows, cell]
-    return below, cums[:, -1]
+    cums = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)], axis=-1)
+    return cums[..., cols, cell] + frac * masses[..., cols, cell], cums[..., cols, -1]
 
 
-def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, ncols: np.ndarray) -> np.ndarray:
+def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Weight-averaged conditional CDF from per-member arrays (members, n).
 
     A member enters with its posterior weight times its marginal density
-    at x, which is its column mass times its number of x columns (ncols,
-    shape (members, 1)), so members of different x resolution mix as
-    densities.  Members are summed in order by a cumulative sum, so that
-    equal inputs give equal scores whatever n is.
+    at x, which is its column total times scale (shape (members, 1)), so
+    members of different x resolution mix as densities.  Members are summed
+    in order by a cumulative sum, so that equal inputs give equal scores
+    whatever n is.
     """
-    weights = np.exp(log_w - log_w.max(axis=0, keepdims=True)) * ncols
+    weights = np.exp(log_w - log_w.max(axis=0, keepdims=True)) * scale
     return np.cumsum(weights * below, axis=0)[-1] / np.cumsum(weights * total, axis=0)[-1]
 
 
-class _Candidates(NamedTuple):
-    """Candidates located in every member, with their own scores."""
-
-    scores: np.ndarray  # (n,) score on the training set
-    paths: np.ndarray  # (members, n, deepest L)
-    log_mass: np.ndarray  # (members, n) log predictive leaf mass on the training set
-
-
 class _Scorer:
-    """Methods shared by both scorers, which give `candidates` and `_loo`."""
-
-    def swapped(self, located: _Candidates, i: int) -> np.ndarray:
-        """Swapped-set scores of candidate i of `located`."""
-        return self._loo(located.paths[:, i], located.log_mass[:, i])
+    """`loo_scores` for both scorers, which give `_loo` and `swapped`."""
 
     def loo_scores(self, candidate=None) -> np.ndarray:
         """Score of each training point on the other m-1 points (plus the
@@ -206,16 +149,13 @@ class _Scorer:
         if self.m == 0:
             return np.zeros(0)
         if candidate is None:
-            return self._loo(None, None)
-        return self.swapped(self.candidates(as_points(candidate, 2)), 0)
-
-    def score_point(self, point) -> float:
-        """Conformity score of one point against the unmodified training set."""
-        return float(self.candidates(as_points(point, 2)).scores[0])
+            return self._loo()
+        cand = as_points(candidate, 2)
+        return self.swapped(cand, _locate(cand, self.family))[0]
 
 
 class _ExactScorer(_Scorer):
-    """Batched leave-one-out conformity scores under the exact predictive CDF."""
+    """Exact conformity scores as leave-one-out rows of the augmented sample."""
 
     def __init__(self, train, config: ConformalConfig):
         self.pts = _train_points(train)
@@ -223,61 +163,79 @@ class _ExactScorer(_Scorer):
         self.a0 = config.a0
         self.family = config.family
         model = fit(self.pts, config.family, config.a0)
-        self.log_w0 = model.log_unnormalized
-        self.stacks, self.levels = model._stacks, [c.levels for c in model.counts]
-        # per member: its segmentation, column offsets and training points' column coordinates
-        self.members = [
-            (seg, _column_offsets(seg), *_column_coords(seg, p[:, : seg.depth]))
-            for seg, p in zip(config.family, _locate(self.pts, config.family))
+        self.log_w0, self.stacks = model.log_unnormalized, model._stacks
+        self.shape = nx, ny = pred._common_grid_shape(config.family)
+        centres = (np.indices(self.shape).reshape(2, -1).T + 0.5) / self.shape
+        grid = _locate(centres, config.family)
+        # per depth group, the paths of the common-grid cells (members, nx*ny, L)
+        # and their leaves by column (members, nx, ny)
+        self.grid = [
+            (grid[idx, :, :d], grid[idx, :, d - 1].reshape(idx.size, nx, ny))
+            for d, idx in config.family._groups
         ]
-        self.ncols = np.array([[2.0 ** sum(d == 1 for d in seg.dims)] for seg in config.family])
+        # a column's total on the common grid times this is the member's density at x
+        self.scale = np.array([[2.0**seg.depth / ny] for seg in config.family])
 
-    def candidates(self, cands: np.ndarray) -> _Candidates:
-        """Locate candidates once and score them on the training set.
+    def _loo(self) -> np.ndarray:
+        return self._pass(self.stacks, self.pts)
 
-        Per member, one pass builds every candidate's column masses on the
-        training counts; they give its score and its log predictive leaf
-        mass, which each of its swapped sets' weights gains.
+    def swapped(self, cands: np.ndarray, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Swapped-set scores (m,) and own scores of candidates (n, 2) that
+        share every leaf, located along paths (members, n, L): one pass over
+        the training and candidate rows of the augmented sample."""
+        scores = self._pass(self._augmented(paths), np.vstack([self.pts, cands]), self.m)
+        return scores[: self.m], scores[self.m :]
+
+    def score_point(self, point) -> float:
+        """Conformity score of one point against the unmodified training set:
+        its own row of the augmented sample."""
+        cand = as_points(point, 2)
+        return float(self._pass(self._augmented(_locate(cand, self.family)), cand, 0)[0])
+
+    def _augmented(self, paths: np.ndarray) -> list:
+        """Copies of the training count stacks with the first candidate added."""
+        stacks = _copy(self.stacks)
+        _add_point(self.family, stacks, paths[:, 0], +1)
+        return stacks
+
+    def _pass(self, stacks, pts: np.ndarray, first_cand: int | None = None) -> np.ndarray:
+        """Score of every row of pts (n, 2) against the count `stacks` with
+        the row itself taken out.
+
+        Taking a row out lowers counts only along its own path.  A cell of
+        its x column keeps its leaf's mass on `stacks` times corr[a], where
+        a is the depth to which that leaf shares the row's path: the product
+        over levels l <= a of (o_l-1+a0)/(o_l+a0), for l >= 1, and of
+        (o_l+2a0)/(o_l-1+2a0), for l < L, with o_l the count of the row's
+        node at level l.  Rows in one cell of the common grid share their
+        leaf in every member, so each occupied cell's column is built once.
+        By Bayes' rule a row's log weight is the training set's, plus the
+        log leaf mass of row first_cand (a candidate; none on the training
+        set), less its own.
         """
-        paths = _locate(cands, self.family)
-        shape = (len(self.members), cands.shape[0])
-        log_mass, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
-        for j, (seg, yoff, _, _) in enumerate(self.members):
-            xnode, ypos = _column_coords(seg, paths[j, :, : seg.depth])
-            masses = _column_masses(self.a0, self.levels[j], yoff, xnode)
-            below[j], total[j] = _cdf_at(masses, cands[:, 1])
-            log_mass[j] = np.log(masses[np.arange(shape[1]), ypos[:, -1]])
-        scores = _mix(self.log_w0[:, None], below, total, self.ncols)
-        return _Candidates(scores, paths, log_mass)
-
-    def _loo(self, cpaths, log_cand) -> np.ndarray:
-        """Score of each training point on the other m-1 points, plus the
-        candidate along cpaths (members, L) when given.
-
-        The candidate joins a copy of the count stacks along every member's
-        path at once; each member then scores all m points in one array
-        pass.  By Bayes' rule a swapped set's log weight is the training
-        set's, plus the candidate's log predictive leaf mass, minus the
-        removed point's log leaf mass given the swapped set, read from the
-        same column masses that give its score.
-        """
-        shape = (len(self.members), self.m)
-        log_w, below, total = np.empty(shape), np.empty(shape), np.empty(shape)
-        rows = np.arange(self.m)
-        levels = self.levels
-        if cpaths is not None:
-            stacks = _copy(self.stacks)
-            _add_point(self.family, stacks, cpaths, +1)
-            levels = _unstack(self.family, [zip(*s.levels) for s in stacks])
-        for j, (_, yoff, xnode, ypos) in enumerate(self.members):
-            lc = 0.0 if cpaths is None else log_cand[j]
-            masses = _column_masses(self.a0, levels[j], yoff, xnode, ypos)
-            below[j], total[j] = _cdf_at(masses, self.pts[:, 1])
-            log_own = np.log(masses[rows, ypos[:, -1]])
-            # difference first: a swap that leaves the counts unchanged
-            # keeps the training weight bit for bit, so exact ties hold
-            log_w[j] = self.log_w0[j] + (lc - log_own)
-        return _mix(log_w, below, total, self.ncols)
+        a0, (nx, ny) = self.a0, self.shape
+        cells, rows = np.unique(_bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny), return_inverse=True)
+        below, total, log_own = np.empty((3, len(self.family), pts.shape[0]))
+        for (depth, idx), stack, (paths, leaves) in zip(self.family._groups, stacks, self.grid):
+            path = paths[:, cells]  # (members, cells, L)
+            o = _path_counts(stack.levels, path).astype(np.float64)
+            down, up = (o - 1.0 + a0) / (o + a0), (o + 2.0 * a0) / (o - 1.0 + 2.0 * a0)
+            down[..., 0] = up[..., -1] = 1.0  # the root is no child; a leaf has no children
+            corr = np.cumprod(down * up, axis=-1)
+            column = leaves[:, cells // ny]  # (members, cells, ny)
+            # a leaf index holds one bit per level, the first level highest, so
+            # the shared depth is L less the bit length (frexp's exponent) of the xor
+            shared = depth - np.frexp(column ^ path[..., -1:])[1]
+            leaf_mass = leaf_predictive_masses(stack, a0)
+            masses = np.take_along_axis(leaf_mass[:, None], column, axis=-1)
+            masses *= np.take_along_axis(corr, shared, axis=-1)
+            below[idx], total[idx] = _cdf_at(masses, pts[:, 1], rows)
+            own = np.take_along_axis(leaf_mass, path[..., -1], axis=-1) * corr[..., -1]
+            log_own[idx] = np.log(own)[:, rows]
+        # difference first: a candidate's own row keeps the training weight
+        # bit for bit, so it ties exactly with a training point at its place
+        lc = 0.0 if first_cand is None else log_own[:, first_cand, None]
+        return _mix(self.log_w0[:, None] + (lc - log_own), below, total, self.scale)
 
 
 class _MixtureScorer(_Scorer):
@@ -304,19 +262,23 @@ class _MixtureScorer(_Scorer):
     @staticmethod
     def _scores(M: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Column CDF scores of points (n, 2) under grid cell masses M."""
-        nx = M.shape[0]
-        cols = M[np.minimum((points[:, 0] * nx).astype(np.int64), nx - 1)]
-        below, total = _cdf_at(cols, points[:, 1])
+        below, total = _cdf_at(M, points[:, 1], _bin(points[:, 0], M.shape[0]))
         if np.any(total <= 0.0):  # drawn leaf probabilities can underflow to 0
             raise ValueError("conditional mass is zero in this column")
         return below / total
 
-    def candidates(self, cands: np.ndarray) -> _Candidates:
-        paths = _locate(cands, self.family)
-        log_mass = _log_leaf_mass(self.family, self._train_model._stacks, paths, self.config.a0)
-        return _Candidates(self._scores(self._train_grid, cands), paths, log_mass)
+    def swapped(self, cands: np.ndarray, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """As the exact scorer's.  Taking a candidate back out of the
+        augmented sample leaves the training set, so the candidates' own
+        scores read its seeded mixture."""
+        stacks = self._train_model._stacks
+        log_cand = _log_leaf_mass(self.family, stacks, paths[:, :1], self.config.a0)[:, 0]
+        return self._loo(paths[:, 0], log_cand), self._scores(self._train_grid, cands)
 
-    def _loo(self, cpaths, log_cand) -> np.ndarray:
+    def score_point(self, point) -> float:
+        return float(self._scores(self._train_grid, as_points(point, 2))[0])
+
+    def _loo(self, cpaths=None, log_cand=None) -> np.ndarray:
         family, a0 = self.family, self.config.a0
         stacks, lc, m = self._train_model._stacks, 0.0, self.m - 1
         if cpaths is not None:
@@ -376,30 +338,25 @@ def conformal_pvalue(train, candidate, config: ConformalConfig) -> float:
 def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p-values of the below- and above-direction scores of candidates (n, 2).
 
-    Swapped-set scores depend on a candidate only through its leaf in
-    every member, so candidates that share all their leaves share one
-    pass.
+    Swapped sets depend on a candidate only through its leaf in every
+    member, so candidates that share all their leaves share one pass.
     """
-    located = scorer.candidates(cands)
+    paths = _locate(cands, scorer.family)
     depths = np.array([seg.depth for seg in scorer.family])
-    leaves = located.paths[np.arange(depths.size), :, depths - 1]  # (members, n)
-    p_below = np.empty(cands.shape[0])
-    p_above = np.empty(cands.shape[0])
-    passes: dict[bytes, np.ndarray] = {}
-    for i, a_cand in enumerate(located.scores):
-        key = leaves[:, i].tobytes()
-        if key not in passes:
-            passes[key] = scorer.swapped(located, i)
-        a_train = passes[key]
-        p_below[i] = np.sum(a_train <= a_cand) / (scorer.m + 1)
-        p_above[i] = np.sum(a_train >= a_cand) / (scorer.m + 1)
+    leaves = paths[np.arange(depths.size), :, depths - 1]  # (members, n)
+    group = np.unique(leaves, axis=1, return_inverse=True)[1].ravel()
+    p_below, p_above = np.empty((2, cands.shape[0]))
+    for g in range(group.max() + 1):
+        sel = np.flatnonzero(group == g)
+        a_train, a_cand = scorer.swapped(cands[sel], paths[:, sel])
+        p_below[sel] = np.sum(a_train[:, None] <= a_cand, axis=0) / (scorer.m + 1)
+        p_above[sel] = np.sum(a_train[:, None] >= a_cand, axis=0) / (scorer.m + 1)
     return p_below, p_above
 
 
 def default_y_grid(config: ConformalConfig) -> np.ndarray:
     """Finest y-bin boundaries plus bin midpoints of the family grid."""
-    splits = max(sum(1 for d in seg.dims if d == 2) for seg in config.family)
-    ny = 1 << splits
+    ny = pred._common_grid_shape(config.family)[1]
     return np.unique(np.concatenate([np.arange(ny + 1) / ny, (np.arange(ny) + 0.5) / ny]))
 
 
@@ -425,10 +382,9 @@ def conformal_band(
         raise ValueError("x_values must lie in [0, 1]")
     if y_grid_size is None:
         y_grid = default_y_grid(config)
-    elif isinstance(y_grid_size, (int, np.integer)) and y_grid_size >= 2:
-        y_grid = np.linspace(0.0, 1.0, y_grid_size)
     else:
-        raise ValueError(f"y_grid_size must be an integer >= 2, got {y_grid_size!r}")
+        _check_count("y_grid_size", y_grid_size, 2)
+        y_grid = np.linspace(0.0, 1.0, y_grid_size)
     pts = _train_points(train)
     m = pts.shape[0]
     n_x, n_y = x_values.size, y_grid.size

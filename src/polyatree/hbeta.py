@@ -42,6 +42,12 @@ def _check_a0(a0: float) -> None:
         raise ValueError(f"a0 must be finite and positive, got {a0}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not an integer >= least; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class BetaTree:
     """Lower-child conditional probabilities, one array per level.
@@ -172,20 +178,27 @@ def conditional_predictive_density(points, counts: CountsTree, seg: Segmentation
     return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
-def _log_path_density(levels, paths: np.ndarray, a0: float) -> np.ndarray:
-    """Log predictive density at the leaf ending each path, paths (n, L).
-
-    ``levels`` are node counts as in ``CountsTree.levels`` (a stack takes
-    paths (members, n, L)).  The result is the log predictive probability
-    of the path's leaf plus L*log(2): the sum over levels of log(N_level +
-    a0) - log(N_parent + 2*a0) + log(2), with levels below an empty parent
-    contributing exactly zero.
-    """
+def _path_counts(levels, paths: np.ndarray) -> np.ndarray:
+    """Node counts along each path, paths (n, L): the root's, then one per
+    level, shape (n, L+1).  ``levels`` are node counts as in
+    ``CountsTree.levels``; a stack takes paths (members, n, L)."""
     depth = paths.shape[-1]
     node_counts = np.empty(paths.shape[:-1] + (depth + 1,), dtype=np.int64)
     node_counts[..., 0] = levels[0][..., :1]
     for l in range(1, depth + 1):
         node_counts[..., l] = np.take_along_axis(levels[l], paths[..., l - 1], axis=-1)
+    return node_counts
+
+
+def _log_path_density(levels, paths: np.ndarray, a0: float) -> np.ndarray:
+    """Log predictive density at the leaf ending each path, paths (n, L).
+
+    ``levels`` and paths are as in `_path_counts`.  The result is the log
+    predictive probability of the path's leaf plus L*log(2): the sum over
+    levels of log(N_level + a0) - log(N_parent + 2*a0) + log(2), with
+    levels below an empty parent contributing exactly zero.
+    """
+    node_counts = _path_counts(levels, paths)
     active = node_counts[..., :-1] > 0  # below an empty parent every factor is 1
     terms = (
         np.log(node_counts[..., 1:] + a0)

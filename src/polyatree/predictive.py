@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .hbeta import CountsTree, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
+from .hbeta import CountsTree, _check_count, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
 from .posterior import PosteriorModel, _mixture_at, _unstack
 from .segmentation import Segmentation, SegmentationFamily, as_points
 
@@ -127,8 +127,7 @@ def build_mixture(model: PosteriorModel, draws_per_seg: int = 50, rng=None) -> M
     """Draw `draws_per_seg` conjugate-posterior probability vectors per member:
     one Beta call per level for each depth group's count stack, broadcast
     over the draws without copying."""
-    if draws_per_seg < 1:
-        raise ValueError("draws_per_seg must be >= 1")
+    _check_count("draws_per_seg", draws_per_seg, 1)
     gen, seed = _as_rng_and_seed(rng)
     stacks = []
     for stack in model._stacks:

@@ -100,15 +100,19 @@ class TestExactScorer:
                     brute_force_score(train, fam, 2.0, cand), abs=1e-12
                 )
 
-    def test_matches_brute_force_leave_one_out(self, rng):
+    @pytest.mark.parametrize("a0", [0.01, 0.5, 50.0])
+    @pytest.mark.parametrize("m", [1, 2, 11])
+    def test_matches_brute_force_leave_one_out(self, m, a0, rng):
+        # m=1 leaves an empty set; nodes holding one point at small a0 push
+        # the removal factors (n-1+a0)/(n+a0) hardest
         fam = tiny_family()
-        train = rng.uniform(size=(11, 2))
-        scorer = _ExactScorer(train, ConformalConfig(fam, a0=0.5))
+        train = rng.uniform(size=(m, 2))
+        scorer = _ExactScorer(train, ConformalConfig(fam, a0=a0))
         fast = scorer.loo_scores(None)
         slow = np.array(
             [
-                brute_force_score(np.delete(train, i, axis=0), fam, 0.5, train[i])
-                for i in range(11)
+                brute_force_score(np.delete(train, i, axis=0), fam, a0, train[i])
+                for i in range(m)
             ]
         )
         assert np.allclose(fast, slow, atol=1e-10)
@@ -171,12 +175,13 @@ class TestConformityScore:
             brute_force_score(train, fam, 0.8, cand, 2, 5), abs=1e-12
         )
 
-    def test_mixture_swap_keeps_exact_tie(self):
+    @pytest.mark.parametrize("draws", [None, 1], ids=["exact", "mixture"])
+    def test_mixture_swap_keeps_exact_tie(self, draws):
         # a candidate equal to training point 3 leaves that point's swapped
         # set equal to the training set, so the two scores tie exactly
         for seed in range(30):
             train = np.random.default_rng(seed).uniform(size=(12, 2))
-            scorer = _make_scorer(train, ConformalConfig(tiny_family(), draws_per_seg=1, seed=seed))
+            scorer = _make_scorer(train, ConformalConfig(tiny_family(), draws_per_seg=draws, seed=seed))
             assert scorer.loo_scores(train[3])[3] == scorer.score_point(train[3])
 
     def test_mixture_scores_deterministic_given_seed(self, rng):

@@ -18,6 +18,7 @@ from polyatree.posterior import (
     fit,
     mixture_predictive_density,
 )
+from polyatree.predictive import build_mixture
 from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family, path_indices
 
 FAMILY = enumerate_balanced_family(2, {1: 1, 2: 1})
@@ -69,6 +70,19 @@ def test_bad_a0_rejected(entry, a0):
 def test_bad_y_grid_size_rejected(train, size):
     with pytest.raises(ValueError, match="y_grid_size must be an integer >= 2"):
         conformal_band(train, [0.5], 0.1, ConformalConfig(FAMILY), y_grid_size=size)
+
+
+DRAWS_ENTRIES = {
+    "ConformalConfig": lambda draws: ConformalConfig(FAMILY, draws_per_seg=draws),
+    "build_mixture": lambda draws: build_mixture(fit(TRAIN, FAMILY, 1.0), draws),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DRAWS_ENTRIES))
+@pytest.mark.parametrize("draws", [0, 1.5, 2.0, True])
+def test_bad_draws_per_seg_rejected(entry, draws):
+    with pytest.raises(ValueError, match="draws_per_seg must be an integer >= 1"):
+        DRAWS_ENTRIES[entry](draws)
 
 
 def test_zero_mass_column_rejected():
