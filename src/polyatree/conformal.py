@@ -33,7 +33,7 @@ out leaves the training set, whose mixture is drawn once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -249,15 +249,17 @@ class _MixtureScorer(_Scorer):
         self.m = self.pts.shape[0]
         self._train_model = fit(self.pts, config.family, config.a0)
         self._paths = _locate(self.pts, config.family)
-
-    def _grid(self, model: PosteriorModel) -> np.ndarray:
-        """Grid cell masses of the seeded posterior-draw mixture of `model`."""
-        mix = pred.build_mixture(model, self.config.draws_per_seg, self.config.seed)
-        return pred.grid_mass_matrix(mix)[1]
+        self._mixture = partial(pred.build_mixture, draws_per_seg=config.draws_per_seg, rng=config.seed)
 
     @cached_property
     def _train_grid(self) -> np.ndarray:
-        return self._grid(self._train_model)
+        return pred.grid_mass_matrix(self._mixture(self._train_model))[1]
+
+    def _column(self, model: PosteriorModel, x: float) -> np.ndarray:
+        """Cell masses (1, ny) of the x column of `grid_mass_matrix` that holds x."""
+        nx, ny = pred._common_grid_shape(self.family)
+        centres = np.column_stack([np.full(ny, (_bin(x, nx) + 0.5) / nx), (np.arange(ny) + 0.5) / ny])
+        return pred.mixture_density(centres, self._mixture(model))[None] / (nx * ny)
 
     @staticmethod
     def _scores(M: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -291,8 +293,8 @@ class _MixtureScorer(_Scorer):
             log_own = _log_leaf_mass(family, swapped, self._paths[:, i : i + 1], a0)[:, 0]
             # difference first, as in the exact scorer
             log_w = self._train_model.log_unnormalized + (lc - log_own)
-            grid = self._grid(_from_stacks(family, swapped, a0, m, log_w))
-            scores[i] = self._scores(grid, self.pts[i : i + 1])[0]
+            column = self._column(_from_stacks(family, swapped, a0, m, log_w), self.pts[i, 0])
+            scores[i] = self._scores(column, self.pts[i : i + 1])[0]  # one column: x bins to 0
         return scores
 
 
@@ -342,9 +344,8 @@ def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     member, so candidates that share all their leaves share one pass.
     """
     paths = _locate(cands, scorer.family)
-    depths = np.array([seg.depth for seg in scorer.family])
-    leaves = paths[np.arange(depths.size), :, depths - 1]  # (members, n)
-    group = np.unique(leaves, axis=1, return_inverse=True)[1].ravel()
+    # a path's last entry is the member's leaf, shifted to the deepest depth
+    group = np.unique(paths[..., -1], axis=1, return_inverse=True)[1].ravel()
     p_below, p_above = np.empty((2, cands.shape[0]))
     for g in range(group.max() + 1):
         sel = np.flatnonzero(group == g)

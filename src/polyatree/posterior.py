@@ -8,7 +8,8 @@ chain times the reciprocal multinomial coefficient of the leaf counts,
 whose binomial coefficients cancel).  Sums run in log space over cached
 log-gamma values and normalize by log-sum-exp.  Counts are kept as one
 stack per depth group of members, levels (members, 2^l), so fits,
-weights, densities and one-point updates are array operations.
+weights, densities and one-point updates are array operations; a fit
+counts each split-count class's cells once, for all its members' leaves.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .hbeta import (
     counts_from_leaf_counts,
     leaf_predictive_masses,
 )
-from .segmentation import SegmentationFamily, _locate, as_points
+from .segmentation import SegmentationFamily, _class_cells, _leaves, _locate, as_points
 
 __all__ = [
     "LogGammaTables",
@@ -185,32 +186,33 @@ def _log_leaf_mass(family: SegmentationFamily, stacks, paths: np.ndarray, a0: fl
     return out
 
 
-def _leaf_blocks(pts: np.ndarray, family: SegmentationFamily):
-    """(rows, leaves) per block of points: leaves as one (members, block)
-    array per depth group; a block's location pass holds at most 2^21
-    path entries, which bounds memory."""
-    step = max(1, (1 << 21) // (len(family) * family._table[0].shape[1]))
-    for start in range(0, pts.shape[0], step):
-        paths = _locate(pts[start : start + step], family)
-        yield slice(start, start + step), [paths[idx, :, depth - 1] for depth, idx in family._groups]
+def _blocks(n: int, width: int):
+    """Slices of n points, each holding at most 2^21 entries of `width` per point."""
+    step = max(1, (1 << 21) // width)
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
     """Count the data under every family member and normalize the weights.
 
-    Per depth group, one bincount over member-offset leaves counts the
-    whole stack, and one pass per level weighs it."""
+    One bincount counts every class's cells; each member's leaf counts are
+    its class's cell counts scattered through its leaf table, so no member
+    locates a point.  One pass per level weighs each depth group's stack."""
     pts = as_points(points, family.ndim)
     tables = LogGammaTables(a0, pts.shape[0])
-    leaf_counts = [np.zeros((idx.size, 1 << depth), dtype=np.int64) for depth, idx in family._groups]
-    for _, leaves in _leaf_blocks(pts, family):
-        for counts, leaf in zip(leaf_counts, leaves):
-            leaf = leaf + np.arange(0, counts.size, counts.shape[1])[:, None]
-            counts += np.bincount(leaf.ravel(), minlength=counts.size).reshape(counts.shape)
-    stacks = [counts_from_leaf_counts(counts) for counts in leaf_counts]
-    log_unnorm = np.empty(len(family))
-    for (_, idx), stack in zip(family._groups, stacks):
-        log_unnorm[idx] = log_unnormalized_weight(stack, a0, tables)
+    cls, scale, _, table = family._table
+    top = family._groups[-1][0]
+    counts = np.zeros((scale.shape[0], 1 << top), dtype=np.int64)  # of each class's cells
+    for rows in _blocks(pts.shape[0], scale.size):
+        cells = _class_cells(pts[rows], family) + np.arange(0, counts.size, 1 << top)[:, None]
+        counts += np.bincount(cells.ravel(), minlength=counts.size).reshape(counts.shape)
+    stacks, log_unnorm = [], np.empty(len(family))
+    for depth, idx in family._groups:
+        own = slice(0, 1 << depth)  # a member's own cells: its leaves, permuted
+        leaf_counts = np.empty((idx.size, 1 << depth), dtype=np.int64)
+        np.put_along_axis(leaf_counts, table[idx, own] >> (top - depth), counts[cls[idx], own], axis=1)
+        stacks.append(counts_from_leaf_counts(leaf_counts))
+        log_unnorm[idx] = log_unnormalized_weight(stacks[-1], a0, tables)
     return _from_stacks(family, stacks, a0, pts.shape[0], log_unnorm)
 
 
@@ -219,10 +221,12 @@ def _mixture_at(pts: np.ndarray, family: SegmentationFamily, weights: np.ndarray
     tables one (members, 2^L) array per depth group.  Members add up in
     order (a cumulative sum), whatever the number of points."""
     vals = np.zeros(pts.shape[0])
-    for rows, leaves in _leaf_blocks(pts, family):
-        for (depth, idx), table, leaf in zip(family._groups, tables, leaves):
-            terms = weights[idx, None] * np.take_along_axis(table, leaf, axis=-1) * (1 << depth)
-            vals[rows] += np.cumsum(terms, axis=0)[-1]
+    top = family._groups[-1][0]
+    for rows in _blocks(pts.shape[0], len(family) * family.ndim):
+        leaves = _leaves(pts[rows], family)
+        for (depth, idx), table in zip(family._groups, tables):
+            mass = np.take_along_axis(table, leaves[idx] >> (top - depth), axis=1)
+            vals[rows] += np.cumsum(weights[idx, None] * mass * (1 << depth), axis=0)[-1]
     return vals
 
 

@@ -206,8 +206,7 @@ def sample_predictive(mix: MixtureApproximation, n: int, rng=None) -> Predictive
     a leaf with that component's leaf probabilities, and the point uniformly
     within the leaf box.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     gen, seed = _as_rng_and_seed(rng)
     points, member, draw, leaf = _sample_components(
         mix.family,
@@ -227,8 +226,7 @@ def sample_posterior_predictive(model: PosteriorModel, n: int, rng=None) -> Pred
     closed-form predictive leaf masses, so no probability vectors need to
     be drawn; each sample behaves as if it used its own fresh draw.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     gen, seed = _as_rng_and_seed(rng)
     points, member, draw, leaf = _sample_components(
         model.family,
@@ -290,6 +288,7 @@ def predictive_probability(
             share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
             total += float(weights[idx] @ np.sum(table * share, axis=-1))
         return PredictiveProbability(total, 0.0, "analytic")
+    _check_count("mc_samples", mc_samples, 1)
     draw = sample_predictive if isinstance(obj, MixtureApproximation) else sample_posterior_predictive
     pts = draw(obj, mc_samples, rng).points
     inside = np.zeros(mc_samples, dtype=bool)
@@ -300,7 +299,7 @@ def predictive_probability(
 
 
 def _common_grid_shape(family: SegmentationFamily) -> tuple[int, ...]:
-    return tuple(1 << int(s) for s in np.max([seg.splits_per_dim() for seg in family], axis=0))
+    return tuple(int(n) for n in family._table[1].max(axis=(0, 1)))
 
 
 def grid_mass_matrix(obj) -> tuple[tuple[int, int], np.ndarray]:

@@ -10,6 +10,10 @@ Boundary convention: every split interval is half-open [lo, mid) except
 along the upper face of the cube, so a coordinate equal to 1.0 always
 falls in the last box.  This makes point location total and deterministic
 on the closed cube.
+
+Boxes depend only on how often each dimension is split, not on the order:
+a point is binned once per class of equal split counts, into a cell, and
+its leaf in a member is the member's cached leaf table read at the cell.
 """
 
 from __future__ import annotations
@@ -55,14 +59,11 @@ class Segmentation:
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, ...]:
-        return _split_table((self,))
+        return _cell_table((self,))
 
     def splits_per_dim(self) -> np.ndarray:
         """Number of halvings applied to each dimension (shape (ndim,))."""
-        out = np.zeros(self.ndim, dtype=np.int64)
-        for d in self.dims:
-            out[d - 1] += 1
-        return out
+        return np.bincount(np.array(self.dims) - 1, minlength=self.ndim)
 
     def to_json_obj(self) -> list[int]:
         return list(self.dims)
@@ -105,26 +106,47 @@ def as_points(u, ndim: int) -> np.ndarray:
     return pts
 
 
-def _split_table(segs: Sequence[Segmentation]) -> tuple[np.ndarray, ...]:
-    """Split rows for `_locate`, one entry per member and level.
+def _cell_table(segs: Sequence[Segmentation]) -> tuple[np.ndarray, ...]:
+    """Classes and leaf tables for `_locate`.  Members that split each
+    dimension d equally often, s_d times, form a class; a point's class cell
+    is the mixed-radix code of its bins min(floor(u_d 2^s_d), 2^s_d - 1),
+    dimension 1 lowest, and its leaf in a member a bit permutation of it.
+    Returns each member's class, the classes' scales 2^s (classes, 1, ndim)
+    and bin place values (classes, ndim, 1), and each cell's leaf (members,
+    2^L), shallower members' leaves shifted to the deepest L."""
+    depth, ndim = max(seg.depth for seg in segs), segs[0].ndim
+    # levels below a member's depth split dimension ndim + 1, which sorts last
+    dims = np.array([seg.dims + (ndim + 1,) * (depth - seg.depth) for seg in segs])
+    # cell bits run by dimension, later splits of it lower: cell bit b is read
+    # at level -key[:, b] % depth, which sets leaf bit (key - 1) % depth
+    key = np.sort(dims * depth - np.arange(depth), axis=1)
+    weight = (key <= ndim * depth) << ((key - 1) % depth)
+    # a cell's leaf: the outer sum over its lower `half` cell bits and the rest
+    half = depth // 2
+    bits = (np.arange(1 << (depth - half)) >> np.arange(depth - half)[:, None]) & 1
+    low = weight[:, :half] @ bits[:half, : 1 << half]
+    table = ((weight[:, half:] @ bits)[:, :, None] + low[:, None]).reshape(len(segs), -1)
+    table = table.astype(np.min_scalar_type(table.shape[1] - 1))  # small: it is kept
+    splits = np.sum(dims[..., None] == np.arange(1, ndim + 1), axis=1)
+    # one member is its own class, which spares it np.unique's cost
+    splits, cls = np.unique(splits, axis=0, return_inverse=True) if len(segs) > 1 else (splits, np.array([0]))
+    scale = 2.0**splits
+    return cls, scale[:, None], (np.cumprod(scale, axis=1) / scale)[..., None], table
 
-    The rows are the split coordinate, shape (members, L), the scale
-    2^(prior splits of it + 1) and the top bin, scale - 1, both shape
-    (members, L, 1), and the shift L-1-level of a level's bit in the leaf
-    index, shape (L, 1).  Levels run to the deepest member; shallower
-    members continue with splits of dimension 1, which only extends their
-    paths below their own depth.
-    """
-    depth = max(seg.depth for seg in segs)
-    rows = []
-    for seg in segs:
-        done = [0] * seg.ndim
-        for d in seg.dims + (1,) * (depth - seg.depth):
-            done[d - 1] += 1
-            rows.append((d - 1, 1 << done[d - 1]))
-    dims, scale = np.array(rows, dtype=np.int64).reshape(len(segs), depth, 2).transpose(2, 0, 1)
-    shift = np.arange(depth - 1, -1, -1)[:, None]
-    return dims, scale[..., None].astype(np.float64), scale[..., None] - 1, shift
+
+def _class_cells(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
+    """Cell of validated points (n, P) in every class, shape (classes, n);
+    powers of two and integer sums below 2^53 are exact in floating point."""
+    _, scale, place, _ = segs._table
+    bins = np.floor(pts * scale)
+    np.minimum(bins, scale - 1.0, out=bins)  # a coordinate of 1.0 stays in the top bin
+    return (bins @ place)[..., 0].astype(np.int64)
+
+
+def _leaves(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
+    """Leaf of validated points in every member, shifted to the deepest depth, (members, n)."""
+    cls, _, _, table = segs._table
+    return table[np.arange(cls.size)[:, None], _class_cells(pts, segs)[cls]]
 
 
 def _locate(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
@@ -135,15 +157,9 @@ def _locate(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.nd
     index = 2*parent + bit, with bit 0 for the lower half of the split
     coordinate, so the leaf index holds the bits of all levels and the box
     at a level is the leaf index shifted right by the levels below it.
-    Scaling by powers of two is exact in binary floating point, so location
-    is reproducible bit-for-bit.
     """
-    dims, scale, top, shift = segs._table
-    b = (pts.T[dims] * scale).astype(np.int64)  # truncation is floor on [0, 1]
-    np.minimum(b, top, out=b)  # coordinate exactly 1.0 stays in the top box
-    b &= 1
-    b <<= shift
-    return (b.sum(axis=1, keepdims=True) >> shift).transpose(0, 2, 1)
+    depth = segs._table[-1].shape[1].bit_length() - 1
+    return _leaves(pts, segs)[..., None] >> np.arange(depth - 1, -1, -1)
 
 
 def path_indices(points: np.ndarray, seg: Segmentation) -> np.ndarray:
@@ -153,7 +169,7 @@ def path_indices(points: np.ndarray, seg: Segmentation) -> np.ndarray:
 
 def leaf_indices(points: np.ndarray, seg: Segmentation) -> np.ndarray:
     """0-based deepest-level box index for each point, shape (n,)."""
-    return path_indices(points, seg)[:, -1]
+    return _leaves(as_points(points, seg.ndim), seg)[0].astype(np.int64)
 
 
 def locate(u, seg: Segmentation) -> SubintervalPath:
@@ -162,19 +178,14 @@ def locate(u, seg: Segmentation) -> SubintervalPath:
     if pts.shape[0] != 1:
         raise ValueError("locate takes a single point; use path_indices for batches")
     path = path_indices(pts, seg)[0]
-    lo = np.zeros(seg.ndim)
-    hi = np.ones(seg.ndim)
-    bounds = []
-    prev = 0
-    for level, dim in enumerate(seg.dims):
-        bit = path[level] - 2 * prev
+    lo, hi, bounds = np.zeros(seg.ndim), np.ones(seg.ndim), []
+    for box, dim in zip(path, seg.dims):
         mid = 0.5 * (lo[dim - 1] + hi[dim - 1])
-        if bit == 0:
-            hi[dim - 1] = mid
-        else:
+        if box & 1:  # the child rule's bit: the upper half
             lo[dim - 1] = mid
+        else:
+            hi[dim - 1] = mid
         bounds.append((lo.copy(), hi.copy()))
-        prev = path[level]
     return SubintervalPath(tuple(int(j) + 1 for j in path), tuple(bounds))
 
 
@@ -202,7 +213,7 @@ class SegmentationFamily:
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, ...]:
-        return _split_table(self.members)
+        return _cell_table(self.members)
 
     @cached_property
     def _groups(self) -> tuple[tuple[int, np.ndarray], ...]:

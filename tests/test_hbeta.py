@@ -17,7 +17,7 @@ from polyatree.hbeta import (
     sample_phi_prior,
     step_density,
 )
-from polyatree.segmentation import Segmentation, build
+from polyatree.segmentation import Segmentation, build, leaf_indices
 
 
 def brute_force_leaf_products(tree: BetaTree) -> np.ndarray:
@@ -236,7 +236,6 @@ class TestPredictiveDensity:
             counts = accumulate_counts(data, seg)
             masses = leaf_predictive_masses(counts, a0)
             u = rng.uniform(size=(5, ndim))
-            from polyatree.segmentation import leaf_indices
 
             direct = conditional_predictive_density(u, counts, seg, a0)
             via_masses = masses[leaf_indices(u, seg)] * (1 << depth)
@@ -250,10 +249,10 @@ class TestPredictiveDensity:
         gen = np.random.default_rng(8)
         n = 100_000
         u = np.array([0.1])
-        vals = np.empty(n)
-        for i in range(n):
-            pi = pi_from_phi(sample_phi_posterior(counts, 1.0, gen))
-            vals[i] = step_density(u, seg, pi)
+        # n trees in one draw: the counts broadcast to (n, 2^l) per level
+        stacked = CountsTree(tuple(np.broadcast_to(c, (n,) + c.shape) for c in counts.levels))
+        pi = pi_from_phi(sample_phi_posterior(stacked, 1.0, gen))
+        vals = pi[:, leaf_indices(u, seg)[0]] * (1 << seg.depth)
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 1.5) <= 3 * se
 

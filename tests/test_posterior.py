@@ -14,8 +14,8 @@ from polyatree.posterior import (
     mixture_predictive_density,
 )
 from polyatree.predictive import grid_mass_matrix
-from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family
-from polyatree.simharness.studies import TABLE1_TARGETS, table1_family, table1_points
+from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family, union_families
+from polyatree.simharness.studies import TABLE1_TARGETS, highdim_family, table1_family, table1_points
 
 
 def oracle_log_weight(points, seg, a0):
@@ -48,6 +48,14 @@ def oracle_points(seed, m, ndim):
 
 
 dims_2_to_5 = st.lists(st.integers(1, 2), min_size=2, max_size=5).map(tuple)
+
+
+def pair_union(pairs, prefix, splits):
+    """As the highdim study's family, in 3-D: one balanced pair family per
+    pair behind a common prefix, one split-count class each, plus the bare
+    prefix as a shallower member."""
+    fams = [enumerate_balanced_family(3, {a: splits, b: splits}, prefix) for a, b in pairs]
+    return union_families(fams + [SegmentationFamily((build(prefix or (1,), 3),))])
 
 
 class TestLogGammaTables:
@@ -145,6 +153,17 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.array([[0.5, 1.4]]), fam, 1.0)
 
+    @pytest.mark.parametrize("m", [0, 1, 37, 400])
+    def test_counts_match_per_member_counts(self, m):
+        # three split-count classes of six members each; each member's count
+        # stack is its class's cell counts permuted through its leaf table
+        fam = highdim_family(ndim=5, prefix=(5,), candidate_dims=range(1, 4), splits=2)
+        pts = oracle_points(m, m, 5)
+        model = fit(pts, fam, 1.0)
+        for seg, counts in zip(fam, model.counts):
+            ref = accumulate_counts(pts, seg)
+            assert all(np.array_equal(a, b) for a, b in zip(counts.levels, ref.levels))
+
     def test_export_obj(self, rng):
         fam = enumerate_balanced_family(2, {1: 1, 2: 1})
         model = fit(rng.uniform(size=(6, 2)), fam, 1.0)
@@ -176,6 +195,20 @@ class TestWeightOracle:
     def test_ragged_family(self, dims, m, a0, seed):
         fam = SegmentationFamily(tuple(build(d, 2) for d in dims))
         pts = oracle_points(seed, m, 2)
+        ref = [oracle_log_weight(pts, seg, a0) for seg in fam]
+        np.testing.assert_allclose(fit(pts, fam, a0).log_unnormalized, ref, rtol=1e-12)
+
+    @given(
+        pairs=st.lists(st.sampled_from([(1, 2), (1, 3), (2, 3)]), min_size=1, max_size=3, unique=True),
+        prefix=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+        splits=st.integers(1, 2),
+        m=st.integers(0, 60),
+        a0=st.floats(0.05, 20.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_union_of_pair_families(self, pairs, prefix, splits, m, a0, seed):
+        fam = pair_union(pairs, prefix, splits)
+        pts = oracle_points(seed, m, 3)
         ref = [oracle_log_weight(pts, seg, a0) for seg in fam]
         np.testing.assert_allclose(fit(pts, fam, a0).log_unnormalized, ref, rtol=1e-12)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -117,8 +118,23 @@ class TestPathIndices:
         # after its k-th split of dimension d, a path has put the point in
         # bin min(floor(u_d * 2^k), 2^k - 1) along d, in every member
         member = st.lists(st.integers(1, ndim), min_size=1, max_size=7)
-        members = data.draw(st.lists(member, min_size=1, max_size=5, unique_by=tuple))
-        family = SegmentationFamily(tuple(build(dims, ndim) for dims in members))
+        members = st.lists(member, min_size=1, max_size=5, unique_by=tuple)
+        ragged = members.map(lambda ms: SegmentationFamily(tuple(build(dims, ndim) for dims in ms)))
+        # unions of pair families behind a prefix, as in the highdim study,
+        # with the bare prefix as a shallower member: several classes, ragged
+        pair = st.sampled_from(list(itertools.combinations(range(1, ndim + 1), 2)))
+        pairs = st.lists(pair, min_size=1, unique=True)
+        prefix = st.lists(st.integers(1, ndim), max_size=2).map(tuple)
+        unions = st.builds(
+            lambda pairs, prefix, splits: union_families(
+                [enumerate_balanced_family(ndim, {a: splits, b: splits}, prefix) for a, b in pairs]
+                + [SegmentationFamily((build(prefix or (1,), ndim),))]
+            ),
+            pairs,
+            prefix,
+            st.integers(1, 2),
+        )
+        family = data.draw(st.one_of(ragged, unions) if ndim > 1 else ragged)
         dyadic = st.integers(0, 7).flatmap(lambda j: st.integers(0, 2**j).map(lambda k: k / 2**j))
         coord = st.one_of(st.floats(0.0, 1.0, allow_nan=False), dyadic, st.just(1.0))
         rows = st.lists(st.lists(coord, min_size=ndim, max_size=ndim), min_size=1, max_size=6)

@@ -18,7 +18,13 @@ from polyatree.posterior import (
     fit,
     mixture_predictive_density,
 )
-from polyatree.predictive import build_mixture
+from polyatree.predictive import (
+    Box,
+    build_mixture,
+    predictive_probability,
+    sample_posterior_predictive,
+    sample_predictive,
+)
 from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family, path_indices
 
 FAMILY = enumerate_balanced_family(2, {1: 1, 2: 1})
@@ -83,6 +89,24 @@ DRAWS_ENTRIES = {
 def test_bad_draws_per_seg_rejected(entry, draws):
     with pytest.raises(ValueError, match="draws_per_seg must be an integer >= 1"):
         DRAWS_ENTRIES[entry](draws)
+
+
+COUNT_ENTRIES = {
+    "sample_predictive": ("n", lambda n: sample_predictive(build_mixture(fit(TRAIN, FAMILY, 1.0), 2), n)),
+    "sample_posterior_predictive": ("n", lambda n: sample_posterior_predictive(fit(TRAIN, FAMILY, 1.0), n)),
+    "predictive_probability": (
+        "mc_samples",
+        lambda n: predictive_probability(Box((0.0, 0.0), (0.5, 0.5)), fit(TRAIN, FAMILY, 1.0), "mc", n),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+@pytest.mark.parametrize("count", [0, 1.5, 2.0, 2.5, True])
+def test_bad_sample_count_rejected(entry, count):
+    name, call = COUNT_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        call(count)
 
 
 def test_zero_mass_column_rejected():
