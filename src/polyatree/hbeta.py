@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .segmentation import Segmentation, as_points, leaf_indices, path_indices
+from .segmentation import Segmentation, _leaves, as_points, leaf_indices, path_indices
 
 __all__ = [
     "BetaTree",
@@ -132,7 +132,7 @@ def pi_from_phi(tree: BetaTree) -> np.ndarray:
 
 def accumulate_counts(points, seg: Segmentation) -> CountsTree:
     """Count observations in every box of the segmentation tree."""
-    leaves = leaf_indices(as_points(points, seg.ndim), seg)
+    leaves = _leaves(as_points(points, seg.ndim), seg)[0]
     return counts_from_leaf_counts(np.bincount(leaves, minlength=1 << seg.depth))
 
 

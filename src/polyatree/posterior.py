@@ -10,6 +10,10 @@ log-gamma values and normalize by log-sum-exp.  Counts are kept as one
 stack per depth group of members, levels (members, 2^l), so fits,
 weights, densities and one-point updates are array operations; a fit
 counts each split-count class's cells once, for all its members' leaves.
+A level's sum of node terms depends only on the lattice edge a member
+takes there (its split counts before the level and the dimension split
+at it), so a fit sums each edge once and a member's log weight is the
+sum of its edges' terms.
 """
 
 from __future__ import annotations
@@ -78,6 +82,13 @@ class LogGammaTables:
         )
 
 
+def _node_terms(child, parent, tables: LogGammaTables) -> np.ndarray:
+    """log B(N_lower + a0, N_upper + a0) - log B(a0, a0) of every node, from
+    the counts of its children (..., 2n), pairs adjacent, and its own (..., n)."""
+    g = tables.G1[child]
+    return g[..., 0::2] + g[..., 1::2] - tables.G2[parent] - tables._const
+
+
 def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTables | None = None):
     """Log numerator of the posterior segmentation probability.
 
@@ -85,7 +96,10 @@ def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTable
     N_lower + N_upper adds log B(N_lower + a0, N_upper + a0) - log B(a0, a0)
     = lgamma(N_lower + a0) + lgamma(N_upper + a0) - lgamma(N + 2*a0)
     - [2 lgamma(a0) - lgamma(2*a0)], which is exactly zero for an empty
-    node.  Counts with a leading members axis give one weight per member.
+    node.  All levels' nodes are summed in one pass.  Counts with a leading
+    members axis give one weight per member.  A level's sum depends only on
+    the lattice edge taken there, the split counts before it and the
+    dimension split, so `fit` sums each edge once for all its members.
     """
     nmax = int(counts.levels[0].max())
     if tables is None:
@@ -93,11 +107,8 @@ def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTable
     elif tables.a0 != a0:
         raise ValueError("tables were built for a different a0")
     tables.ensure(nmax)
-    total = 0.0
-    for l in range(1, counts.depth + 1):
-        child = tables.G1[counts.levels[l]]
-        node = child[..., 0::2] + child[..., 1::2] - tables.G2[counts.levels[l - 1]] - tables._const
-        total = total + np.sum(node, axis=-1)
+    child, parent = (np.concatenate(lv, axis=-1) for lv in (counts.levels[1:], counts.levels[:-1]))
+    total = np.sum(_node_terms(child, parent, tables), axis=-1)
     return total if np.ndim(total) else float(total)
 
 
@@ -197,7 +208,9 @@ def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
 
     One bincount counts every class's cells; each member's leaf counts are
     its class's cell counts scattered through its leaf table, so no member
-    locates a point.  One pass per level weighs each depth group's stack."""
+    locates a point.  Each level sums the node terms of its lattice edges,
+    on one representative row of the stack per edge, and every member adds
+    its edge's sum."""
     pts = as_points(points, family.ndim)
     tables = LogGammaTables(a0, pts.shape[0])
     cls, scale, _, table = family._table
@@ -207,12 +220,15 @@ def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
         cells = _class_cells(pts[rows], family) + np.arange(0, counts.size, 1 << top)[:, None]
         counts += np.bincount(cells.ravel(), minlength=counts.size).reshape(counts.shape)
     stacks, log_unnorm = [], np.empty(len(family))
-    for depth, idx in family._groups:
+    for (depth, idx), (reps, edge) in zip(family._groups, family._edges):
         own = slice(0, 1 << depth)  # a member's own cells: its leaves, permuted
         leaf_counts = np.empty((idx.size, 1 << depth), dtype=np.int64)
         np.put_along_axis(leaf_counts, table[idx, own] >> (top - depth), counts[cls[idx], own], axis=1)
         stacks.append(counts_from_leaf_counts(leaf_counts))
-        log_unnorm[idx] = log_unnormalized_weight(stacks[-1], a0, tables)
+        levels, total = stacks[-1].levels, np.zeros(idx.size)
+        for l, rows in enumerate(reps, 1):
+            total += np.sum(_node_terms(levels[l][rows], levels[l - 1][rows], tables), axis=-1)[edge[l - 1]]
+        log_unnorm[idx] = total
     return _from_stacks(family, stacks, a0, pts.shape[0], log_unnorm)
 
 

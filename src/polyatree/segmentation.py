@@ -14,10 +14,14 @@ on the closed cube.
 Boxes depend only on how often each dimension is split, not on the order:
 a point is binned once per class of equal split counts, into a cell, and
 its leaf in a member is the member's cached leaf table read at the cell.
+For the same reason members that reach a level with equal split counts
+and split the same dimension there share a lattice edge, and a family
+caches which edge each member takes at each level.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -59,7 +63,7 @@ class Segmentation:
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, ...]:
-        return _cell_table((self,))
+        return _cell_table(np.array([self.dims]), self.ndim)
 
     def splits_per_dim(self) -> np.ndarray:
         """Number of halvings applied to each dimension (shape (ndim,))."""
@@ -106,17 +110,29 @@ def as_points(u, ndim: int) -> np.ndarray:
     return pts
 
 
-def _cell_table(segs: Sequence[Segmentation]) -> tuple[np.ndarray, ...]:
-    """Classes and leaf tables for `_locate`.  Members that split each
-    dimension d equally often, s_d times, form a class; a point's class cell
-    is the mixed-radix code of its bins min(floor(u_d 2^s_d), 2^s_d - 1),
-    dimension 1 lowest, and its leaf in a member a bit permutation of it.
-    Returns each member's class, the classes' scales 2^s (classes, 1, ndim)
-    and bin place values (classes, ndim, 1), and each cell's leaf (members,
-    2^L), shallower members' leaves shifted to the deepest L."""
-    depth, ndim = max(seg.depth for seg in segs), segs[0].ndim
-    # levels below a member's depth split dimension ndim + 1, which sorts last
-    dims = np.array([seg.dims + (ndim + 1,) * (depth - seg.depth) for seg in segs])
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``np.unique(rows, axis=0, return_index=True, return_inverse=True)``
+    for non-negative integer rows (n, k), through one integer code per row,
+    first column most significant, wherever the codes fit in int64: one
+    sort of n integers instead of a sort of n records."""
+    radix = rows.max(axis=0) + 1
+    if math.prod(radix.tolist()) >= 2**63:
+        return np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(rows @ (np.cumprod(radix[::-1])[::-1] // radix), return_index=True, return_inverse=True)
+    return rows[first], first, inverse
+
+
+def _cell_table(dims: np.ndarray, ndim: int) -> tuple[np.ndarray, ...]:
+    """Classes and leaf tables for `_locate`, from the members' splitting
+    dimensions (members, L), ndim + 1 below a member's depth.  Members that
+    split each dimension d equally often, s_d times, form a class; a point's
+    class cell is the mixed-radix code of its bins min(floor(u_d 2^s_d),
+    2^s_d - 1), dimension 1 lowest, and its leaf in a member a bit
+    permutation of it.  Returns each member's class, the classes' scales 2^s
+    (classes, 1, ndim) and bin place values (classes, ndim, 1), and each
+    cell's leaf (members, 2^L), shallower members' leaves shifted to the
+    deepest L."""
+    depth = dims.shape[1]
     # cell bits run by dimension, later splits of it lower: cell bit b is read
     # at level -key[:, b] % depth, which sets leaf bit (key - 1) % depth
     key = np.sort(dims * depth - np.arange(depth), axis=1)
@@ -125,13 +141,31 @@ def _cell_table(segs: Sequence[Segmentation]) -> tuple[np.ndarray, ...]:
     half = depth // 2
     bits = (np.arange(1 << (depth - half)) >> np.arange(depth - half)[:, None]) & 1
     low = weight[:, :half] @ bits[:half, : 1 << half]
-    table = ((weight[:, half:] @ bits)[:, :, None] + low[:, None]).reshape(len(segs), -1)
+    table = ((weight[:, half:] @ bits)[:, :, None] + low[:, None]).reshape(len(dims), -1)
     table = table.astype(np.min_scalar_type(table.shape[1] - 1))  # small: it is kept
     splits = np.sum(dims[..., None] == np.arange(1, ndim + 1), axis=1)
-    # one member is its own class, which spares it np.unique's cost
-    splits, cls = np.unique(splits, axis=0, return_inverse=True) if len(segs) > 1 else (splits, np.array([0]))
+    # one member is its own class, which spares it the sort's cost
+    splits, _, cls = _unique_rows(splits) if len(dims) > 1 else (splits, None, np.array([0]))
     scale = 2.0**splits
     return cls, scale[:, None], (np.cumprod(scale, axis=1) / scale)[..., None], table
+
+
+def _edge_table(dims: np.ndarray, ndim: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Lattice edges taken by equal-depth members, dims (members, L): the
+    split counts before a level and the dimension split at it.  Members on
+    one edge have the same boxes at both of its levels, numbered apart, so
+    the same sum of node terms.  Returns each level's edge representatives
+    (member rows) and the edge each member takes at each level, (L,
+    members), both numbered within the level."""
+    dims = dims.T  # levels first
+    depth, size = dims.shape
+    onehot = dims[..., None] == np.arange(1, ndim + 1)
+    lead = np.arange(depth)[:, None] * ndim + dims - 1  # level, then dimension: edges sort by level
+    key = np.concatenate((lead[..., None], np.cumsum(onehot, axis=0) - onehot), axis=-1)
+    _, first, edge = _unique_rows(key.reshape(dims.size, -1))
+    bounds = np.searchsorted(first // size, np.arange(depth + 1))
+    rows = first % size
+    return tuple(rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])), edge.reshape(dims.shape) - bounds[:-1, None]
 
 
 def _class_cells(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
@@ -212,14 +246,26 @@ class SegmentationFamily:
         return len(self.members)
 
     @cached_property
+    def _dims(self) -> np.ndarray:
+        """Splitting dimensions (members, deepest L); levels below a member's
+        depth split dimension ndim + 1, which sorts last."""
+        depth = max(s.depth for s in self.members)
+        return np.array([s.dims + (self.ndim + 1,) * (depth - s.depth) for s in self.members])
+
+    @cached_property
     def _table(self) -> tuple[np.ndarray, ...]:
-        return _cell_table(self.members)
+        return _cell_table(self._dims, self.ndim)
 
     @cached_property
     def _groups(self) -> tuple[tuple[int, np.ndarray], ...]:
         """(depth, member indices) per depth, shallowest first: count stacks."""
-        depths = np.array([s.depth for s in self.members])
+        depths = np.sum(self._dims <= self.ndim, axis=1)
         return tuple((int(d), np.flatnonzero(depths == d)) for d in np.unique(depths))
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[tuple[np.ndarray, ...], np.ndarray], ...]:
+        """`_edge_table` of each depth group: what `fit` weighs."""
+        return tuple(_edge_table(self._dims[idx, :depth], self.ndim) for depth, idx in self._groups)
 
     def __iter__(self) -> Iterator[Segmentation]:
         return iter(self.members)

@@ -38,6 +38,12 @@ def brute_force_leaf_products(tree: BetaTree) -> np.ndarray:
 FOUR_POINTS_1D = np.array([[0.1], [0.2], [0.6], [0.9]])
 
 
+def stacked(counts: CountsTree, n: int) -> CountsTree:
+    """n copies of a tree in one stack: each level broadcast to (n, 2^l),
+    so `sample_phi_posterior` draws n trees in one Beta call per level."""
+    return CountsTree(tuple(np.broadcast_to(c, (n,) + c.shape) for c in counts.levels))
+
+
 class TestPriorSampling:
     def test_rejects_nonpositive_a0(self):
         with pytest.raises(ValueError):
@@ -59,15 +65,15 @@ class TestPriorSampling:
     def test_mean_leaf_probability_is_uniform(self):
         # E pi_leaf = 2^-L for any a0; Monte Carlo with +-3 s.e.
         depth, a0, n = 3, 0.7, 100_000
+        empty = counts_from_leaf_counts(np.zeros(2**depth, dtype=np.int64))
+        # the prior draw is the empty-sample posterior draw, stream included,
+        # so the n trees come from one stacked call
+        prior, posterior = sample_phi_prior(depth, a0, 9), sample_phi_posterior(empty, a0, 9)
+        assert all(np.array_equal(a, b) for a, b in zip(prior.levels, posterior.levels))
         gen = np.random.default_rng(9)
-        acc = np.zeros(2**depth)
-        sq = np.zeros(2**depth)
-        for _ in range(n):
-            pi = pi_from_phi(sample_phi_prior(depth, a0, gen))
-            acc += pi
-            sq += pi * pi
-        mean = acc / n
-        se = np.sqrt((sq / n - mean**2) / n)
+        pi = pi_from_phi(sample_phi_posterior(stacked(empty, n), a0, gen))
+        mean = pi.mean(axis=0)
+        se = np.sqrt((np.mean(pi * pi, axis=0) - mean**2) / n)
         assert np.all(np.abs(mean - 2.0**-depth) <= 3 * se)
 
     def test_gini_dispersion_decreases_in_a0(self):
@@ -249,9 +255,7 @@ class TestPredictiveDensity:
         gen = np.random.default_rng(8)
         n = 100_000
         u = np.array([0.1])
-        # n trees in one draw: the counts broadcast to (n, 2^l) per level
-        stacked = CountsTree(tuple(np.broadcast_to(c, (n,) + c.shape) for c in counts.levels))
-        pi = pi_from_phi(sample_phi_posterior(stacked, 1.0, gen))
+        pi = pi_from_phi(sample_phi_posterior(stacked(counts, n), 1.0, gen))
         vals = pi[:, leaf_indices(u, seg)[0]] * (1 << seg.depth)
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 1.5) <= 3 * se
@@ -290,18 +294,14 @@ class TestPosteriorSampling:
         # a node with 2 lower / 0 upper observations at a0=1 draws Beta(3, 1)
         counts = counts_from_leaf_counts([2, 0])
         gen = np.random.default_rng(17)
-        draws = np.array(
-            [sample_phi_posterior(counts, 1.0, gen).levels[0][0] for _ in range(100_000)]
-        )
+        draws = sample_phi_posterior(stacked(counts, 100_000), 1.0, gen).levels[0][:, 0]
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 0.75) <= 3 * se
 
     def test_empty_sample_reduces_to_prior(self):
         counts = counts_from_leaf_counts([0, 0, 0, 0])
         gen = np.random.default_rng(2)
-        draws = np.array(
-            [sample_phi_posterior(counts, 2.0, gen).levels[1] for _ in range(20_000)]
-        )
+        draws = sample_phi_posterior(stacked(counts, 20_000), 2.0, gen).levels[1]
         se = draws.std(ddof=1, axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - 0.5) <= 3 * se)
 

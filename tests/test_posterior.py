@@ -15,7 +15,14 @@ from polyatree.posterior import (
 )
 from polyatree.predictive import grid_mass_matrix
 from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family, union_families
-from polyatree.simharness.studies import TABLE1_TARGETS, highdim_family, table1_family, table1_points
+from polyatree.simharness.studies import (
+    TABLE1_TARGETS,
+    highdim_family,
+    move_prefix_to_suffix,
+    quantreg_family,
+    table1_family,
+    table1_points,
+)
 
 
 def oracle_log_weight(points, seg, a0):
@@ -56,6 +63,29 @@ def pair_union(pairs, prefix, splits):
     prefix as a shallower member."""
     fams = [enumerate_balanced_family(3, {a: splits, b: splits}, prefix) for a, b in pairs]
     return union_families(fams + [SegmentationFamily((build(prefix or (1,), 3),))])
+
+
+def small_highdim():
+    return highdim_family(ndim=5, prefix=(5,), candidate_dims=range(1, 4), splits=2)
+
+
+EDGE_FAMILIES = {
+    "quantreg": quantreg_family,
+    "highdim": small_highdim,
+    # depths 2 to 5; one member never splits x, one never splits y
+    "ragged": lambda: SegmentationFamily(
+        tuple(build(d, 2) for d in [(1, 2, 1, 2), (2, 2, 2), (1, 1), (2, 1, 1, 2, 2)])
+    ),
+    "union": lambda: pair_union([(1, 2), (1, 3), (2, 3)], (3,), 2),
+    "table1": table1_family,
+    "swapped": lambda: SegmentationFamily(tuple(map(move_prefix_to_suffix, small_highdim()))),
+    # 75 dimensions, each member splitting three once: too many states for
+    # integer row codes
+    "wide": lambda: SegmentationFamily(
+        tuple(build(np.roll(np.arange(3 * j + 1, 3 * j + 4), j), 75) for j in range(25))
+        + (build((2, 1, 3), 75), build((1, 3, 2), 75), build((4, 2, 3), 75))
+    ),
+}
 
 
 class TestLogGammaTables:
@@ -163,6 +193,41 @@ class TestFit:
         for seg, counts in zip(fam, model.counts):
             ref = accumulate_counts(pts, seg)
             assert all(np.array_equal(a, b) for a, b in zip(counts.levels, ref.levels))
+
+    @pytest.mark.parametrize("name", EDGE_FAMILIES)
+    @pytest.mark.parametrize("m", [0, 1, 37, 400])
+    def test_edge_weights_match_member_weights(self, name, m):
+        # each member's weight is the sum of its lattice edges' terms, each
+        # summed on another member's stack row; the oracle weighs the member
+        fam = EDGE_FAMILIES[name]()
+        pts = oracle_points(m + 3, m, fam.ndim)
+        for a0 in (0.05, 1.0):
+            got = fit(pts, fam, a0).log_unnormalized
+            ref = np.array([log_unnormalized_weight(accumulate_counts(pts, seg), a0) for seg in fam])
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize(
+        "fam, per_level",
+        [
+            (quantreg_family(), [2, 4, 6, 8, 8, 6, 4, 2]),
+            (highdim_family(), [1, 1, 8, 64, 120, 176, 224, 168, 112, 56]),
+        ],
+    )
+    def test_edge_counts(self, fam, per_level):
+        # quantreg: 40 edges for 560 member-levels; highdim: 930 for 19,600
+        ((reps, edge),) = fam._edges
+        assert [r.size for r in reps] == per_level
+        assert edge.shape == (len(per_level), len(fam))
+        assert np.array_equal(edge.max(axis=1) + 1, per_level)
+        dims = np.array([seg.dims for seg in fam])
+        for l, rows in enumerate(reps):
+            # a representative takes its own edge, and an edge's members split
+            # the same dimension at l after the same split counts before it
+            assert np.array_equal(edge[l, rows], np.arange(rows.size))
+            rep = rows[edge[l]]
+            assert np.array_equal(dims[rep, l], dims[:, l])
+            before = [np.sort(dims[:, :l], axis=1), np.sort(dims[rep, :l], axis=1)]
+            assert np.array_equal(*before)
 
     def test_export_obj(self, rng):
         fam = enumerate_balanced_family(2, {1: 1, 2: 1})
