@@ -79,12 +79,6 @@ EDGE_FAMILIES = {
     "union": lambda: pair_union([(1, 2), (1, 3), (2, 3)], (3,), 2),
     "table1": table1_family,
     "swapped": lambda: SegmentationFamily(tuple(map(move_prefix_to_suffix, small_highdim()))),
-    # 75 dimensions, each member splitting three once: too many states for
-    # integer row codes
-    "wide": lambda: SegmentationFamily(
-        tuple(build(np.roll(np.arange(3 * j + 1, 3 * j + 4), j), 75) for j in range(25))
-        + (build((2, 1, 3), 75), build((1, 3, 2), 75), build((4, 2, 3), 75))
-    ),
 }
 
 

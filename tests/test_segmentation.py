@@ -254,9 +254,8 @@ class TestFamilies:
         assert [s.dims for s in again] == [s.dims for s in fam]
         assert fam.to_json_obj()["members"][0] == [1, 1, 2]
 
-    @pytest.mark.parametrize("shape, high", [((200, 3), 4), ((60, 70), 2), ((1, 5), 9)])
+    @pytest.mark.parametrize("shape, high", [((200, 3), 4), ((60, 70), 2), ((1, 5), 9), ((50, 4), 300)])
     def test_unique_rows_matches_record_unique(self, shape, high):
-        # integer row codes where they fit in int64, records where 2^70 do not
         rows = np.random.default_rng(shape[1]).integers(0, high, size=shape)
         ref = np.unique(rows, axis=0, return_index=True, return_inverse=True)
         got = _unique_rows(rows)
