@@ -19,6 +19,7 @@ sum of its edges' terms.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,11 +117,12 @@ def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTable
 class PosteriorModel:
     """Fitted family: per-member counts and normalized log weights.
 
-    ``counts`` are row views of ``_stacks`` (from `fit`), or get stacked
-    on first use."""
+    A fit keeps its counts as one stack per depth group, ``_stacks``, and
+    its ``counts`` are row views of them, made on first read; counts given
+    per member get stacked on first use."""
 
     family: SegmentationFamily
-    counts: tuple[CountsTree, ...]
+    counts: Sequence[CountsTree]
     a0: float
     m: int
     log_weights: np.ndarray
@@ -168,15 +170,34 @@ def _unstack(family: SegmentationFamily, stacks) -> list:
     return rows
 
 
+class _Rows(Sequence):
+    """Each member's `CountsTree` of row views of its depth group's stack,
+    made on first read: weights, densities, sampling and scoring read
+    only the stacks."""
+
+    def __init__(self, family: SegmentationFamily, stacks):
+        self._family, self._stacks = family, stacks
+
+    @cached_property
+    def _trees(self) -> tuple[CountsTree, ...]:
+        return tuple(map(CountsTree, _unstack(self._family, [zip(*s.levels) for s in self._stacks])))
+
+    def __getitem__(self, j):
+        return self._trees[j]
+
+    def __len__(self) -> int:
+        return len(self._family)
+
+
 def _copy(stacks) -> list[CountsTree]:
     return [CountsTree(tuple(lvl.copy() for lvl in stack.levels)) for stack in stacks]
 
 
 def _from_stacks(family, stacks, a0: float, m: int, log_unnorm: np.ndarray) -> PosteriorModel:
     log_weights = log_unnorm - logsumexp(log_unnorm)
-    counts = tuple(map(CountsTree, _unstack(family, [zip(*s.levels) for s in stacks])))
-    model = PosteriorModel(family, counts, float(a0), m, log_weights, log_unnorm)
-    model.__dict__["_stacks"] = tuple(stacks)  # the cache its trees are rows of
+    stacks = tuple(stacks)
+    model = PosteriorModel(family, _Rows(family, stacks), float(a0), m, log_weights, log_unnorm)
+    model.__dict__["_stacks"] = stacks  # the cache its trees are rows of
     return model
 
 

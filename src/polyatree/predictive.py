@@ -13,7 +13,18 @@ supported by every function here:
 Since every component density is constant within leaf boxes, conditional
 distributions over a 2-D grid, region probabilities, quantiles and
 credible bands are all available in closed form given the component leaf
-probabilities.
+probabilities.  A leaf box's lower corner is its bits times its member's
+per-level corner steps, and its widths follow from the member's split
+counts, so no member's boxes are built one at a time.
+
+Both samplers run one kernel over the whole family: leaf laws only for
+the distinct drawn rows of each depth group, every leaf by bisection of
+its row's CDF, every point in its leaf's box.  The doubles come from one
+call, handed out in the order a loop over the drawn members, ascending,
+would consume them: a member's leaf uniforms, by draw and then by sample,
+then its in-box offsets, by sample.  That order, the reason the kernel
+ranks samples within members, keeps every sample equal to the per-member
+loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import numpy as np
 
 from .hbeta import CountsTree, _check_count, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
 from .posterior import PosteriorModel, _mixture_at, _unstack
-from .segmentation import Segmentation, SegmentationFamily, as_points
+from .segmentation import Segmentation, SegmentationFamily, _corner_steps, as_points
 
 __all__ = [
     "MixtureApproximation",
@@ -48,7 +59,9 @@ __all__ = [
 
 
 def _as_rng_and_seed(rng) -> tuple[np.random.Generator, int | None]:
-    seed = None if rng is None or isinstance(rng, np.random.Generator) else int(rng)
+    """A generator from anything `np.random.default_rng` takes; the seed is
+    recorded for an integer only."""
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     return np.random.default_rng(rng), seed  # a Generator comes back unaltered
 
 
@@ -162,41 +175,61 @@ def mixture_density(points, obj):
     return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
+def _lower_corners(depth: int, steps: np.ndarray) -> np.ndarray:
+    """Lower corners (..., 2^depth, ndim) of every leaf, from corner steps
+    (..., depth, ndim): the leaf's bits, first level highest, times the steps."""
+    bits = (np.arange(1 << depth)[:, None] >> np.arange(depth - 1, -1, -1)) & 1
+    return bits @ steps
+
+
 def leaf_boxes(seg: Segmentation) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper corners of the 2^L deepest boxes, arrays (2^L, ndim)."""
-    lo = np.zeros((1, seg.ndim))
-    hi = np.ones((1, seg.ndim))
-    for dim in seg.dims:
-        d = dim - 1
-        mid = 0.5 * (lo[:, d] + hi[:, d])
-        lo = np.repeat(lo, 2, axis=0)
-        hi = np.repeat(hi, 2, axis=0)
-        hi[0::2, d] = mid
-        lo[1::2, d] = mid
-    return lo, hi
+    lo = _lower_corners(seg.depth, _corner_steps(np.array([seg.dims]), seg.ndim)[0])
+    return lo, lo + 0.5 ** seg.splits_per_dim()
 
 
-def _sample_components(family, weights, leaf_laws, n, gen, draw_of_member):
-    """Common sampling core: member ~ weights, leaf ~ member law, uniform in box."""
+def _sample_components(family, weights, n, gen, draw_of_member, leaf_laws):
+    """Common sampling core: member ~ weights, leaf ~ its law, uniform in box.
+
+    ``leaf_laws(g, members, draws)`` gives the leaf laws (rows, 2^L) of
+    depth group g's distinct drawn (member, draw) rows, sorted; draw -1 is
+    the exact law.  A leaf is ``Generator.choice``'s right bisection of its
+    row's CDF, formed as choice forms it: each step finds one leaf bit and
+    adds that level's corner step."""
     member = gen.choice(len(family), size=n, p=weights / weights.sum())
     draw = draw_of_member(member, gen)
-    points = np.empty((n, family.ndim))
-    leaf = np.empty(n, dtype=np.int64)
-    for j in np.unique(member):
-        sel = np.flatnonzero(member == j)
-        laws = leaf_laws(j)
-        if laws.ndim == 1:
-            p = laws / laws.sum()
-            leaf[sel] = gen.choice(laws.size, size=sel.size, p=p)
-        else:
-            for h in np.unique(draw[sel]):
-                sub = sel[draw[sel] == h]
-                p = laws[h] / laws[h].sum()
-                leaf[sub] = gen.choice(laws.shape[1], size=sub.size, p=p)
-        lo, hi = leaf_boxes(family[j])
-        u = gen.uniform(size=(sel.size, family.ndim))
-        points[sel] = lo[leaf[sel]] + u * (hi[leaf[sel]] - lo[leaf[sel]])
-    return points, member, draw, leaf
+    ndim = family.ndim
+    size = np.bincount(member, minlength=len(family))
+    end = np.cumsum(size)  # member j's doubles are [(1 + ndim) (end - size), (1 + ndim) end)
+    stream = gen.random(n * (1 + ndim))
+    rank = np.empty(n, np.intp)  # rank among all samples, by member first
+    rank[np.lexsort((draw, member))] = np.arange(n)
+    u = stream[ndim * (end - size)[member] + rank]  # leaf uniforms: by draw, then sample
+    rank[np.argsort(member, kind="stable")] = np.arange(n)
+    offset = stream[(end[member] + ndim * rank)[:, None] + np.arange(ndim)]  # then by sample
+    leaf, lo = np.empty(n, np.int64), np.empty((n, ndim))
+    span = int(draw.max()) + 2  # (member, draw + 1) keys of leaf-law rows
+    for g, (depth, idx) in enumerate(family._groups):
+        s = np.flatnonzero(np.isin(member, idx))
+        if not s.size:
+            continue
+        j, us = member[s], u[s]
+        keys, row = np.unique(j * span + draw[s] + 1, return_inverse=True)
+        law = leaf_laws(g, keys // span, keys % span - 1)
+        p = law / law.sum(axis=1, keepdims=True)
+        if not np.all(p >= 0.0):  # NaN fails too: Generator.choice's check
+            raise ValueError("leaf probabilities must be finite, non-negative and not all zero")
+        cdf = np.cumsum(p, axis=1)
+        cdf = (cdf / cdf[:, -1:]).ravel()
+        k, corner = np.zeros(s.size, np.int64), np.zeros((s.size, ndim))
+        base = row * (1 << depth) - 1
+        for l in range(depth):
+            bit = cdf[base + k + (1 << (depth - 1 - l))] <= us
+            k += bit << (depth - 1 - l)
+            corner += bit[:, None] * family._steps[j, l]
+        leaf[s], lo[s] = k, corner
+    cls, scale = family._table[:2]
+    return lo + offset * (1.0 / scale[cls[member], 0]), member, draw, leaf
 
 
 def sample_predictive(mix: MixtureApproximation, n: int, rng=None) -> PredictiveSample:
@@ -204,17 +237,24 @@ def sample_predictive(mix: MixtureApproximation, n: int, rng=None) -> Predictive
 
     A component (member, draw) is chosen with weight Pr(member)/draws_per_seg,
     a leaf with that component's leaf probabilities, and the point uniformly
-    within the leaf box.
+    within the leaf box.  One kernel samples the whole family; only the
+    drawn components' rows of ``pis`` are read, and the stream is the one a
+    loop over the drawn members in ascending order would consume.
     """
     _check_count("n", n, 1)
     gen, seed = _as_rng_and_seed(rng)
+
+    def laws(_, members, draws):  # members come sorted: gather each one's drawn rows
+        heads, first = np.unique(members, return_index=True)
+        return np.concatenate([mix.pis[j][h] for j, h in zip(heads.tolist(), np.split(draws, first[1:]))])
+
     points, member, draw, leaf = _sample_components(
         mix.family,
         mix.weights,
-        lambda j: mix.pis[j],
         n,
         gen,
         lambda member, g: g.integers(0, mix.draws_per_seg, size=member.size),
+        laws,
     )
     return PredictiveSample(points, seed, member, draw, leaf)
 
@@ -224,17 +264,25 @@ def sample_posterior_predictive(model: PosteriorModel, n: int, rng=None) -> Pred
 
     Marginalizing the node variables per draw makes the leaf law the
     closed-form predictive leaf masses, so no probability vectors need to
-    be drawn; each sample behaves as if it used its own fresh draw.
+    be drawn; each sample behaves as if it used its own fresh draw.  One
+    kernel samples the whole family; leaf masses are computed only for the
+    drawn members' rows of the count stacks, and the stream is the one a
+    loop over the drawn members in ascending order would consume.
     """
     _check_count("n", n, 1)
     gen, seed = _as_rng_and_seed(rng)
+
+    def laws(g, members, _):
+        rows = np.searchsorted(model.family._groups[g][1], members)
+        return leaf_predictive_masses(CountsTree(tuple(c[rows] for c in model._stacks[g].levels)), model.a0)
+
     points, member, draw, leaf = _sample_components(
         model.family,
         model.weights,
-        lambda j: leaf_predictive_masses(model.counts[j], model.a0),
         n,
         gen,
         lambda member, g: np.full(member.size, -1, dtype=np.int64),
+        laws,
     )
     return PredictiveSample(points, seed, member, draw, leaf)
 
@@ -281,9 +329,11 @@ def predictive_probability(
         raise ValueError("analytic mass needs pairwise-disjoint boxes")
     if method in ("auto", "analytic") and disjoint:
         total = 0.0
-        for (_, idx), table in zip(family._groups, tables):
+        cls, scale = family._table[:2]
+        for (depth, idx), table in zip(family._groups, tables):
             # leaf boxes of the group's members, (members, 2^L, ndim) each
-            lo, hi = map(np.stack, zip(*(leaf_boxes(family[j]) for j in idx)))
+            lo = _lower_corners(depth, family._steps[idx, :depth])
+            hi = lo + 1.0 / scale[cls[idx]]
             overlap = (np.minimum(hi, b.upper) - np.maximum(lo, b.lower) for b in boxes)
             share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
             total += float(weights[idx] @ np.sum(table * share, axis=-1))

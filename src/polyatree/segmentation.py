@@ -16,7 +16,9 @@ a point is binned once per class of equal split counts, into a cell, and
 its leaf in a member is the member's cached leaf table read at the cell.
 For the same reason members that reach a level with equal split counts
 and split the same dimension there share a lattice edge, and a family
-caches which edge each member takes at each level.
+caches which edge each member takes at each level.  A leaf's box is its
+bits times its member's cached per-level corner steps, plus the widths
+its split counts give.
 """
 
 from __future__ import annotations
@@ -170,6 +172,16 @@ def _edge_table(dims: np.ndarray, ndim: int) -> tuple[tuple[np.ndarray, ...], np
     return tuple(rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])), edge.reshape(dims.shape) - bounds[:-1, None]
 
 
+def _corner_steps(dims: np.ndarray, ndim: int) -> np.ndarray:
+    """Corner step of every level, dims (members, L) -> (members, L, ndim):
+    entry [j, l, d] is 2^-k when member j's level l makes the k-th split of
+    dimension d + 1, else 0.  A leaf's lower corner is the sum of the steps
+    of the levels where its bit is 1, a sum of distinct powers of two per
+    dimension: exact."""
+    onehot = dims[..., None] == np.arange(1, ndim + 1)
+    return np.where(onehot, 0.5 ** np.cumsum(onehot, axis=-2), 0.0)
+
+
 def _class_cells(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
     """Cell of validated points (n, P) in every class, shape (classes, n);
     powers of two and integer sums below 2^53 are exact in floating point."""
@@ -214,15 +226,10 @@ def locate(u, seg: Segmentation) -> SubintervalPath:
     if pts.shape[0] != 1:
         raise ValueError("locate takes a single point; use path_indices for batches")
     path = path_indices(pts, seg)[0]
-    lo, hi, bounds = np.zeros(seg.ndim), np.ones(seg.ndim), []
-    for box, dim in zip(path, seg.dims):
-        mid = 0.5 * (lo[dim - 1] + hi[dim - 1])
-        if box & 1:  # the child rule's bit: the upper half
-            lo[dim - 1] = mid
-        else:
-            hi[dim - 1] = mid
-        bounds.append((lo.copy(), hi.copy()))
-    return SubintervalPath(tuple(int(j) + 1 for j in path), tuple(bounds))
+    steps = _corner_steps(np.array([seg.dims]), seg.ndim)[0]
+    lo = np.cumsum((path & 1)[:, None] * steps, axis=0)  # the child rule's bit: the upper half
+    hi = lo + 0.5 ** np.cumsum(steps > 0, axis=0)
+    return SubintervalPath(tuple(int(j) + 1 for j in path), tuple(zip(lo, hi)))
 
 
 @dataclass(frozen=True)
@@ -268,6 +275,12 @@ class SegmentationFamily:
     def _edges(self) -> tuple[tuple[tuple[np.ndarray, ...], np.ndarray], ...]:
         """`_edge_table` of each depth group: what `fit` weighs."""
         return tuple(_edge_table(self._dims[idx, :depth], self.ndim) for depth, idx in self._groups)
+
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """`_corner_steps` of every member, (members, deepest L, ndim): where
+        sampling and box masses place leaves."""
+        return _corner_steps(self._dims, self.ndim)
 
     def __iter__(self) -> Iterator[Segmentation]:
         return iter(self.members)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import betabinom
 
+from polyatree import posterior
 from polyatree.hbeta import accumulate_counts, conditional_predictive_density, counts_from_leaf_counts
 from polyatree.posterior import (
     IncrementalModel,
@@ -187,6 +188,23 @@ class TestFit:
         for seg, counts in zip(fam, model.counts):
             ref = accumulate_counts(pts, seg)
             assert all(np.array_equal(a, b) for a, b in zip(counts.levels, ref.levels))
+
+    def test_member_counts_made_on_first_read(self, monkeypatch):
+        # a fit keeps count stacks; its per-member trees are row views of
+        # them, made when `counts` is first read and then kept
+        made = []
+        tree = posterior.CountsTree
+        monkeypatch.setattr(posterior, "CountsTree", lambda levels: made.append(1) or tree(levels))
+        fam = highdim_family(ndim=5, prefix=(5,), candidate_dims=range(1, 4), splits=2)
+        pts = oracle_points(40, 40, 5)
+        model = fit(pts, fam, 1.0)
+        assert not made and len(model.counts) == len(fam)
+        first = model.counts[3]
+        assert len(made) == len(fam) and model.counts[3] is first
+        assert list(model.counts) == [model.counts[j] for j in range(len(fam))]
+        stack = model._stacks[0].levels[-1]
+        assert np.shares_memory(first.levels[-1], stack)
+        assert np.array_equal(first.levels[-1], accumulate_counts(pts, fam[3]).levels[-1])
 
     @pytest.mark.parametrize("name", EDGE_FAMILIES)
     @pytest.mark.parametrize("m", [0, 1, 37, 400])

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from polyatree import predictive
+from polyatree.encoding import ColumnSchema, encode, fit_encoding
 from polyatree.hbeta import leaf_predictive_masses
 from polyatree.posterior import fit, mixture_predictive_density
 from polyatree.predictive import (
     Box,
+    MixtureApproximation,
     build_mixture,
     conditional_quantile,
     credible_prediction_set,
@@ -17,6 +22,7 @@ from polyatree.predictive import (
     sample_predictive,
 )
 from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family
+from polyatree.simharness import densities, studies
 
 
 def small_family():
@@ -347,3 +353,213 @@ class TestGridMassMatrix:
         masses = leaf_predictive_masses(model.counts[0], 1.0)
         # leaf order of an x-then-y segmentation is x-major on the 2x2 grid
         assert np.allclose(M.ravel(), masses)
+
+
+# ---------------------------------------------------------------------------
+# The sampling kernel and the leaf-corner kernel against the per-member loops
+# they replaced, kept here as references: outputs must be equal bit for bit.
+
+
+def _reference_leaf_boxes(seg):
+    """Leaf boxes by halving every box once per level."""
+    lo = np.zeros((1, seg.ndim))
+    hi = np.ones((1, seg.ndim))
+    for dim in seg.dims:
+        d = dim - 1
+        mid = 0.5 * (lo[:, d] + hi[:, d])
+        lo = np.repeat(lo, 2, axis=0)
+        hi = np.repeat(hi, 2, axis=0)
+        hi[0::2, d] = mid
+        lo[1::2, d] = mid
+    return lo, hi
+
+
+def _reference_sample_components(family, weights, leaf_laws, n, gen, draw_of_member):
+    """Member ~ weights, then per drawn member in ascending order: a leaf
+    choice per (member, draw) and uniform offsets in the leaf box."""
+    member = gen.choice(len(family), size=n, p=weights / weights.sum())
+    draw = draw_of_member(member, gen)
+    points = np.empty((n, family.ndim))
+    leaf = np.empty(n, dtype=np.int64)
+    for j in np.unique(member):
+        sel = np.flatnonzero(member == j)
+        laws = leaf_laws(j)
+        if laws.ndim == 1:
+            p = laws / laws.sum()
+            leaf[sel] = gen.choice(laws.size, size=sel.size, p=p)
+        else:
+            for h in np.unique(draw[sel]):
+                sub = sel[draw[sel] == h]
+                p = laws[h] / laws[h].sum()
+                leaf[sub] = gen.choice(laws.shape[1], size=sub.size, p=p)
+        lo, hi = _reference_leaf_boxes(family[j])
+        u = gen.uniform(size=(sel.size, family.ndim))
+        points[sel] = lo[leaf[sel]] + u * (hi[leaf[sel]] - lo[leaf[sel]])
+    return points, member, draw, leaf
+
+
+def _reference_samples(obj, n, seed):
+    gen = np.random.default_rng(seed)
+    if isinstance(obj, MixtureApproximation):
+        draws = lambda member, g: g.integers(0, obj.draws_per_seg, size=member.size)
+        return _reference_sample_components(obj.family, obj.weights, lambda j: obj.pis[j], n, gen, draws)
+    laws = lambda j: leaf_predictive_masses(obj.counts[j], obj.a0)
+    draws = lambda member, g: np.full(member.size, -1, dtype=np.int64)
+    return _reference_sample_components(obj.family, obj.weights, laws, n, gen, draws)
+
+
+def _assert_samplers_match(model, mix, n, seed):
+    for obj, sampler in ((mix, sample_predictive), (model, sample_posterior_predictive)):
+        got = sampler(obj, n, seed)
+        for a, b in zip((got.points, got.member_index, got.draw_index, got.leaf_index), _reference_samples(obj, n, seed)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _reference_box_mass(region, obj):
+    """The analytic box mass over stacked per-member reference boxes."""
+    family, weights, tables = predictive._components(obj)
+    total = 0.0
+    for (_, idx), table in zip(family._groups, tables):
+        lo, hi = map(np.stack, zip(*(_reference_leaf_boxes(family[j]) for j in idx)))
+        overlap = (np.minimum(hi, b.upper) - np.maximum(lo, b.lower) for b in region)
+        share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
+        total += float(weights[idx] @ np.sum(table * share, axis=-1))
+    return total
+
+
+def ragged5_family():
+    # five depth groups, depths 1 to 5, most with several members
+    dims = [(1,), (2,), (1, 1), (2, 1), (2, 2, 2), (1, 2, 1), (1, 2, 1, 2), (2, 1, 1, 2, 2), (1, 1, 2, 2, 1)]
+    return SegmentationFamily(tuple(build(d, 2) for d in dims))
+
+
+STREAM_FAMILIES = {
+    "ragged5": ragged5_family,
+    "balanced3": lambda: enumerate_balanced_family(3, {1: 1, 2: 1, 3: 2}),
+}
+
+
+class TestSamplingKernel:
+    @pytest.mark.parametrize("m", [0, 1, 37, 300])
+    @pytest.mark.parametrize("name", sorted(STREAM_FAMILIES))
+    def test_samplers_match_member_loop(self, name, m):
+        fam = STREAM_FAMILIES[name]()
+        pts = np.random.default_rng(m).beta(2.0, 3.0, size=(m, fam.ndim))
+        for a0 in (0.3, 1.0):
+            model = fit(pts, fam, a0)
+            for seed in range(3):
+                mix = build_mixture(model, 4, seed)
+                for n in (1, 7, 2000):
+                    _assert_samplers_match(model, mix, n, seed + 10)
+
+    @pytest.mark.parametrize("m", [100, 1000])
+    def test_quantreg_matches_member_loop(self, m):
+        model = fit(np.random.default_rng(m).beta(2.0, 3.0, size=(m, 2)), studies.quantreg_family(), 1.0)
+        mix = build_mixture(model, 50, 1)
+        for seed in range(3):
+            _assert_samplers_match(model, mix, 2000, seed)
+
+    def test_highdim_matches_member_loop(self):
+        # the highdim study's model: 8 continuous columns and a 3-level
+        # categorical encoded onto the 10-cube, 1960 members of depth 10
+        density = densities.CategoricalGaussianMixture()
+        labels, y = density.sample(400, np.random.default_rng(2))
+        table = {f"y{j}": y[:, j - 1] for j in range(1, 9)}
+        table["x"] = labels
+        schema = [ColumnSchema(f"y{j}", "continuous") for j in range(1, 9)]
+        schema.append(ColumnSchema("x", "categorical", density.levels))
+        points, _ = encode(table, fit_encoding(table, schema, bins=16))
+        model = fit(points, studies.highdim_family(candidate_dims=range(1, 9)), 1.0)
+        mix = build_mixture(model, 2, 1)
+        for seed in range(2):
+            _assert_samplers_match(model, mix, 1000, seed)
+
+    def test_no_law_row_for_undrawn_members(self, monkeypatch):
+        fam = ragged5_family()
+        model = fit(np.random.default_rng(0).beta(2.0, 3.0, size=(50, 2)), fam, 1.0)
+        rows = []
+        masses = predictive.leaf_predictive_masses
+
+        def counted(counts, a0):
+            rows.append(counts.levels[0].shape[0])
+            return masses(counts, a0)
+
+        monkeypatch.setattr(predictive, "leaf_predictive_masses", counted)
+        drawn = np.unique(sample_posterior_predictive(model, 4, 3).member_index)
+        assert drawn.size < len(fam) and sum(rows) == drawn.size
+
+        read = set()
+
+        class Pis(tuple):
+            def __getitem__(self, j):
+                read.add(int(j))
+                return tuple.__getitem__(self, j)
+
+        mix = build_mixture(model, 3, 0)
+        spied = MixtureApproximation(fam, mix.weights, Pis(mix.pis), mix.draws_per_seg)
+        drawn = np.unique(sample_predictive(spied, 4, 3).member_index)
+        assert drawn.size < len(fam) and read == set(drawn.tolist())
+
+    def test_uniform_on_a_cdf_step_takes_the_next_leaf(self):
+        # Generator.choice searches its CDF to the right: a uniform equal to
+        # the CDF at leaf i picks leaf i + 1
+        class Stub:
+            def choice(self, k, size, p):
+                return np.zeros(size, np.int64)
+
+            def random(self, size):
+                return np.array([0.25, 0.5, 0.75, 0.0] + [0.5] * 4)[:size]
+
+        fam = SegmentationFamily((build((1, 1), 1),))
+        points, _, _, leaf = predictive._sample_components(
+            fam, np.ones(1), 4, Stub(), lambda m, g: np.full(m.size, -1), lambda g, j, h: np.full((j.size, 4), 0.25)
+        )
+        assert leaf.tolist() == [1, 2, 3, 0]
+        assert points[:, 0].tolist() == [0.375, 0.625, 0.875, 0.125]
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf, "zeros"])
+    def test_rejects_a_malformed_drawn_law(self, fitted, bad):
+        # a hand-built mixture's drawn rows are checked as Generator.choice
+        # checks its probabilities
+        mix = build_mixture(fitted, 2, 0)
+        pis = tuple(np.zeros_like(p) if bad == "zeros" else np.where(np.arange(p.shape[1]) == 3, bad, p) for p in mix.pis)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="leaf probabilities"):
+            sample_predictive(MixtureApproximation(mix.family, mix.weights, pis, 2), 20, 0)
+
+    @given(st.integers(1, 5).flatmap(lambda ndim: st.lists(st.integers(1, ndim), min_size=1, max_size=12).map(lambda dims: build(dims, ndim))))
+    def test_leaf_boxes_match_halving_loop(self, seg):
+        for a, b in zip(leaf_boxes(seg), _reference_leaf_boxes(seg)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("family", [ragged5_family, studies.quantreg_family, STREAM_FAMILIES["balanced3"]])
+    def test_analytic_box_mass_matches_reference_boxes(self, family):
+        fam = family()
+        model = fit(np.random.default_rng(4).beta(2.0, 3.0, size=(60, fam.ndim)), fam, 0.5)
+        pad = (0.0,) * (fam.ndim - 2), (1.0,) * (fam.ndim - 2)
+        region = [Box((0.05, 0.1) + pad[0], (0.4, 0.55) + pad[1]), Box((0.6, 0.0) + pad[0], (0.9, 0.3) + pad[1])]
+        for obj in (model, build_mixture(model, 3, 2)):
+            assert predictive_probability(region, obj).value == _reference_box_mass(region, obj)
+
+
+RNG_FORMS = {
+    "int": lambda: 5,
+    "numpy-int": lambda: np.int64(5),
+    "seed-sequence": lambda: np.random.SeedSequence(5),
+    "bit-generator": lambda: np.random.PCG64(5),
+    "generator": lambda: np.random.default_rng(5),
+}
+
+
+@pytest.mark.parametrize("form", sorted(RNG_FORMS))
+def test_every_rng_form_gives_the_same_stream(fitted, form):
+    # default_rng takes each form, and all five name the same PCG64 stream
+    make, seed = RNG_FORMS[form], (5 if form.endswith("int") else None)
+    ref = build_mixture(fitted, 3, 5)
+    mix = build_mixture(fitted, 3, make())
+    assert mix.seed == seed and all(np.array_equal(a, b) for a, b in zip(mix.pis, ref.pis))
+    for sampler, obj in ((sample_predictive, ref), (sample_posterior_predictive, fitted)):
+        got, want = sampler(obj, 50, make()), sampler(obj, 50, 5)
+        assert got.seed == seed and np.array_equal(got.points, want.points)
+    region = [Box((0.0, 0.0), (0.6, 0.6)), Box((0.5, 0.5), (1.0, 1.0))]
+    mc = predictive_probability(region, fitted, method="mc", mc_samples=500, rng=make())
+    assert mc == predictive_probability(region, fitted, method="mc", mc_samples=500, rng=5)

@@ -174,6 +174,21 @@ class TestPathIndices:
             assert a <= x <= b or (x == b)  # half-open except at the top face
         assert 1 <= path.leaf <= 2**depth
 
+    @given(data=st.data(), ndim=st.integers(1, 5), depth=st.integers(1, 12))
+    def test_bounds_match_halving_loop(self, data, ndim, depth):
+        # the bounds that halving the located box once per level gives
+        seg = build(data.draw(st.lists(st.integers(1, ndim), min_size=depth, max_size=depth)), ndim)
+        coords = data.draw(st.lists(st.floats(0.0, 1.0), min_size=ndim, max_size=ndim))
+        path = locate(coords, seg)
+        lo, hi = np.zeros(ndim), np.ones(ndim)
+        for box, dim, (a, b) in zip(path.indices, seg.dims, path.bounds):
+            mid = 0.5 * (lo[dim - 1] + hi[dim - 1])
+            if (box - 1) & 1:
+                lo[dim - 1] = mid
+            else:
+                hi[dim - 1] = mid
+            assert np.array_equal(a, lo) and np.array_equal(b, hi)
+
 
 class TestTiling:
     def test_boxes_tile_cube(self, rng):
