@@ -5,8 +5,8 @@ predictive CDF Pr(U_y <= u_y | U_x = u_x, training data) of the fitted
 family (dimension 1 is x, dimension 2 is y).  For a candidate point, the
 rank-based p-value compares its score on the training set against the
 scores of each training point on the swapped set (that point replaced by
-the candidate); the prediction set keeps candidates whose p-value exceeds
-alpha.
+the candidate), counting the candidate in its own rank; the prediction set
+keeps candidates whose p-value exceeds alpha.
 
 By default scores use the exact predictive CDF.  Every score of one
 candidate's p-value is then a leave-one-out score of the augmented sample,
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import predictive as pred
 from .hbeta import _check_a0, _check_count, _path_counts, leaf_predictive_masses
-from .posterior import PosteriorModel, _add_point, _copy, _from_stacks, _log_leaf_mass, fit
+from .posterior import _add_point, _copy, _from_stacks, _log_leaf_mass, fit
 from .segmentation import SegmentationFamily, _locate, as_points
 
 __all__ = [
@@ -88,7 +88,7 @@ class ConformalBand:
     alpha: float
     p_below: np.ndarray  # (n_x, n_y) p-values of the <=-direction score
     p_above: np.ndarray  # same for the >=-direction score
-    lower: np.ndarray  # NaN where the band is empty at that x
+    lower: np.ndarray  # never NaN: p_below is 1 at y = 1, p_above at y = 0
     upper: np.ndarray
     endpoint: str
 
@@ -109,22 +109,6 @@ def _orient(direction: str):
     if direction not in ("below", "above"):
         raise ValueError(f"unknown direction {direction!r}")
     return (lambda s: s) if direction == "below" else (lambda s: 1.0 - s)
-
-
-def _bin(values: np.ndarray, n: int) -> np.ndarray:
-    """Index of the cell of [0, 1] split into n that holds each value; 1 is in the top cell."""
-    return np.minimum((values * n).astype(np.int64), n - 1)
-
-
-def _cdf_at(masses: np.ndarray, y_values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mass below y, total mass) of column cols[i] of masses (..., k, ny)
-    at y_values[i], each shape (..., n): leading axes such as members pass
-    through."""
-    ny = masses.shape[-1]
-    cell = _bin(y_values, ny)
-    frac = y_values * ny - cell
-    cums = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)], axis=-1)
-    return cums[..., cols, cell] + frac * masses[..., cols, cell], cums[..., cols, -1]
 
 
 def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -163,10 +147,9 @@ class _ExactScorer(_Scorer):
         self.a0 = config.a0
         self.family = config.family
         model = fit(self.pts, config.family, config.a0)
-        self.log_w0, self.stacks = model.log_unnormalized, model._stacks
+        self.log_w0, self.stacks = model.log_unnormalized, model.stacks
         self.shape = nx, ny = pred._common_grid_shape(config.family)
-        centres = (np.indices(self.shape).reshape(2, -1).T + 0.5) / self.shape
-        grid = _locate(centres, config.family)
+        grid = _locate(pred._grid_centres(self.shape), config.family)
         # per depth group, the paths of the common-grid cells (members, nx*ny, L)
         # and their leaves by column (members, nx, ny)
         self.grid = [
@@ -214,7 +197,7 @@ class _ExactScorer(_Scorer):
         set), less its own.
         """
         a0, (nx, ny) = self.a0, self.shape
-        cells, rows = np.unique(_bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny), return_inverse=True)
+        cells, rows = np.unique(pred._bin(pts[:, 0], nx) * ny + pred._bin(pts[:, 1], ny), return_inverse=True)
         below, total, log_own = np.empty((3, len(self.family), pts.shape[0]))
         for (depth, idx), stack, (paths, leaves) in zip(self.family._groups, stacks, self.grid):
             path = paths[:, cells]  # (members, cells, L)
@@ -229,7 +212,7 @@ class _ExactScorer(_Scorer):
             leaf_mass = leaf_predictive_masses(stack, a0)
             masses = np.take_along_axis(leaf_mass[:, None], column, axis=-1)
             masses *= np.take_along_axis(corr, shared, axis=-1)
-            below[idx], total[idx] = _cdf_at(masses, pts[:, 1], rows)
+            below[idx], total[idx] = pred._cdf_at(masses, pts[:, 1], rows)
             own = np.take_along_axis(leaf_mass, path[..., -1], axis=-1) * corr[..., -1]
             log_own[idx] = np.log(own)[:, rows]
         # difference first: a candidate's own row keeps the training weight
@@ -255,34 +238,20 @@ class _MixtureScorer(_Scorer):
     def _train_grid(self) -> np.ndarray:
         return pred.grid_mass_matrix(self._mixture(self._train_model))[1]
 
-    def _column(self, model: PosteriorModel, x: float) -> np.ndarray:
-        """Cell masses (1, ny) of the x column of `grid_mass_matrix` that holds x."""
-        nx, ny = pred._common_grid_shape(self.family)
-        centres = np.column_stack([np.full(ny, (_bin(x, nx) + 0.5) / nx), (np.arange(ny) + 0.5) / ny])
-        return pred.mixture_density(centres, self._mixture(model))[None] / (nx * ny)
-
-    @staticmethod
-    def _scores(M: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Column CDF scores of points (n, 2) under grid cell masses M."""
-        below, total = _cdf_at(M, points[:, 1], _bin(points[:, 0], M.shape[0]))
-        if np.any(total <= 0.0):  # drawn leaf probabilities can underflow to 0
-            raise ValueError("conditional mass is zero in this column")
-        return below / total
-
     def swapped(self, cands: np.ndarray, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """As the exact scorer's.  Taking a candidate back out of the
         augmented sample leaves the training set, so the candidates' own
         scores read its seeded mixture."""
-        stacks = self._train_model._stacks
+        stacks = self._train_model.stacks
         log_cand = _log_leaf_mass(self.family, stacks, paths[:, :1], self.config.a0)[:, 0]
-        return self._loo(paths[:, 0], log_cand), self._scores(self._train_grid, cands)
+        return self._loo(paths[:, 0], log_cand), pred._conditional_cdf(self._train_grid, cands)
 
     def score_point(self, point) -> float:
-        return float(self._scores(self._train_grid, as_points(point, 2))[0])
+        return float(pred._conditional_cdf(self._train_grid, as_points(point, 2))[0])
 
     def _loo(self, cpaths=None, log_cand=None) -> np.ndarray:
         family, a0 = self.family, self.config.a0
-        stacks, lc, m = self._train_model._stacks, 0.0, self.m - 1
+        stacks, lc, m = self._train_model.stacks, 0.0, self.m - 1
         if cpaths is not None:
             stacks, lc, m = _copy(stacks), log_cand, self.m
             _add_point(family, stacks, cpaths, +1)
@@ -293,8 +262,8 @@ class _MixtureScorer(_Scorer):
             log_own = _log_leaf_mass(family, swapped, self._paths[:, i : i + 1], a0)[:, 0]
             # difference first, as in the exact scorer
             log_w = self._train_model.log_unnormalized + (lc - log_own)
-            column = self._column(_from_stacks(family, swapped, a0, m, log_w), self.pts[i, 0])
-            scores[i] = self._scores(column, self.pts[i : i + 1])[0]  # one column: x bins to 0
+            grid = pred.grid_mass_matrix(self._mixture(_from_stacks(family, swapped, a0, m, log_w)))[1]
+            scores[i] = pred._conditional_cdf(grid, self.pts[i : i + 1])[0]
         return scores
 
 
@@ -324,17 +293,16 @@ def loo_scores(train, config: ConformalConfig, direction: str = "below") -> np.n
 
 
 def conformal_pvalue(train, candidate, config: ConformalConfig) -> float:
-    """Rank of the candidate's score among the swapped-set scores.
+    """Rank of the candidate's score among all m+1 scores of the augmented
+    sample, its own included: (1 + #{i: a_i <= a_cand}) / (m+1).
 
-    The count uses <= so ties favour inclusion, and the candidate's own
-    score is excluded from the numerator range, giving values k/(m+1)
-    with k in 0..m.
+    The count uses <= so ties favour inclusion.  Values are k/(m+1) with k
+    in 1..m+1, so with no training points the p-value is 1, and a point
+    held out of an exchangeable sample of m+1 gets p <= alpha with
+    probability at most alpha.
     """
-    pts = _train_points(train)
-    cand = as_points(candidate, 2)[0]
-    if pts.shape[0] == 0:
-        return 0.0
-    return float(_pvalue_tables(_make_scorer(pts, config), cand[None, :])[0][0])
+    cand = as_points(candidate, 2)[:1]
+    return float(_pvalue_tables(_make_scorer(train, config), cand)[0][0])
 
 
 def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,8 +318,8 @@ def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for g in range(group.max() + 1):
         sel = np.flatnonzero(group == g)
         a_train, a_cand = scorer.swapped(cands[sel], paths[:, sel])
-        p_below[sel] = np.sum(a_train[:, None] <= a_cand, axis=0) / (scorer.m + 1)
-        p_above[sel] = np.sum(a_train[:, None] >= a_cand, axis=0) / (scorer.m + 1)
+        p_below[sel] = (1 + np.sum(a_train[:, None] <= a_cand, axis=0)) / (scorer.m + 1)
+        p_above[sel] = (1 + np.sum(a_train[:, None] >= a_cand, axis=0)) / (scorer.m + 1)
     return p_below, p_above
 
 
@@ -372,9 +340,10 @@ def conformal_band(
 
     The lower endpoint is the smallest grid y whose below-score p-value
     exceeds alpha, the upper endpoint the largest grid y whose above-score
-    p-value does; each side therefore runs at level 1 - alpha.  Empty
-    sides are reported as NaN.  With no training points every candidate is
-    vacuously conforming and the band is the full y range.
+    p-value does; each side therefore runs at level 1 - alpha.  Neither
+    side is empty: the grid holds y = 1, where every below-score p-value is
+    1, and y = 0, where every above-score p-value is.  With no training
+    points every p-value is 1 and the band is the full y range.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -386,34 +355,19 @@ def conformal_band(
     else:
         _check_count("y_grid_size", y_grid_size, 2)
         y_grid = np.linspace(0.0, 1.0, y_grid_size)
-    pts = _train_points(train)
-    m = pts.shape[0]
     n_x, n_y = x_values.size, y_grid.size
-    if m == 0:  # every candidate conforms; the grid runs from 0 to 1
-        p_below, p_above = np.ones((n_x, n_y)), np.ones((n_x, n_y))
-    else:
-        cands = np.column_stack([np.repeat(x_values, n_y), np.tile(y_grid, n_x)])
-        tables = _pvalue_tables(_make_scorer(pts, config), cands)
-        p_below, p_above = (p.reshape(n_x, n_y) for p in tables)
-    lower = np.full(n_x, np.nan)
-    upper = np.full(n_x, np.nan)
+    cands = np.column_stack([np.repeat(x_values, n_y), np.tile(y_grid, n_x)])
+    p_below, p_above = (p.reshape(n_x, n_y) for p in _pvalue_tables(_make_scorer(train, config), cands))
+    lower, upper = np.empty(n_x), np.empty(n_x)
     for ix in range(n_x):
-        inside_lo = np.flatnonzero(p_below[ix] > alpha)
-        if inside_lo.size:
-            k = inside_lo[0]
-            if config.endpoint == "interpolated" and k > 0:
-                p0, p1 = p_below[ix, k - 1], p_below[ix, k]
-                t = (alpha - p0) / (p1 - p0)
-                lower[ix] = y_grid[k - 1] + t * (y_grid[k] - y_grid[k - 1])
-            else:
-                lower[ix] = y_grid[k]
-        inside_hi = np.flatnonzero(p_above[ix] > alpha)
-        if inside_hi.size:
-            k = inside_hi[-1]
-            if config.endpoint == "interpolated" and k < n_y - 1:
-                p0, p1 = p_above[ix, k], p_above[ix, k + 1]
-                t = (p0 - alpha) / (p0 - p1)
-                upper[ix] = y_grid[k] + t * (y_grid[k + 1] - y_grid[k])
-            else:
-                upper[ix] = y_grid[k]
+        k = np.flatnonzero(p_below[ix] > alpha)[0]
+        lower[ix] = y_grid[k]
+        if config.endpoint == "interpolated" and k > 0:
+            p0, p1 = p_below[ix, k - 1], p_below[ix, k]
+            lower[ix] = y_grid[k - 1] + (alpha - p0) / (p1 - p0) * (y_grid[k] - y_grid[k - 1])
+        k = np.flatnonzero(p_above[ix] > alpha)[-1]
+        upper[ix] = y_grid[k]
+        if config.endpoint == "interpolated" and k < n_y - 1:
+            p0, p1 = p_above[ix, k], p_above[ix, k + 1]
+            upper[ix] = y_grid[k] + (p0 - alpha) / (p0 - p1) * (y_grid[k + 1] - y_grid[k])
     return ConformalBand(x_values, y_grid, alpha, p_below, p_above, lower, upper, config.endpoint)

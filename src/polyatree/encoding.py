@@ -19,6 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .segmentation import as_points
+
 __all__ = [
     "ColumnSchema",
     "ContinuousCoding",
@@ -140,6 +142,8 @@ def fit_encoding(
         if col.kind != "continuous":
             continue
         values = np.asarray(table[col.name], dtype=np.float64)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"column {col.name!r} has non-finite values")
         if np.unique(values).size < bins:
             raise ValueError(
                 f"column {col.name!r} has fewer than {bins} distinct values"
@@ -173,8 +177,8 @@ def encode(table: Mapping[str, np.ndarray], spec: EncodingSpec) -> tuple[np.ndar
     """Map a table into [0,1]^P.
 
     Returns (points, clamped) where clamped flags rows with a continuous
-    value outside the inflated support; such values are clamped into the
-    boundary bin rather than rejected.
+    value outside the inflated support, +-inf included; such values are
+    clamped into the boundary bin rather than rejected.  NaN is rejected.
     """
     sizes = {len(np.asarray(table[c.name])) for c in spec.continuous}
     sizes |= {len(np.asarray(table[c.name])) for c in spec.categorical}
@@ -186,6 +190,8 @@ def encode(table: Mapping[str, np.ndarray], spec: EncodingSpec) -> tuple[np.ndar
     clamped = np.zeros(n, dtype=bool)
     for c in spec.continuous:
         v = np.asarray(table[c.name], dtype=np.float64)
+        if np.any(np.isnan(v)):
+            raise ValueError(f"column {c.name!r} has NaN values")
         clamped |= (v < c.edges[0]) | (v > c.edges[-1])
         idx = np.searchsorted(c.edges, v, side="right") - 1
         np.clip(idx, 0, B - 1, out=idx)
@@ -213,13 +219,7 @@ def decode(points: np.ndarray, spec: EncodingSpec, rng=None) -> dict[str, np.nda
     raise.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.shape[1] != spec.ndim:
-        raise ValueError(f"expected points of dimension {spec.ndim}, got {pts.shape[1]}")
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-        raise ValueError("coordinates must lie in [0, 1]")
+    pts = as_points(points, spec.ndim)
     n = pts.shape[0]
     B = spec.bins
     table: dict[str, np.ndarray] = {}

@@ -6,10 +6,11 @@ B(N_lower + a0, N_upper + a0) / B(a0, a0), B the Beta function and
 N_lower, N_upper the counts of the node's children (the beta-binomial
 chain times the reciprocal multinomial coefficient of the leaf counts,
 whose binomial coefficients cancel).  Sums run in log space over cached
-log-gamma values and normalize by log-sum-exp.  Counts are kept as one
-stack per depth group of members, levels (members, 2^l), so fits,
-weights, densities and one-point updates are array operations; a fit
-counts each split-count class's cells once, for all its members' leaves.
+log-gamma values and normalize by log-sum-exp.  A fitted model's counts
+are one stack per depth group of members, levels (members, 2^l), so fits,
+weights, densities, sampling, scoring and one-point updates are array
+operations; a fit counts each split-count class's cells once, for all its
+members' leaves.
 A level's sum of node terms depends only on the lattice edge a member
 takes there (its split counts before the level and the dimension split
 at it), so a fit sums each edge once and a member's log weight is the
@@ -19,7 +20,6 @@ sum of its edges' terms.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,7 +48,6 @@ __all__ = [
 class LogGammaTables:
     """Cached log-gamma values for integer counts shifted by a0 and 2*a0.
 
-    F[k]  = lgamma(k + 1)      (log factorials)
     G1[k] = lgamma(k + a0)
     G2[k] = lgamma(k + 2*a0)
     """
@@ -65,22 +64,9 @@ class LogGammaTables:
             return
         nmax = max(nmax, 2 * max(self._nmax, 16))
         k = np.arange(nmax + 1, dtype=np.float64)
-        self.F = gammaln(k + 1.0)
         self.G1 = gammaln(k + self.a0)
         self.G2 = gammaln(k + 2.0 * self.a0)
         self._nmax = nmax
-
-    def log_betabinom(self, k, n):
-        """log BetaBinomial(k; n, a0, a0); exactly 0.0 when n == 0."""
-        return (
-            self.F[n]
-            - self.F[k]
-            - self.F[n - k]
-            + self.G1[k]
-            + self.G1[n - k]
-            - self.G2[n]
-            - self._const
-        )
 
 
 def _node_terms(child, parent, tables: LogGammaTables) -> np.ndarray:
@@ -115,14 +101,15 @@ def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTable
 
 @dataclass(frozen=True, eq=False)
 class PosteriorModel:
-    """Fitted family: per-member counts and normalized log weights.
+    """Fitted family: node counts and normalized log weights.
 
-    A fit keeps its counts as one stack per depth group, ``_stacks``, and
-    its ``counts`` are row views of them, made on first read; counts given
-    per member get stacked on first use."""
+    ``stacks`` holds one `CountsTree` per depth group of ``family._groups``,
+    levels (members of the group, 2^l); weights, densities, sampling and
+    scoring read only these.  ``counts``, each member's `CountsTree` of row
+    views of its group's stack, is made on first read."""
 
     family: SegmentationFamily
-    counts: Sequence[CountsTree]
+    stacks: tuple[CountsTree, ...]
     a0: float
     m: int
     log_weights: np.ndarray
@@ -133,12 +120,11 @@ class PosteriorModel:
         return np.exp(self.log_weights)
 
     @cached_property
-    def _stacks(self) -> tuple[CountsTree, ...]:
-        trees = [[self.counts[j].levels for j in idx] for _, idx in self.family._groups]
-        return tuple(CountsTree(tuple(map(np.stack, zip(*levels)))) for levels in trees)
+    def counts(self) -> tuple[CountsTree, ...]:
+        return tuple(map(CountsTree, _unstack(self.family, [zip(*s.levels) for s in self.stacks])))
 
     def _leaf_masses(self) -> list[np.ndarray]:
-        return [leaf_predictive_masses(stack, self.a0) for stack in self._stacks]
+        return [leaf_predictive_masses(stack, self.a0) for stack in self.stacks]
 
     def to_json_obj(self) -> dict:
         return {
@@ -170,35 +156,12 @@ def _unstack(family: SegmentationFamily, stacks) -> list:
     return rows
 
 
-class _Rows(Sequence):
-    """Each member's `CountsTree` of row views of its depth group's stack,
-    made on first read: weights, densities, sampling and scoring read
-    only the stacks."""
-
-    def __init__(self, family: SegmentationFamily, stacks):
-        self._family, self._stacks = family, stacks
-
-    @cached_property
-    def _trees(self) -> tuple[CountsTree, ...]:
-        return tuple(map(CountsTree, _unstack(self._family, [zip(*s.levels) for s in self._stacks])))
-
-    def __getitem__(self, j):
-        return self._trees[j]
-
-    def __len__(self) -> int:
-        return len(self._family)
-
-
 def _copy(stacks) -> list[CountsTree]:
     return [CountsTree(tuple(lvl.copy() for lvl in stack.levels)) for stack in stacks]
 
 
 def _from_stacks(family, stacks, a0: float, m: int, log_unnorm: np.ndarray) -> PosteriorModel:
-    log_weights = log_unnorm - logsumexp(log_unnorm)
-    stacks = tuple(stacks)
-    model = PosteriorModel(family, _Rows(family, stacks), float(a0), m, log_weights, log_unnorm)
-    model.__dict__["_stacks"] = stacks  # the cache its trees are rows of
-    return model
+    return PosteriorModel(family, tuple(stacks), float(a0), m, log_unnorm - logsumexp(log_unnorm), log_unnorm)
 
 
 def _add_point(family: SegmentationFamily, stacks, paths: np.ndarray, sign: int) -> None:
@@ -291,7 +254,7 @@ class IncrementalModel:
         self.family = model.family
         self.a0 = model.a0
         self.m = model.m
-        self._stacks = _copy(model._stacks)
+        self.stacks = _copy(model.stacks)
         self.log_unnormalized = model.log_unnormalized.copy()
 
     @property
@@ -318,17 +281,17 @@ class IncrementalModel:
         if sign < 0:
             if self.m == 0:
                 raise ValueError("no points to remove")
-            groups = zip(self.family._groups, self._stacks)
+            groups = zip(self.family._groups, self.stacks)
             leaves = [s.levels[-1][np.arange(idx.size), paths[idx, d - 1]] for (d, idx), s in groups]
             if any(np.any(n <= 0) for n in leaves):
                 raise ValueError("no observation in that leaf to remove")
-            _add_point(self.family, self._stacks, paths, -1)
-        log_mass = _log_leaf_mass(self.family, self._stacks, paths[:, None], self.a0)[:, 0]
+            _add_point(self.family, self.stacks, paths, -1)
+        log_mass = _log_leaf_mass(self.family, self.stacks, paths[:, None], self.a0)[:, 0]
         self.log_unnormalized += sign * log_mass
         if sign > 0:
-            _add_point(self.family, self._stacks, paths, +1)
+            _add_point(self.family, self.stacks, paths, +1)
         self.m += sign
 
     def snapshot(self) -> PosteriorModel:
         log_unnorm = self.log_unnormalized.copy()
-        return _from_stacks(self.family, _copy(self._stacks), self.a0, self.m, log_unnorm)
+        return _from_stacks(self.family, _copy(self.stacks), self.a0, self.m, log_unnorm)

@@ -143,7 +143,7 @@ def build_mixture(model: PosteriorModel, draws_per_seg: int = 50, rng=None) -> M
     _check_count("draws_per_seg", draws_per_seg, 1)
     gen, seed = _as_rng_and_seed(rng)
     stacks = []
-    for stack in model._stacks:
+    for stack in model.stacks:
         shape = (stack.levels[0].shape[0], draws_per_seg)
         levels = tuple(np.broadcast_to(c[:, None], shape + c.shape[1:]) for c in stack.levels)
         stacks.append(pi_from_phi(sample_phi_posterior(CountsTree(levels), model.a0, gen)))
@@ -274,7 +274,7 @@ def sample_posterior_predictive(model: PosteriorModel, n: int, rng=None) -> Pred
 
     def laws(g, members, _):
         rows = np.searchsorted(model.family._groups[g][1], members)
-        return leaf_predictive_masses(CountsTree(tuple(c[rows] for c in model._stacks[g].levels)), model.a0)
+        return leaf_predictive_masses(CountsTree(tuple(c[rows] for c in model.stacks[g].levels)), model.a0)
 
     points, member, draw, leaf = _sample_components(
         model.family,
@@ -352,6 +352,11 @@ def _common_grid_shape(family: SegmentationFamily) -> tuple[int, ...]:
     return tuple(int(n) for n in family._table[1].max(axis=(0, 1)))
 
 
+def _grid_centres(shape: tuple[int, int]) -> np.ndarray:
+    """Centres (nx * ny, 2) of the cells of an nx x ny grid on the unit square, x major."""
+    return (np.indices(shape).reshape(2, -1).T + 0.5) / shape
+
+
 def grid_mass_matrix(obj) -> tuple[tuple[int, int], np.ndarray]:
     """Predictive mass of every cell of the common refinement grid (2-D only).
 
@@ -363,24 +368,48 @@ def grid_mass_matrix(obj) -> tuple[tuple[int, int], np.ndarray]:
     family = _family(obj)
     if family.ndim != 2:
         raise ValueError("grid mass matrix is defined for 2-D families only")
-    nx, ny = _common_grid_shape(family)
-    xs = (np.arange(nx) + 0.5) / nx
-    ys = (np.arange(ny) + 0.5) / ny
-    centers = np.column_stack([np.repeat(xs, ny), np.tile(ys, nx)])
-    return (nx, ny), (mixture_density(centers, obj) / (nx * ny)).reshape(nx, ny)
+    (nx, ny) = shape = _common_grid_shape(family)
+    return shape, (mixture_density(_grid_centres(shape), obj) / (nx * ny)).reshape(shape)
 
 
-def _column_quantile(col: np.ndarray, q: float) -> float:
-    """Invert the within-column CDF, linear within cells."""
-    total = col.sum()
-    if total <= 0.0:
+def _bin(values: np.ndarray, n: int) -> np.ndarray:
+    """Index of the cell of [0, 1] split into n that holds each value; 1 is in the top cell."""
+    return np.minimum((values * n).astype(np.int64), n - 1)
+
+
+def _mass(total: np.ndarray) -> np.ndarray:
+    """Column totals, checked: a column without mass has no conditional law."""
+    if np.any(total <= 0.0):  # drawn leaf probabilities can underflow to 0
         raise ValueError("conditional mass is zero in this column")
-    target = q * total
-    cum = np.concatenate([[0.0], np.cumsum(col)])
-    k = int(np.searchsorted(cum, target, side="right")) - 1
-    k = min(max(k, 0), col.size - 1)
-    frac = (target - cum[k]) / col[k] if col[k] > 0 else 0.0
-    return (k + min(max(frac, 0.0), 1.0)) / col.size
+    return total
+
+
+def _cdf_at(masses: np.ndarray, y_values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mass below y, total mass) of column cols[i] of masses (..., k, ny)
+    at y_values[i], each shape (..., n): leading axes such as members pass
+    through."""
+    ny = masses.shape[-1]
+    cell = _bin(y_values, ny)
+    frac = y_values * ny - cell
+    cums = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)], axis=-1)
+    return cums[..., cols, cell] + frac * masses[..., cols, cell], cums[..., cols, -1]
+
+
+def _conditional_cdf(M: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Pr(U_y <= y | U_x = x) at points (n, 2) under grid cell masses M (nx, ny)."""
+    below, total = _cdf_at(M, points[:, 1], _bin(points[:, 0], M.shape[0]))
+    return below / _mass(total)
+
+
+def _column_quantile(M: np.ndarray, q: float) -> np.ndarray:
+    """Invert every column's CDF of grid cell masses M (nx, ny) at q, linear within cells."""
+    target = q * _mass(M.sum(axis=1))
+    cum = np.concatenate([np.zeros((M.shape[0], 1)), np.cumsum(M, axis=1)], axis=1)
+    # a count of cum <= target is searchsorted(side="right") on each row
+    k = np.clip(np.sum(cum <= target[:, None], axis=1) - 1, 0, M.shape[1] - 1)
+    cell, below = np.take_along_axis(M, k[:, None], 1)[:, 0], np.take_along_axis(cum, k[:, None], 1)[:, 0]
+    frac = np.divide(target - below, cell, out=np.zeros_like(target), where=cell > 0)
+    return (k + np.clip(frac, 0.0, 1.0)) / M.shape[1]
 
 
 def conditional_quantile(x_value: float, q: float, obj) -> float:
@@ -396,15 +425,14 @@ def conditional_quantile(x_value: float, q: float, obj) -> float:
         raise ValueError("x_value must lie in [0, 1]")
     (nx, _), M = grid_mass_matrix(obj)
     ix = min(int(x_value * nx), nx - 1)
-    return _column_quantile(M[ix], q)
+    return _column_quantile(M[ix : ix + 1], q)[0]
 
 
 def quantile_curve(q: float, obj) -> np.ndarray:
     """Conditional quantile per x column; entry i covers [i/nx, (i+1)/nx)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    (nx, _), M = grid_mass_matrix(obj)
-    return np.array([_column_quantile(M[ix], q) for ix in range(nx)])
+    return _column_quantile(grid_mass_matrix(obj)[1], q)
 
 
 def credible_prediction_set(obj, alpha: float) -> list[Box]:
@@ -419,9 +447,5 @@ def credible_prediction_set(obj, alpha: float) -> list[Box]:
     if alpha == 0.0:
         return [Box((0.0, 0.0), (1.0, 1.0))]
     (nx, _), M = grid_mass_matrix(obj)
-    boxes = []
-    for ix in range(nx):
-        lo = _column_quantile(M[ix], alpha / 2.0)
-        hi = _column_quantile(M[ix], 1.0 - alpha / 2.0)
-        boxes.append(Box((ix / nx, lo), ((ix + 1) / nx, hi)))
-    return boxes
+    lo, hi = (_column_quantile(M, q) for q in (alpha / 2.0, 1.0 - alpha / 2.0))
+    return [Box((ix / nx, lo[ix]), ((ix + 1) / nx, hi[ix])) for ix in range(nx)]

@@ -20,7 +20,7 @@ from .. import conformal as conf
 from .. import predictive as pred
 from ..encoding import ColumnSchema, decode, encode, fit_encoding
 from ..hbeta import (
-    counts_from_leaf_counts,
+    accumulate_counts,
     leaf_predictive_masses,
     pi_from_phi,
     sample_phi_prior,
@@ -258,6 +258,7 @@ def run_1d_study(
     grid = (np.arange(n_eval) + 0.5) / n_eval
     true_pdf = density.pdf(grid)
 
+    segs = {L: build((1,) * L, 1) for L in depths}  # built once: each caches its leaf table
     sums = {(L, name): np.zeros(1 << L) for L in depths for name in ("hbeta", "counts")}
     sqsums = {k: np.zeros_like(v) for k, v in sums.items()}
     streams = np.random.SeedSequence(seed).spawn(runs)
@@ -266,12 +267,9 @@ def run_1d_study(
         u = density.sample(m, gen)
         for L in depths:
             n_bins = 1 << L
-            leaves = np.bincount(
-                np.minimum((u * n_bins).astype(np.int64), n_bins - 1), minlength=n_bins
-            )
-            counts = counts_from_leaf_counts(leaves)
+            counts = accumulate_counts(u[:, None], segs[L])
             est_h = leaf_predictive_masses(counts, a0) * n_bins
-            est_c = leaves / m * n_bins
+            est_c = counts.levels[-1] / m * n_bins
             for name, est in (("hbeta", est_h), ("counts", est_c)):
                 sums[(L, name)] += est
                 sqsums[(L, name)] += est * est

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from polyatree.simharness.cli import main
+from polyatree.posterior import fit, mixture_predictive_density
+from polyatree.predictive import build_mixture, sample_posterior_predictive, sample_predictive
+from polyatree.segmentation import SegmentationFamily, build
+from polyatree.simharness.cli import _load_model, _save_model, main
 
 
 def read_meta(path):
@@ -162,6 +165,35 @@ class TestModelCommands:
         assert len(band_lines) == 18  # 16 columns
         scores = (out / "scores.csv").read_text().splitlines()
         assert len(scores) == 10
+
+
+    def test_saved_model_reloads_bit_for_bit(self, tmp_path, rng):
+        # a ragged family of four depth groups; the loader stacks each one
+        dims = [(1, 2, 1, 2), (2, 2, 2), (1, 1), (2, 1, 1, 2, 2), (1, 2), (2, 1, 2), (2, 2)]
+        fam = SegmentationFamily(tuple(build(d, 2) for d in dims))
+        model = fit(rng.uniform(size=(57, 2)) ** 2, fam, 0.7)
+        _save_model(model, tmp_path / "m")
+        loaded = _load_model(tmp_path / "m")
+        assert len(loaded.stacks) == len(fam._groups) == 4
+        for a, b in zip(model.stacks, loaded.stacks):
+            assert len(a.levels) == len(b.levels)
+            for x, y in zip(a.levels, b.levels):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        for a, b in zip(model.counts, loaded.counts):
+            assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a.levels, b.levels))
+        for name in ("a0", "m"):
+            assert getattr(model, name) == getattr(loaded, name)
+        assert np.array_equal(model.log_weights, loaded.log_weights)
+        assert np.array_equal(model.log_unnormalized, loaded.log_unnormalized)
+        pts = rng.uniform(size=(300, 2))
+        assert np.array_equal(mixture_predictive_density(pts, model), mixture_predictive_density(pts, loaded))
+        for draw in (
+            lambda obj: sample_posterior_predictive(obj, 500, 3),
+            lambda obj: sample_predictive(build_mixture(obj, 4, 5), 500, 6),
+        ):
+            a, b = draw(model), draw(loaded)
+            for name in ("points", "member_index", "draw_index", "leaf_index"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestValidationFailures:

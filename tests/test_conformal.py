@@ -201,16 +201,30 @@ class TestPvalue:
         pt = np.array([0.3, 0.6])
         for m in (1, 4, 9):
             train = np.tile(pt, (m, 1))
-            assert conformal_pvalue(train, pt, config) == pytest.approx(m / (m + 1))
+            assert conformal_pvalue(train, pt, config) == 1.0
 
     def test_candidate_strictly_smallest(self, rng):
         config = ConformalConfig(tiny_family())
         train = rng.uniform(0.3, 0.9, size=(12, 2))
-        assert conformal_pvalue(train, [0.5, 0.0], config) == 0.0
+        assert conformal_pvalue(train, [0.5, 0.0], config) == 1 / 13
 
     def test_empty_training_set(self):
         config = ConformalConfig(tiny_family())
-        assert conformal_pvalue(np.zeros((0, 2)), [0.5, 0.5], config) == 0.0
+        assert conformal_pvalue(np.zeros((0, 2)), [0.5, 0.5], config) == 1.0
+
+    @pytest.mark.parametrize("draws", [None, 2], ids=["exact", "mixture"])
+    def test_exchangeable_splits_meet_level(self, draws):
+        # every point of one sample held out in turn as the candidate: the
+        # splits are exchangeable, so at most a share alpha of them may give
+        # p <= alpha, exactly and not only in expectation
+        from polyatree.simharness.densities import LogitNormalRegression
+
+        fam, size = (quantreg_family(), 41) if draws is None else (tiny_family(), 21)
+        sample = LogitNormalRegression().sample(size, np.random.default_rng(0))
+        config = ConformalConfig(fam, draws_per_seg=draws, seed=1)
+        p = np.array([conformal_pvalue(np.delete(sample, j, axis=0), sample[j], config) for j in range(size)])
+        for alpha in (0.05, 0.1, 0.2):
+            assert np.mean(p <= alpha) <= alpha
 
     def test_permutation_invariance_bit_identical(self, rng):
         config = ConformalConfig(tiny_family())
@@ -227,7 +241,7 @@ class TestPvalue:
         config = ConformalConfig(tiny_family())
         train = gen.uniform(size=(m, 2))
         p = conformal_pvalue(train, gen.uniform(size=2), config)
-        assert 0.0 <= p <= m / (m + 1)
+        assert 1 / (m + 1) <= p <= 1.0
         assert p * (m + 1) == pytest.approx(round(p * (m + 1)), abs=1e-9)
 
     def test_mixture_pvalue_on_grid_and_deterministic(self, rng):
@@ -282,11 +296,15 @@ class TestBand:
         ok = ~np.isnan(narrow.upper)
         assert np.all(wide.upper[ok] >= narrow.upper[ok])
 
-    def test_band_empty_reported_as_nan(self, rng):
-        config = ConformalConfig(tiny_family())
-        train = rng.uniform(size=(3, 2))
-        band = conformal_band(train, [0.5], 0.9, config)  # max p is 3/4 <= 0.9
-        assert np.isnan(band.lower[0]) and np.isnan(band.upper[0])
+    @pytest.mark.parametrize("endpoint", ["grid", "interpolated"])
+    def test_both_endpoints_exist_at_high_alpha(self, endpoint, rng):
+        # p_below is 1 at y = 1 and p_above is 1 at y = 0, so neither side
+        # is empty even where every other p-value is at most alpha
+        config = ConformalConfig(tiny_family(), endpoint=endpoint)
+        band = conformal_band(rng.uniform(size=(3, 2)), [0.2, 0.5, 1.0], 0.9, config)
+        assert np.all(band.p_below[:, -1] == 1.0) and np.all(band.p_above[:, 0] == 1.0)
+        assert np.all((0.0 <= band.lower) & (band.lower <= 1.0))
+        assert np.all((0.0 <= band.upper) & (band.upper <= 1.0))
 
     def test_p_monotone_below_median(self, rng):
         # the below-score p-value rises with y underneath the conditional median
@@ -345,8 +363,8 @@ class TestBandReuse:
                 cand = np.array([x, y])
                 a_cand = scorer.score_point(cand)
                 a_train = scorer.loo_scores(cand)
-                assert band.p_below[ix, iy] == np.sum(a_train <= a_cand) / (m + 1)
-                assert band.p_above[ix, iy] == np.sum(a_train >= a_cand) / (m + 1)
+                assert band.p_below[ix, iy] == (1 + np.sum(a_train <= a_cand)) / (m + 1)
+                assert band.p_above[ix, iy] == (1 + np.sum(a_train >= a_cand)) / (m + 1)
 
 
 def test_no_consumer_reads_paths_below_member_depth(monkeypatch, rng):

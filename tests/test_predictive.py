@@ -249,6 +249,33 @@ class TestConditionalQuantile:
             se = np.sqrt(q * (1 - q) / n_col)
             assert abs(frac - q) <= 3 * se
 
+    def test_columns_match_per_column_reference(self, rng):
+        # all columns are inverted in one array call; the per-column loop it
+        # replaced is the reference, bit for bit, on cell edges and empty cells
+        def reference(col, q):
+            total = col.sum()
+            cum = np.concatenate([[0.0], np.cumsum(col)])
+            k = int(np.searchsorted(cum, q * total, side="right")) - 1
+            k = min(max(k, 0), col.size - 1)
+            frac = (q * total - cum[k]) / col[k] if col[k] > 0 else 0.0
+            return (k + min(max(frac, 0.0), 1.0)) / col.size
+
+        M = np.array([[0, 0, 1, 1], [1, 0, 0, 1], [0, 1, 1, 0], [2, 0, 0, 0], [1, 1, 1, 1]], float)
+        for q in (0.25, 0.3, 0.5, 0.75):
+            assert predictive._column_quantile(M, q).tolist() == [reference(c, q) for c in M]
+        for pts, a0 in ((np.zeros((0, 2)), 1.0), (rng.uniform(size=(30, 2)), 0.4)):
+            model = fit(pts, ragged_family(), a0)
+            for obj in (model, build_mixture(model, 3, 1)):
+                (nx, _), grid = grid_mass_matrix(obj)
+                for q in (0.05, 0.5, 0.95):
+                    expected = [reference(c, q) for c in grid]
+                    assert quantile_curve(q, obj).tolist() == expected
+                    assert [conditional_quantile((ix + 0.5) / nx, q, obj) for ix in range(nx)] == expected
+                lo, hi = ([reference(c, q) for c in grid] for q in (0.05, 0.95))
+                assert credible_prediction_set(obj, 0.1) == [
+                    Box((ix / nx, lo[ix]), ((ix + 1) / nx, hi[ix])) for ix in range(nx)
+                ]
+
     def test_rejects_bad_levels(self, fitted):
         with pytest.raises(ValueError):
             conditional_quantile(0.5, 0.0, fitted)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polyatree.conformal import ConformalConfig, conformal_band, conformal_pvalue, conformity_score
+from polyatree.encoding import ColumnSchema, decode, encode, fit_encoding
 from polyatree.hbeta import (
     accumulate_counts,
     conditional_predictive_density,
@@ -49,6 +50,32 @@ POINT_ENTRIES = {
 def test_non_finite_point_rejected(entry, bad):
     with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
         POINT_ENTRIES[entry](np.array(bad))
+
+
+SCHEMA = [ColumnSchema("y", "continuous"), ColumnSchema("x", "categorical", ("a", "b"))]
+VALUES = np.linspace(-1.0, 1.0, 20)
+LABELS = np.array(["a", "b"] * 10, dtype=object)
+SPEC = fit_encoding({"y": VALUES, "x": LABELS}, SCHEMA, bins=4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_encoding_rejects_non_finite_value(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_encoding({"y": np.append(VALUES, bad), "x": np.append(LABELS, "a")}, SCHEMA, bins=4)
+
+
+def test_encode_rejects_nan_and_clamps_inf():
+    with pytest.raises(ValueError, match="NaN"):
+        encode({"y": np.array([0.3, np.nan]), "x": LABELS[:2]}, SPEC)
+    pts, clamped = encode({"y": np.array([-np.inf, 0.3, np.inf]), "x": LABELS[:3]}, SPEC)
+    assert clamped.tolist() == [True, False, True]
+    assert pts[[0, 2], 0].tolist() == [1 / 8, 7 / 8]
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.25], [0.5, np.nan], [np.inf, 0.25], [-np.inf, 0.75], [1.5, 0.25]])
+def test_decode_rejects_point_off_the_cube(bad):
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        decode(np.array([[0.5, 0.25], bad]), SPEC, 0)
 
 
 A0_ENTRIES = {
