@@ -12,7 +12,7 @@ By default scores use the exact predictive CDF.  Every score of one
 candidate's p-value is then a leave-one-out score of the augmented sample,
 the training set plus the candidate: one of its m+1 points scored against
 the other m.  One pass scores any set of such rows on one count state.  It
-reads each depth group's predictive leaf masses on the augmented counts at
+reads the members' predictive leaf masses on the augmented count stack at
 the common-grid cells of a row's x column.  Taking the row out changes
 counts only along its own path, so each cell's mass is corrected by one
 factor, set by the depth to which the cell's leaf shares that path.  Rows
@@ -38,8 +38,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import predictive as pred
-from .hbeta import _check_a0, _check_count, _path_counts, leaf_predictive_masses
-from .posterior import _add_point, _copy, _from_stacks, _log_leaf_mass, fit
+from .hbeta import CountsTree, _check_a0, _check_count, _path_counts, leaf_predictive_masses
+from .posterior import _add_point, _copy, _from_stack, _log_leaf_mass, fit
 from .segmentation import SegmentationFamily, _locate, as_points
 
 __all__ = [
@@ -111,14 +111,13 @@ def _orient(direction: str):
     return (lambda s: s) if direction == "below" else (lambda s: 1.0 - s)
 
 
-def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, scale: float) -> np.ndarray:
     """Weight-averaged conditional CDF from per-member arrays (members, n).
 
     A member enters with its posterior weight times its marginal density
-    at x, which is its column total times scale (shape (members, 1)), so
-    members of different x resolution mix as densities.  Members are summed
-    in order by a cumulative sum, so that equal inputs give equal scores
-    whatever n is.
+    at x, which is its column total times scale, so members of different x
+    resolution mix as densities.  Members are summed in order by a
+    cumulative sum, so that equal inputs give equal scores whatever n is.
     """
     weights = np.exp(log_w - log_w.max(axis=0, keepdims=True)) * scale
     return np.cumsum(weights * below, axis=0)[-1] / np.cumsum(weights * total, axis=0)[-1]
@@ -147,20 +146,17 @@ class _ExactScorer(_Scorer):
         self.a0 = config.a0
         self.family = config.family
         model = fit(self.pts, config.family, config.a0)
-        self.log_w0, self.stacks = model.log_unnormalized, model.stacks
+        self.log_w0, self.stack = model.log_unnormalized, model.stack
         self.shape = nx, ny = pred._common_grid_shape(config.family)
-        grid = _locate(pred._grid_centres(self.shape), config.family)
-        # per depth group, the paths of the common-grid cells (members, nx*ny, L)
-        # and their leaves by column (members, nx, ny)
-        self.grid = [
-            (grid[idx, :, :d], grid[idx, :, d - 1].reshape(idx.size, nx, ny))
-            for d, idx in config.family._groups
-        ]
-        # a column's total on the common grid times this is the member's density at x
-        self.scale = np.array([[2.0**seg.depth / ny] for seg in config.family])
+        # the paths of the common-grid cells (members, nx*ny, L) and their
+        # leaves by column (members, nx, ny)
+        self.paths = _locate(pred._grid_centres(self.shape), config.family)
+        self.leaves = self.paths[..., -1].reshape(-1, nx, ny)
+        # a column's total on the common grid times this is a member's density at x
+        self.scale = 2.0**config.family.depth / ny
 
     def _loo(self) -> np.ndarray:
-        return self._pass(self.stacks, self.pts)
+        return self._pass(self.stack, self.pts)
 
     def swapped(self, cands: np.ndarray, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Swapped-set scores (m,) and own scores of candidates (n, 2) that
@@ -175,18 +171,18 @@ class _ExactScorer(_Scorer):
         cand = as_points(point, 2)
         return float(self._pass(self._augmented(_locate(cand, self.family)), cand, 0)[0])
 
-    def _augmented(self, paths: np.ndarray) -> list:
-        """Copies of the training count stacks with the first candidate added."""
-        stacks = _copy(self.stacks)
-        _add_point(self.family, stacks, paths[:, 0], +1)
-        return stacks
+    def _augmented(self, paths: np.ndarray) -> CountsTree:
+        """A copy of the training count stack with the first candidate added."""
+        stack = _copy(self.stack)
+        _add_point(stack, paths[:, 0], +1)
+        return stack
 
-    def _pass(self, stacks, pts: np.ndarray, first_cand: int | None = None) -> np.ndarray:
-        """Score of every row of pts (n, 2) against the count `stacks` with
+    def _pass(self, stack: CountsTree, pts: np.ndarray, first_cand: int | None = None) -> np.ndarray:
+        """Score of every row of pts (n, 2) against the count `stack` with
         the row itself taken out.
 
         Taking a row out lowers counts only along its own path.  A cell of
-        its x column keeps its leaf's mass on `stacks` times corr[a], where
+        its x column keeps its leaf's mass on `stack` times corr[a], where
         a is the depth to which that leaf shares the row's path: the product
         over levels l <= a of (o_l-1+a0)/(o_l+a0), for l >= 1, and of
         (o_l+2a0)/(o_l-1+2a0), for l < L, with o_l the count of the row's
@@ -198,23 +194,20 @@ class _ExactScorer(_Scorer):
         """
         a0, (nx, ny) = self.a0, self.shape
         cells, rows = np.unique(pred._bin(pts[:, 0], nx) * ny + pred._bin(pts[:, 1], ny), return_inverse=True)
-        below, total, log_own = np.empty((3, len(self.family), pts.shape[0]))
-        for (depth, idx), stack, (paths, leaves) in zip(self.family._groups, stacks, self.grid):
-            path = paths[:, cells]  # (members, cells, L)
-            o = _path_counts(stack.levels, path).astype(np.float64)
-            down, up = (o - 1.0 + a0) / (o + a0), (o + 2.0 * a0) / (o - 1.0 + 2.0 * a0)
-            down[..., 0] = up[..., -1] = 1.0  # the root is no child; a leaf has no children
-            corr = np.cumprod(down * up, axis=-1)
-            column = leaves[:, cells // ny]  # (members, cells, ny)
-            # a leaf index holds one bit per level, the first level highest, so
-            # the shared depth is L less the bit length (frexp's exponent) of the xor
-            shared = depth - np.frexp(column ^ path[..., -1:])[1]
-            leaf_mass = leaf_predictive_masses(stack, a0)
-            masses = np.take_along_axis(leaf_mass[:, None], column, axis=-1)
-            masses *= np.take_along_axis(corr, shared, axis=-1)
-            below[idx], total[idx] = pred._cdf_at(masses, pts[:, 1], rows)
-            own = np.take_along_axis(leaf_mass, path[..., -1], axis=-1) * corr[..., -1]
-            log_own[idx] = np.log(own)[:, rows]
+        path = self.paths[:, cells]  # (members, cells, L)
+        o = _path_counts(stack.levels, path).astype(np.float64)
+        down, up = (o - 1.0 + a0) / (o + a0), (o + 2.0 * a0) / (o - 1.0 + 2.0 * a0)
+        down[..., 0] = up[..., -1] = 1.0  # the root is no child; a leaf has no children
+        corr = np.cumprod(down * up, axis=-1)
+        column = self.leaves[:, cells // ny]  # (members, cells, ny)
+        # a leaf index holds one bit per level, the first level highest, so
+        # the shared depth is L less the bit length (frexp's exponent) of the xor
+        shared = self.family.depth - np.frexp(column ^ path[..., -1:])[1]
+        leaf_mass = leaf_predictive_masses(stack, a0)
+        masses = np.take_along_axis(leaf_mass[:, None], column, axis=-1)
+        masses *= np.take_along_axis(corr, shared, axis=-1)
+        below, total = pred._cdf_at(masses, pts[:, 1], rows)
+        log_own = np.log(np.take_along_axis(leaf_mass, path[..., -1], axis=-1) * corr[..., -1])[:, rows]
         # difference first: a candidate's own row keeps the training weight
         # bit for bit, so it ties exactly with a training point at its place
         lc = 0.0 if first_cand is None else log_own[:, first_cand, None]
@@ -242,27 +235,26 @@ class _MixtureScorer(_Scorer):
         """As the exact scorer's.  Taking a candidate back out of the
         augmented sample leaves the training set, so the candidates' own
         scores read its seeded mixture."""
-        stacks = self._train_model.stacks
-        log_cand = _log_leaf_mass(self.family, stacks, paths[:, :1], self.config.a0)[:, 0]
+        log_cand = _log_leaf_mass(self._train_model.stack, paths[:, :1], self.config.a0)[:, 0]
         return self._loo(paths[:, 0], log_cand), pred._conditional_cdf(self._train_grid, cands)
 
     def score_point(self, point) -> float:
         return float(pred._conditional_cdf(self._train_grid, as_points(point, 2))[0])
 
     def _loo(self, cpaths=None, log_cand=None) -> np.ndarray:
-        family, a0 = self.family, self.config.a0
-        stacks, lc, m = self._train_model.stacks, 0.0, self.m - 1
+        a0 = self.config.a0
+        stack, lc, m = self._train_model.stack, 0.0, self.m - 1
         if cpaths is not None:
-            stacks, lc, m = _copy(stacks), log_cand, self.m
-            _add_point(family, stacks, cpaths, +1)
+            stack, lc, m = _copy(stack), log_cand, self.m
+            _add_point(stack, cpaths, +1)
         scores = np.empty(self.m)
         for i in range(self.m):
-            swapped = _copy(stacks)
-            _add_point(family, swapped, self._paths[:, i], -1)
-            log_own = _log_leaf_mass(family, swapped, self._paths[:, i : i + 1], a0)[:, 0]
+            swapped = _copy(stack)
+            _add_point(swapped, self._paths[:, i], -1)
+            log_own = _log_leaf_mass(swapped, self._paths[:, i : i + 1], a0)[:, 0]
             # difference first, as in the exact scorer
             log_w = self._train_model.log_unnormalized + (lc - log_own)
-            grid = pred.grid_mass_matrix(self._mixture(_from_stacks(family, swapped, a0, m, log_w)))[1]
+            grid = pred.grid_mass_matrix(self._mixture(_from_stack(self.family, swapped, a0, m, log_w)))[1]
             scores[i] = pred._conditional_cdf(grid, self.pts[i : i + 1])[0]
         return scores
 
@@ -312,7 +304,7 @@ def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     member, so candidates that share all their leaves share one pass.
     """
     paths = _locate(cands, scorer.family)
-    # a path's last entry is the member's leaf, shifted to the deepest depth
+    # a path's last entry is the member's leaf
     group = np.unique(paths[..., -1], axis=1, return_inverse=True)[1].ravel()
     p_below, p_above = np.empty((2, cands.shape[0]))
     for g in range(group.max() + 1):

@@ -218,7 +218,7 @@ def decode(points: np.ndarray, spec: EncodingSpec, rng=None) -> dict[str, np.nda
     level when none is high; two high dummies cannot name a level and
     raise.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)  # a Generator comes back unaltered
     pts = as_points(points, spec.ndim)
     n = pts.shape[0]
     B = spec.bins

@@ -6,11 +6,12 @@ B(N_lower + a0, N_upper + a0) / B(a0, a0), B the Beta function and
 N_lower, N_upper the counts of the node's children (the beta-binomial
 chain times the reciprocal multinomial coefficient of the leaf counts,
 whose binomial coefficients cancel).  Sums run in log space over cached
-log-gamma values and normalize by log-sum-exp.  A fitted model's counts
-are one stack per depth group of members, levels (members, 2^l), so fits,
-weights, densities, sampling, scoring and one-point updates are array
-operations; a fit counts each split-count class's cells once, for all its
-members' leaves.
+log-gamma values and normalize by log-sum-exp.  The members share one
+depth, so the density form of each likelihood differs from its leaf-sequence
+form by one common factor, which normalizing cancels.  A fitted model's
+counts are one stack, levels (members, 2^l), so fits, weights, densities,
+sampling, scoring and one-point updates are array operations; a fit counts
+each split-count class's cells once, for all its members' leaves.
 A level's sum of node terms depends only on the lattice edge a member
 takes there (its split counts before the level and the dimension split
 at it), so a fit sums each edge once and a member's log weight is the
@@ -103,13 +104,12 @@ def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTable
 class PosteriorModel:
     """Fitted family: node counts and normalized log weights.
 
-    ``stacks`` holds one `CountsTree` per depth group of ``family._groups``,
-    levels (members of the group, 2^l); weights, densities, sampling and
-    scoring read only these.  ``counts``, each member's `CountsTree` of row
-    views of its group's stack, is made on first read."""
+    ``stack`` is one `CountsTree` of levels (members, 2^l); weights,
+    densities, sampling and scoring read only it.  ``counts``, each
+    member's `CountsTree` of row views of the stack, is made on first read."""
 
     family: SegmentationFamily
-    stacks: tuple[CountsTree, ...]
+    stack: CountsTree
     a0: float
     m: int
     log_weights: np.ndarray
@@ -121,10 +121,10 @@ class PosteriorModel:
 
     @cached_property
     def counts(self) -> tuple[CountsTree, ...]:
-        return tuple(map(CountsTree, _unstack(self.family, [zip(*s.levels) for s in self.stacks])))
+        return tuple(map(CountsTree, zip(*self.stack.levels)))
 
-    def _leaf_masses(self) -> list[np.ndarray]:
-        return [leaf_predictive_masses(stack, self.a0) for stack in self.stacks]
+    def _leaf_masses(self) -> np.ndarray:
+        return leaf_predictive_masses(self.stack, self.a0)
 
     def to_json_obj(self) -> dict:
         return {
@@ -135,9 +135,6 @@ class PosteriorModel:
             "log_unnormalized": self.log_unnormalized.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     def weight_rows(self) -> list[tuple[str, float, float]]:
         """(segmentation, normalized log weight, unnormalized log weight) rows."""
         return [
@@ -146,39 +143,25 @@ class PosteriorModel:
         ]
 
 
-def _unstack(family: SegmentationFamily, stacks) -> list:
-    """Per member, its row of its depth group's stack (anything that
-    iterates over its members; array rows are views)."""
-    rows = [None] * len(family)
-    for (_, idx), stack in zip(family._groups, stacks):
-        for j, row in zip(idx, stack):
-            rows[j] = row
-    return rows
+def _copy(stack: CountsTree) -> CountsTree:
+    return CountsTree(tuple(lvl.copy() for lvl in stack.levels))
 
 
-def _copy(stacks) -> list[CountsTree]:
-    return [CountsTree(tuple(lvl.copy() for lvl in stack.levels)) for stack in stacks]
+def _from_stack(family, stack, a0: float, m: int, log_unnorm: np.ndarray) -> PosteriorModel:
+    return PosteriorModel(family, stack, float(a0), m, log_unnorm - logsumexp(log_unnorm), log_unnorm)
 
 
-def _from_stacks(family, stacks, a0: float, m: int, log_unnorm: np.ndarray) -> PosteriorModel:
-    return PosteriorModel(family, tuple(stacks), float(a0), m, log_unnorm - logsumexp(log_unnorm), log_unnorm)
-
-
-def _add_point(family: SegmentationFamily, stacks, paths: np.ndarray, sign: int) -> None:
+def _add_point(stack: CountsTree, paths: np.ndarray, sign: int) -> None:
     """Add sign to the counts along every member's path, paths (members, L)."""
-    for (depth, idx), stack in zip(family._groups, stacks):
-        stack.levels[0][:, 0] += sign
-        for l in range(1, depth + 1):
-            stack.levels[l][np.arange(idx.size), paths[idx, l - 1]] += sign
+    stack.levels[0][:, 0] += sign
+    for l in range(1, len(stack.levels)):
+        stack.levels[l][np.arange(paths.shape[0]), paths[:, l - 1]] += sign
 
 
-def _log_leaf_mass(family: SegmentationFamily, stacks, paths: np.ndarray, a0: float) -> np.ndarray:
+def _log_leaf_mass(stack: CountsTree, paths: np.ndarray, a0: float) -> np.ndarray:
     """Log predictive probability (members, n) of the leaf ending each of the
-    members' paths (members, n, L) given the stacks: the chain less L log 2."""
-    out = np.empty(paths.shape[:2])
-    for (depth, idx), stack in zip(family._groups, stacks):
-        out[idx] = _log_path_density(stack.levels, paths[idx, :, :depth], a0) - depth * np.log(2.0)
-    return out
+    members' paths (members, n, L) given the stack: the chain less L log 2."""
+    return _log_path_density(stack.levels, paths, a0) - paths.shape[-1] * np.log(2.0)
 
 
 def _blocks(n: int, width: int):
@@ -198,35 +181,27 @@ def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
     pts = as_points(points, family.ndim)
     tables = LogGammaTables(a0, pts.shape[0])
     cls, scale, _, table = family._table
-    top = family._groups[-1][0]
-    counts = np.zeros((scale.shape[0], 1 << top), dtype=np.int64)  # of each class's cells
+    counts = np.zeros((scale.shape[0], table.shape[1]), dtype=np.int64)  # of each class's cells
     for rows in _blocks(pts.shape[0], scale.size):
-        cells = _class_cells(pts[rows], family) + np.arange(0, counts.size, 1 << top)[:, None]
+        cells = _class_cells(pts[rows], family) + np.arange(0, counts.size, table.shape[1])[:, None]
         counts += np.bincount(cells.ravel(), minlength=counts.size).reshape(counts.shape)
-    stacks, log_unnorm = [], np.empty(len(family))
-    for (depth, idx), (reps, edge) in zip(family._groups, family._edges):
-        own = slice(0, 1 << depth)  # a member's own cells: its leaves, permuted
-        leaf_counts = np.empty((idx.size, 1 << depth), dtype=np.int64)
-        np.put_along_axis(leaf_counts, table[idx, own] >> (top - depth), counts[cls[idx], own], axis=1)
-        stacks.append(counts_from_leaf_counts(leaf_counts))
-        levels, total = stacks[-1].levels, np.zeros(idx.size)
-        for l, rows in enumerate(reps, 1):
-            total += np.sum(_node_terms(levels[l][rows], levels[l - 1][rows], tables), axis=-1)[edge[l - 1]]
-        log_unnorm[idx] = total
-    return _from_stacks(family, stacks, a0, pts.shape[0], log_unnorm)
+    leaf_counts = np.empty(table.shape, dtype=np.int64)  # a member's cells are its leaves, permuted
+    np.put_along_axis(leaf_counts, table, counts[cls], axis=1)
+    stack, (reps, edge) = counts_from_leaf_counts(leaf_counts), family._edges
+    levels, log_unnorm = stack.levels, np.zeros(len(family))
+    for l, rows in enumerate(reps, 1):
+        log_unnorm += np.sum(_node_terms(levels[l][rows], levels[l - 1][rows], tables), axis=-1)[edge[l - 1]]
+    return _from_stack(family, stack, a0, pts.shape[0], log_unnorm)
 
 
-def _mixture_at(pts: np.ndarray, family: SegmentationFamily, weights: np.ndarray, tables) -> np.ndarray:
+def _mixture_at(pts: np.ndarray, family: SegmentationFamily, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Sum over members of w_j * table_j[leaf] * 2^L at validated points,
-    tables one (members, 2^L) array per depth group.  Members add up in
-    order (a cumulative sum), whatever the number of points."""
+    table (members, 2^L).  Members add up in order (a cumulative sum),
+    whatever the number of points."""
     vals = np.zeros(pts.shape[0])
-    top = family._groups[-1][0]
     for rows in _blocks(pts.shape[0], len(family) * family.ndim):
-        leaves = _leaves(pts[rows], family)
-        for (depth, idx), table in zip(family._groups, tables):
-            mass = np.take_along_axis(table, leaves[idx] >> (top - depth), axis=1)
-            vals[rows] += np.cumsum(weights[idx, None] * mass * (1 << depth), axis=0)[-1]
+        mass = np.take_along_axis(table, _leaves(pts[rows], family), axis=1)
+        vals[rows] += np.cumsum(weights[:, None] * mass * table.shape[1], axis=0)[-1]
     return vals
 
 
@@ -246,7 +221,7 @@ class IncrementalModel:
     by the predictive probability of the point's leaf given the other
     points, and removing one divides by it.  An update therefore costs
     one count-ratio chain along the point's path per member, O(depth),
-    run on copies of the count stacks for all members at once.
+    run on a copy of the count stack for all members at once.
     Intended for leave-one-out loops; the parent model is never modified.
     """
 
@@ -254,7 +229,7 @@ class IncrementalModel:
         self.family = model.family
         self.a0 = model.a0
         self.m = model.m
-        self.stacks = _copy(model.stacks)
+        self.stack = _copy(model.stack)
         self.log_unnormalized = model.log_unnormalized.copy()
 
     @property
@@ -281,17 +256,15 @@ class IncrementalModel:
         if sign < 0:
             if self.m == 0:
                 raise ValueError("no points to remove")
-            groups = zip(self.family._groups, self.stacks)
-            leaves = [s.levels[-1][np.arange(idx.size), paths[idx, d - 1]] for (d, idx), s in groups]
-            if any(np.any(n <= 0) for n in leaves):
+            if np.any(self.stack.levels[-1][np.arange(paths.shape[0]), paths[:, -1]] <= 0):
                 raise ValueError("no observation in that leaf to remove")
-            _add_point(self.family, self.stacks, paths, -1)
-        log_mass = _log_leaf_mass(self.family, self.stacks, paths[:, None], self.a0)[:, 0]
+            _add_point(self.stack, paths, -1)
+        log_mass = _log_leaf_mass(self.stack, paths[:, None], self.a0)[:, 0]
         self.log_unnormalized += sign * log_mass
         if sign > 0:
-            _add_point(self.family, self.stacks, paths, +1)
+            _add_point(self.stack, paths, +1)
         self.m += sign
 
     def snapshot(self) -> PosteriorModel:
         log_unnorm = self.log_unnormalized.copy()
-        return _from_stacks(self.family, _copy(self.stacks), self.a0, self.m, log_unnorm)
+        return _from_stack(self.family, _copy(self.stack), self.a0, self.m, log_unnorm)

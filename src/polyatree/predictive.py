@@ -8,7 +8,7 @@ supported by every function here:
 * a ``MixtureApproximation`` - a fixed collection of posterior draws of
   the leaf probabilities, `draws_per_seg` per segmentation, each mixture
   component carrying weight Pr(segmentation | data) / draws_per_seg; all
-  draws of a depth group of members come from one Beta call per level.
+  draws of all members come from one Beta call per level.
 
 Since every component density is constant within leaf boxes, conditional
 distributions over a 2-D grid, region probabilities, quantiles and
@@ -18,8 +18,8 @@ per-level corner steps, and its widths follow from the member's split
 counts, so no member's boxes are built one at a time.
 
 Both samplers run one kernel over the whole family: leaf laws only for
-the distinct drawn rows of each depth group, every leaf by bisection of
-its row's CDF, every point in its leaf's box.  The doubles come from one
+the distinct drawn (member, draw) rows, every leaf by bisection of its
+row's CDF, every point in its leaf's box.  The doubles come from one
 call, handed out in the order a loop over the drawn members, ascending,
 would consume them: a member's leaf uniforms, by draw and then by sample,
 then its in-box offsets, by sample.  That order, the reason the kernel
@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .hbeta import CountsTree, _check_count, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
-from .posterior import PosteriorModel, _mixture_at, _unstack
+from .posterior import PosteriorModel, _mixture_at
 from .segmentation import Segmentation, SegmentationFamily, _corner_steps, as_points
 
 __all__ = [
@@ -138,17 +138,14 @@ def region_from_json_obj(obj) -> list[Box]:
 
 def build_mixture(model: PosteriorModel, draws_per_seg: int = 50, rng=None) -> MixtureApproximation:
     """Draw `draws_per_seg` conjugate-posterior probability vectors per member:
-    one Beta call per level for each depth group's count stack, broadcast
-    over the draws without copying."""
+    one Beta call per level for the model's count stack, broadcast over the
+    draws without copying."""
     _check_count("draws_per_seg", draws_per_seg, 1)
     gen, seed = _as_rng_and_seed(rng)
-    stacks = []
-    for stack in model.stacks:
-        shape = (stack.levels[0].shape[0], draws_per_seg)
-        levels = tuple(np.broadcast_to(c[:, None], shape + c.shape[1:]) for c in stack.levels)
-        stacks.append(pi_from_phi(sample_phi_posterior(CountsTree(levels), model.a0, gen)))
-    # copies, not row views: a group's block held by the mixture slowed later fits ~30%
-    pis = tuple(map(np.copy, _unstack(model.family, stacks)))
+    shape = (len(model.family), draws_per_seg)
+    levels = tuple(np.broadcast_to(c[:, None], shape + c.shape[1:]) for c in model.stack.levels)
+    # copies, not row views: the whole block held by the mixture slowed later fits ~30%
+    pis = tuple(map(np.copy, pi_from_phi(sample_phi_posterior(CountsTree(levels), model.a0, gen))))
     return MixtureApproximation(model.family, model.weights.copy(), pis, draws_per_seg, seed)
 
 
@@ -158,20 +155,19 @@ def _family(obj) -> SegmentationFamily:
     raise TypeError(f"expected MixtureApproximation or PosteriorModel, got {type(obj)!r}")
 
 
-def _components(obj) -> tuple[SegmentationFamily, np.ndarray, list[np.ndarray]]:
-    """Family, member weights and mean leaf probabilities of either
-    representation, one (members, 2^L) table per depth group of the family."""
+def _components(obj) -> tuple[SegmentationFamily, np.ndarray, np.ndarray]:
+    """Family, member weights and mean leaf probabilities (members, 2^L) of
+    either representation."""
     family = _family(obj)
     if isinstance(obj, PosteriorModel):
         return family, obj.weights, obj._leaf_masses()
-    tables = [np.stack([obj.pis[j] for j in idx]).mean(axis=1) for _, idx in family._groups]
-    return family, obj.weights, tables
+    return family, obj.weights, np.stack(obj.pis).mean(axis=1)
 
 
 def mixture_density(points, obj):
     """Evaluate the (approximate) predictive density at each point."""
-    family, weights, tables = _components(obj)
-    vals = _mixture_at(as_points(points, family.ndim), family, weights, tables)
+    family, weights, table = _components(obj)
+    vals = _mixture_at(as_points(points, family.ndim), family, weights, table)
     return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
@@ -191,11 +187,11 @@ def leaf_boxes(seg: Segmentation) -> tuple[np.ndarray, np.ndarray]:
 def _sample_components(family, weights, n, gen, draw_of_member, leaf_laws):
     """Common sampling core: member ~ weights, leaf ~ its law, uniform in box.
 
-    ``leaf_laws(g, members, draws)`` gives the leaf laws (rows, 2^L) of
-    depth group g's distinct drawn (member, draw) rows, sorted; draw -1 is
-    the exact law.  A leaf is ``Generator.choice``'s right bisection of its
-    row's CDF, formed as choice forms it: each step finds one leaf bit and
-    adds that level's corner step."""
+    ``leaf_laws(members, draws)`` gives the leaf laws (rows, 2^L) of the
+    distinct drawn (member, draw) rows, sorted; draw -1 is the exact law.
+    A leaf is ``Generator.choice``'s right bisection of its row's CDF,
+    formed as choice forms it: each step finds one leaf bit and adds that
+    level's corner step."""
     member = gen.choice(len(family), size=n, p=weights / weights.sum())
     draw = draw_of_member(member, gen)
     ndim = family.ndim
@@ -207,27 +203,21 @@ def _sample_components(family, weights, n, gen, draw_of_member, leaf_laws):
     u = stream[ndim * (end - size)[member] + rank]  # leaf uniforms: by draw, then sample
     rank[np.argsort(member, kind="stable")] = np.arange(n)
     offset = stream[(end[member] + ndim * rank)[:, None] + np.arange(ndim)]  # then by sample
-    leaf, lo = np.empty(n, np.int64), np.empty((n, ndim))
     span = int(draw.max()) + 2  # (member, draw + 1) keys of leaf-law rows
-    for g, (depth, idx) in enumerate(family._groups):
-        s = np.flatnonzero(np.isin(member, idx))
-        if not s.size:
-            continue
-        j, us = member[s], u[s]
-        keys, row = np.unique(j * span + draw[s] + 1, return_inverse=True)
-        law = leaf_laws(g, keys // span, keys % span - 1)
-        p = law / law.sum(axis=1, keepdims=True)
-        if not np.all(p >= 0.0):  # NaN fails too: Generator.choice's check
-            raise ValueError("leaf probabilities must be finite, non-negative and not all zero")
-        cdf = np.cumsum(p, axis=1)
-        cdf = (cdf / cdf[:, -1:]).ravel()
-        k, corner = np.zeros(s.size, np.int64), np.zeros((s.size, ndim))
-        base = row * (1 << depth) - 1
-        for l in range(depth):
-            bit = cdf[base + k + (1 << (depth - 1 - l))] <= us
-            k += bit << (depth - 1 - l)
-            corner += bit[:, None] * family._steps[j, l]
-        leaf[s], lo[s] = k, corner
+    keys, row = np.unique(member * span + draw + 1, return_inverse=True)
+    law = leaf_laws(keys // span, keys % span - 1)
+    p = law / law.sum(axis=1, keepdims=True)
+    if not np.all(p >= 0.0):  # NaN fails too: Generator.choice's check
+        raise ValueError("leaf probabilities must be finite, non-negative and not all zero")
+    cdf = np.cumsum(p, axis=1)
+    cdf = (cdf / cdf[:, -1:]).ravel()
+    depth = family.depth
+    leaf, lo = np.zeros(n, np.int64), np.zeros((n, ndim))
+    base = row * (1 << depth) - 1
+    for l in range(depth):
+        bit = cdf[base + leaf + (1 << (depth - 1 - l))] <= u
+        leaf += bit << (depth - 1 - l)
+        lo += bit[:, None] * family._steps[member, l]
     cls, scale = family._table[:2]
     return lo + offset * (1.0 / scale[cls[member], 0]), member, draw, leaf
 
@@ -244,7 +234,7 @@ def sample_predictive(mix: MixtureApproximation, n: int, rng=None) -> Predictive
     _check_count("n", n, 1)
     gen, seed = _as_rng_and_seed(rng)
 
-    def laws(_, members, draws):  # members come sorted: gather each one's drawn rows
+    def laws(members, draws):  # members come sorted: gather each one's drawn rows
         heads, first = np.unique(members, return_index=True)
         return np.concatenate([mix.pis[j][h] for j, h in zip(heads.tolist(), np.split(draws, first[1:]))])
 
@@ -266,15 +256,14 @@ def sample_posterior_predictive(model: PosteriorModel, n: int, rng=None) -> Pred
     closed-form predictive leaf masses, so no probability vectors need to
     be drawn; each sample behaves as if it used its own fresh draw.  One
     kernel samples the whole family; leaf masses are computed only for the
-    drawn members' rows of the count stacks, and the stream is the one a
+    drawn members' rows of the count stack, and the stream is the one a
     loop over the drawn members in ascending order would consume.
     """
     _check_count("n", n, 1)
     gen, seed = _as_rng_and_seed(rng)
 
-    def laws(g, members, _):
-        rows = np.searchsorted(model.family._groups[g][1], members)
-        return leaf_predictive_masses(CountsTree(tuple(c[rows] for c in model.stacks[g].levels)), model.a0)
+    def laws(members, _):
+        return leaf_predictive_masses(CountsTree(tuple(c[members] for c in model.stack.levels)), model.a0)
 
     points, member, draw, leaf = _sample_components(
         model.family,
@@ -318,7 +307,7 @@ def predictive_probability(
     predictive samples, with the binomial standard error reported.
     """
     boxes = _as_boxes(region)
-    family, weights, tables = _components(obj)
+    family, weights, table = _components(obj)
     for b in boxes:
         if len(b.lower) != family.ndim:
             raise ValueError("box dimension does not match the family")
@@ -328,16 +317,12 @@ def predictive_probability(
     if method == "analytic" and not disjoint:
         raise ValueError("analytic mass needs pairwise-disjoint boxes")
     if method in ("auto", "analytic") and disjoint:
-        total = 0.0
         cls, scale = family._table[:2]
-        for (depth, idx), table in zip(family._groups, tables):
-            # leaf boxes of the group's members, (members, 2^L, ndim) each
-            lo = _lower_corners(depth, family._steps[idx, :depth])
-            hi = lo + 1.0 / scale[cls[idx]]
-            overlap = (np.minimum(hi, b.upper) - np.maximum(lo, b.lower) for b in boxes)
-            share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
-            total += float(weights[idx] @ np.sum(table * share, axis=-1))
-        return PredictiveProbability(total, 0.0, "analytic")
+        lo = _lower_corners(family.depth, family._steps)  # every member's leaf boxes, (members, 2^L, ndim)
+        hi = lo + 1.0 / scale[cls]
+        overlap = (np.minimum(hi, b.upper) - np.maximum(lo, b.lower) for b in boxes)
+        share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
+        return PredictiveProbability(float(weights @ np.sum(table * share, axis=-1)), 0.0, "analytic")
     _check_count("mc_samples", mc_samples, 1)
     draw = sample_predictive if isinstance(obj, MixtureApproximation) else sample_posterior_predictive
     pts = draw(obj, mc_samples, rng).points

@@ -11,14 +11,16 @@ along the upper face of the cube, so a coordinate equal to 1.0 always
 falls in the last box.  This makes point location total and deterministic
 on the closed cube.
 
-Boxes depend only on how often each dimension is split, not on the order:
-a point is binned once per class of equal split counts, into a cell, and
-its leaf in a member is the member's cached leaf table read at the cell.
-For the same reason members that reach a level with equal split counts
-and split the same dimension there share a lattice edge, and a family
-caches which edge each member takes at each level.  A leaf's box is its
-bits times its member's cached per-level corner steps, plus the widths
-its split counts give.
+A family's members share one depth, so its leaf tables, lattice edges
+and corner steps are each one array over the members.  Boxes depend only
+on how often each dimension is split, not on the order: a point is binned
+once per class of equal split counts, into a cell, and its leaf in a
+member is the member's cached leaf table read at the cell.  For the same
+reason members that reach a level with equal split counts and split the
+same dimension there share a lattice edge, and a family caches which edge
+each member takes at each level.  A leaf's box is its bits times its
+member's cached per-level corner steps, plus the widths its split counts
+give.
 """
 
 from __future__ import annotations
@@ -127,19 +129,17 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _cell_table(dims: np.ndarray, ndim: int) -> tuple[np.ndarray, ...]:
     """Classes and leaf tables for `_locate`, from the members' splitting
-    dimensions (members, L), ndim + 1 below a member's depth.  Members that
-    split each dimension d equally often, s_d times, form a class; a point's
-    class cell is the mixed-radix code of its bins min(floor(u_d 2^s_d),
-    2^s_d - 1), dimension 1 lowest, and its leaf in a member a bit
-    permutation of it.  Returns each member's class, the classes' scales 2^s
-    (classes, 1, ndim) and bin place values (classes, ndim, 1), and each
-    cell's leaf (members, 2^L), shallower members' leaves shifted to the
-    deepest L."""
+    dimensions (members, L).  Members that split each dimension d equally
+    often, s_d times, form a class; a point's class cell is the mixed-radix
+    code of its bins min(floor(u_d 2^s_d), 2^s_d - 1), dimension 1 lowest,
+    and its leaf in a member a bit permutation of it.  Returns each member's
+    class, the classes' scales 2^s (classes, 1, ndim) and bin place values
+    (classes, ndim, 1), and each cell's leaf (members, 2^L)."""
     depth = dims.shape[1]
     # cell bits run by dimension, later splits of it lower: cell bit b is read
     # at level -key[:, b] % depth, which sets leaf bit (key - 1) % depth
     key = np.sort(dims * depth - np.arange(depth), axis=1)
-    weight = (key <= ndim * depth) << ((key - 1) % depth)
+    weight = 1 << ((key - 1) % depth)
     # a cell's leaf: the outer sum over its lower `half` cell bits and the rest
     half = depth // 2
     bits = (np.arange(1 << (depth - half)) >> np.arange(depth - half)[:, None]) & 1
@@ -154,7 +154,7 @@ def _cell_table(dims: np.ndarray, ndim: int) -> tuple[np.ndarray, ...]:
 
 
 def _edge_table(dims: np.ndarray, ndim: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Lattice edges taken by equal-depth members, dims (members, L): the
+    """Lattice edges taken by the members, dims (members, L): the
     split counts before a level and the dimension split at it.  Members on
     one edge have the same boxes at both of its levels, numbered apart, so
     the same sum of node terms.  Returns each level's edge representatives
@@ -192,22 +192,21 @@ def _class_cells(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> 
 
 
 def _leaves(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
-    """Leaf of validated points in every member, shifted to the deepest depth, (members, n)."""
+    """Leaf of validated points in every member, (members, n)."""
     cls, _, _, table = segs._table
     return table[np.arange(cls.size)[:, None], _class_cells(pts, segs)[cls]]
 
 
 def _locate(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
     """Paths of validated points (n, P) in one segmentation or every member
-    of a family, shape (members, n, L) for the deepest member's L.
+    of a family, shape (members, n, L).
 
-    A member's own path is ``[j, :, :depth]``.  The child rule is
-    index = 2*parent + bit, with bit 0 for the lower half of the split
-    coordinate, so the leaf index holds the bits of all levels and the box
-    at a level is the leaf index shifted right by the levels below it.
+    The child rule is index = 2*parent + bit, with bit 0 for the lower half
+    of the split coordinate, so the leaf index holds the bits of all levels
+    and the box at a level is the leaf index shifted right by the levels
+    below it.
     """
-    depth = segs._table[-1].shape[1].bit_length() - 1
-    return _leaves(pts, segs)[..., None] >> np.arange(depth - 1, -1, -1)
+    return _leaves(pts, segs)[..., None] >> np.arange(segs.depth - 1, -1, -1)
 
 
 def path_indices(points: np.ndarray, seg: Segmentation) -> np.ndarray:
@@ -234,7 +233,12 @@ def locate(u, seg: Segmentation) -> SubintervalPath:
 
 @dataclass(frozen=True)
 class SegmentationFamily:
-    """Nonempty ordered collection of distinct segmentations, uniform prior mass each."""
+    """Nonempty ordered collection of distinct segmentations of one depth
+    and one ambient dimension, uniform prior mass each.
+
+    With one depth L the density form of every member's likelihood is its
+    leaf-sequence probability times 2^(mL), the same factor for all, so the
+    leaf-sequence weights of `fit` are exact and its counts are one stack."""
 
     members: tuple[Segmentation, ...]
 
@@ -244,6 +248,8 @@ class SegmentationFamily:
         ndim = self.members[0].ndim
         if any(s.ndim != ndim for s in self.members):
             raise ValueError("family members must share the ambient dimension")
+        if any(s.depth != self.members[0].depth for s in self.members):
+            raise ValueError("family members must share one depth")
         if len(set(self.members)) != len(self.members):
             raise ValueError("family members must be distinct")
 
@@ -251,34 +257,30 @@ class SegmentationFamily:
     def ndim(self) -> int:
         return self.members[0].ndim
 
+    @property
+    def depth(self) -> int:
+        return self.members[0].depth
+
     def __len__(self) -> int:
         return len(self.members)
 
     @cached_property
     def _dims(self) -> np.ndarray:
-        """Splitting dimensions (members, deepest L); levels below a member's
-        depth split dimension ndim + 1, which sorts last."""
-        depth = max(s.depth for s in self.members)
-        return np.array([s.dims + (self.ndim + 1,) * (depth - s.depth) for s in self.members])
+        """Splitting dimensions (members, L)."""
+        return np.array([s.dims for s in self.members])
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, ...]:
         return _cell_table(self._dims, self.ndim)
 
     @cached_property
-    def _groups(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """(depth, member indices) per depth, shallowest first: count stacks."""
-        depths = np.array([s.depth for s in self.members])
-        return tuple((int(d), np.flatnonzero(depths == d)) for d in np.unique(depths))
-
-    @cached_property
-    def _edges(self) -> tuple[tuple[tuple[np.ndarray, ...], np.ndarray], ...]:
-        """`_edge_table` of each depth group: what `fit` weighs."""
-        return tuple(_edge_table(self._dims[idx, :depth], self.ndim) for depth, idx in self._groups)
+    def _edges(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """`_edge_table` of the members: what `fit` weighs."""
+        return _edge_table(self._dims, self.ndim)
 
     @cached_property
     def _steps(self) -> np.ndarray:
-        """`_corner_steps` of every member, (members, deepest L, ndim): where
+        """`_corner_steps` of every member, (members, L, ndim): where
         sampling and box masses place leaves."""
         return _corner_steps(self._dims, self.ndim)
 

@@ -72,7 +72,7 @@ def _save_model(model: PosteriorModel, outdir: str) -> None:
 
 def _load_model(indir: str) -> PosteriorModel:
     """Read a saved model, checking that counts.json fits model.json, and
-    stack its per-member trees by depth group."""
+    stack its per-member trees."""
     with open(os.path.join(indir, "model.json")) as fh:
         obj = json.load(fh)
     with open(os.path.join(indir, "counts.json")) as fh:
@@ -84,10 +84,9 @@ def _load_model(indir: str) -> PosteriorModel:
         raise ValueError(f"counts.json has {len(counts)} trees for {len(family)} family members")
     if any(tree.depth != seg.depth or tree.m != m for seg, tree in zip(family, counts)):
         raise ValueError(f"counts.json trees must have their members' depths and m = {m} points")
-    trees = [[counts[j].levels for j in idx] for _, idx in family._groups]
     return PosteriorModel(
         family,
-        tuple(CountsTree(tuple(map(np.stack, zip(*levels)))) for levels in trees),
+        CountsTree(tuple(map(np.stack, zip(*(tree.levels for tree in counts))))),
         float(obj["a0"]),
         m,
         np.asarray(obj["log_weights"]),

@@ -31,10 +31,6 @@ def chi_square_gof(observed: np.ndarray, cell_probs: np.ndarray) -> tuple[float,
     return float(stat), float(pvalue)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
 @dataclass(eq=False)
 class PiecewiseLinearDensity:
     """Density on [0,1] linear between knots, rescaled to integrate to one.
@@ -94,7 +90,7 @@ class PiecewiseLinearDensity:
         return x0 + w * np.clip(frac, 0.0, 1.0)
 
     def sample(self, n: int, rng=None) -> np.ndarray:
-        gen = _as_rng(rng)
+        gen = np.random.default_rng(rng)
         return self.ppf(gen.uniform(size=n))
 
     def bin_masses(self, n_bins: int) -> np.ndarray:
@@ -144,7 +140,7 @@ class LogisticStripDensity:
         return 2.0 / (1.0 + np.exp(-self.slope * (pts[:, 0] - self.center)))
 
     def sample(self, n: int, rng=None) -> np.ndarray:
-        gen = _as_rng(rng)
+        gen = np.random.default_rng(rng)
         x = np.clip(self.x_ppf(gen.uniform(size=n)), 0.0, 1.0)
         return np.column_stack([x, gen.uniform(size=n)])
 
@@ -178,7 +174,7 @@ class LogitNormalRegression:
         return np.where(x < self.threshold, self.level_below, self.slope * x)
 
     def sample(self, n: int, rng=None) -> np.ndarray:
-        gen = _as_rng(rng)
+        gen = np.random.default_rng(rng)
         x = gen.normal(0.0, self.x_sd, size=n)
         y = self.mean_y(x) + gen.normal(0.0, self.y_sd, size=n)
         return np.column_stack([_sigmoid(x), _sigmoid(y)])
@@ -194,10 +190,6 @@ class LogitNormalRegression:
     def conditional_quantile(self, u_x, q: float) -> np.ndarray:
         x = _logit(np.asarray(u_x, dtype=np.float64))
         return _sigmoid(self.mean_y(x) + self.y_sd * norm.ppf(q))
-
-    def x_cell_probs(self, nx: int) -> np.ndarray:
-        edges = np.arange(nx + 1) / nx
-        return np.diff(norm.cdf(_logit_clipped(edges) / self.x_sd))
 
     def cell_probs(self, nx: int, ny: int, n_sub: int = 256) -> np.ndarray:
         """Cell probabilities on an nx-by-ny grid by x-quadrature."""
@@ -254,7 +246,7 @@ class CategoricalGaussianMixture:
         return cov
 
     def sample(self, n: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
-        gen = _as_rng(rng)
+        gen = np.random.default_rng(rng)
         labels = gen.choice(np.array(self.levels, dtype=object), size=n, p=self.level_probs)
         y = gen.standard_normal((n, self.n_continuous))
         mask = labels == self.levels[0]

@@ -20,6 +20,7 @@ from .. import conformal as conf
 from .. import predictive as pred
 from ..encoding import ColumnSchema, decode, encode, fit_encoding
 from ..hbeta import (
+    CountsTree,
     accumulate_counts,
     leaf_predictive_masses,
     pi_from_phi,
@@ -244,7 +245,9 @@ def run_1d_study(
     out=None,
 ) -> ErrorReport:
     """Pointwise mean and root-MSE of the tree-smoothed density estimator
-    against the raw histogram estimator, one canonical segmentation per depth.
+    against the raw histogram estimator, one canonical segmentation per
+    distinct depth.  Each run counts once, at the deepest depth; depth L
+    reads the first L + 1 levels of that tree.
 
     The reported counts baseline is the analytic histogram root-MSE
     2^L * sqrt(p (1-p) / m) with p the true bin mass; the simulated
@@ -253,21 +256,23 @@ def run_1d_study(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     density = density or DEFAULT_1D_DENSITY
-    depths = tuple(int(L) for L in depths)
+    depths = tuple(dict.fromkeys(int(L) for L in depths))  # a repeated depth counts once
+    if min(depths) < 1:
+        raise ValueError("depths must be >= 1")
     n_eval = 4 << max(depths)
     grid = (np.arange(n_eval) + 0.5) / n_eval
     true_pdf = density.pdf(grid)
 
-    segs = {L: build((1,) * L, 1) for L in depths}  # built once: each caches its leaf table
+    seg = build((1,) * max(depths), 1)  # built once: it caches its leaf table
     sums = {(L, name): np.zeros(1 << L) for L in depths for name in ("hbeta", "counts")}
     sqsums = {k: np.zeros_like(v) for k, v in sums.items()}
     streams = np.random.SeedSequence(seed).spawn(runs)
     for stream in streams:
         gen = np.random.default_rng(stream)
-        u = density.sample(m, gen)
+        tree = accumulate_counts(density.sample(m, gen)[:, None], seg)
         for L in depths:
             n_bins = 1 << L
-            counts = accumulate_counts(u[:, None], segs[L])
+            counts = CountsTree(tree.levels[: L + 1])
             est_h = leaf_predictive_masses(counts, a0) * n_bins
             est_c = counts.levels[-1] / m * n_bins
             for name, est in (("hbeta", est_h), ("counts", est_c)):
@@ -513,7 +518,7 @@ def run_quantreg_study(
     data_rng, mix_rng, sample_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
-    observations = density.sample(m, data_rng) if m else np.zeros((0, 2))
+    observations = density.sample(m, data_rng)
     family = quantreg_family()
     model = fit(observations, family, a0)
     mixture = pred.build_mixture(model, draws_per_seg, mix_rng)
@@ -525,7 +530,7 @@ def run_quantreg_study(
     true_quantiles = {q: density.conditional_quantile(xs, q) for q in q_levels}
     credible_boxes = pred.credible_prediction_set(mixture, credible_alpha)
     config = conf.ConformalConfig(family, a0=a0, draws_per_seg=conformal_draws, seed=seed)
-    scores = conf.loo_scores(observations, config) if m else np.zeros(0)
+    scores = conf.loo_scores(observations, config)
     x_cols = (np.arange(16) + 0.5) / 16
     band = conf.conformal_band(observations, x_cols, conformal_alpha, config, y_grid_size)
     meta = {

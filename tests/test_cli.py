@@ -168,17 +168,16 @@ class TestModelCommands:
 
 
     def test_saved_model_reloads_bit_for_bit(self, tmp_path, rng):
-        # a ragged family of four depth groups; the loader stacks each one
-        dims = [(1, 2, 1, 2), (2, 2, 2), (1, 1), (2, 1, 1, 2, 2), (1, 2), (2, 1, 2), (2, 2)]
+        # seven depth-4 members in four split-count classes; the loader
+        # stacks the per-member trees into one stack again
+        dims = [(1, 2, 1, 2), (2, 2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 2), (1, 2, 2, 2), (2, 1, 2, 2), (2, 2, 1, 1)]
         fam = SegmentationFamily(tuple(build(d, 2) for d in dims))
         model = fit(rng.uniform(size=(57, 2)) ** 2, fam, 0.7)
         _save_model(model, tmp_path / "m")
         loaded = _load_model(tmp_path / "m")
-        assert len(loaded.stacks) == len(fam._groups) == 4
-        for a, b in zip(model.stacks, loaded.stacks):
-            assert len(a.levels) == len(b.levels)
-            for x, y in zip(a.levels, b.levels):
-                assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert len(loaded.stack.levels) == len(model.stack.levels) == 5
+        for x, y in zip(model.stack.levels, loaded.stack.levels):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
         for a, b in zip(model.counts, loaded.counts):
             assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a.levels, b.levels))
         for name in ("a0", "m"):
@@ -258,6 +257,22 @@ class TestValidationFailures:
         (model_dir / "counts.json").write_text(json.dumps(counts))
         code = main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["density", "--grid", "2"], ["sample", "--n", "5"]])
+    def test_model_mixing_depths_exits_2(self, tmp_path, rng, capsys, command):
+        # model.json and counts.json agree, but member 0 is cut to depth 1
+        data_path = tmp_path / "data.csv"
+        write_points_csv(data_path, rng.uniform(size=(12, 2)))
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)]) == 0
+        model = json.loads((model_dir / "model.json").read_text())
+        counts = json.loads((model_dir / "counts.json").read_text())
+        model["family"]["members"][0] = model["family"]["members"][0][:1]
+        counts["counts"][0]["levels"] = counts["counts"][0]["levels"][:1]
+        (model_dir / "model.json").write_text(json.dumps(model))
+        (model_dir / "counts.json").write_text(json.dumps(counts))
+        code = main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
+        assert code == 2 and "share one depth" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -55,15 +55,22 @@ def oracle_points(seed, m, ndim):
     return pts
 
 
-dims_2_to_5 = st.lists(st.integers(1, 2), min_size=2, max_size=5).map(tuple)
+# one depth from 2 to 5, then 2 to 6 distinct orderings over {x, y} of it
+dims_2_to_5 = st.integers(2, 5).flatmap(
+    lambda depth: st.lists(
+        st.lists(st.integers(1, 2), min_size=depth, max_size=depth).map(tuple),
+        min_size=2,
+        max_size=min(6, 2**depth),
+        unique=True,
+    )
+)
 
 
 def pair_union(pairs, prefix, splits):
     """As the highdim study's family, in 3-D: one balanced pair family per
-    pair behind a common prefix, one split-count class each, plus the bare
-    prefix as a shallower member."""
+    pair behind a common prefix, one split-count class each."""
     fams = [enumerate_balanced_family(3, {a: splits, b: splits}, prefix) for a, b in pairs]
-    return union_families(fams + [SegmentationFamily((build(prefix or (1,), 3),))])
+    return union_families(fams)
 
 
 def small_highdim():
@@ -73,9 +80,9 @@ def small_highdim():
 EDGE_FAMILIES = {
     "quantreg": quantreg_family,
     "highdim": small_highdim,
-    # depths 2 to 5; one member never splits x, one never splits y
+    # depth 4, three split-count classes; one member never splits x, one never splits y
     "ragged": lambda: SegmentationFamily(
-        tuple(build(d, 2) for d in [(1, 2, 1, 2), (2, 2, 2), (1, 1), (2, 1, 1, 2, 2)])
+        tuple(build(d, 2) for d in [(1, 2, 1, 2), (2, 2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 2)])
     ),
     "union": lambda: pair_union([(1, 2), (1, 3), (2, 3)], (3,), 2),
     "table1": table1_family,
@@ -189,7 +196,7 @@ class TestFit:
         first = model.counts[3]
         assert len(made) == len(fam) and model.counts[3] is first
         assert list(model.counts) == [model.counts[j] for j in range(len(fam))]
-        stack = model.stacks[0].levels[-1]
+        stack = model.stack.levels[-1]
         assert np.shares_memory(first.levels[-1], stack)
         assert np.array_equal(first.levels[-1], accumulate_counts(pts, fam[3]).levels[-1])
 
@@ -214,7 +221,7 @@ class TestFit:
     )
     def test_edge_counts(self, fam, per_level):
         # quantreg: 40 edges for 560 member-levels; highdim: 930 for 19,600
-        ((reps, edge),) = fam._edges
+        reps, edge = fam._edges
         assert [r.size for r in reps] == per_level
         assert edge.shape == (len(per_level), len(fam))
         assert np.array_equal(edge.max(axis=1) + 1, per_level)
@@ -251,7 +258,7 @@ class TestWeightOracle:
         np.testing.assert_allclose(fit(pts, fam, a0).log_unnormalized, ref, rtol=1e-12)
 
     @given(
-        dims=st.lists(dims_2_to_5, min_size=2, max_size=6, unique=True),
+        dims=dims_2_to_5,
         m=st.integers(0, 60),
         a0=st.floats(0.05, 20.0),
         seed=st.integers(0, 10_000),
@@ -298,7 +305,7 @@ class TestMixtureDensity:
         )
 
     @given(
-        dims=st.lists(dims_2_to_5, min_size=2, max_size=6, unique=True),
+        dims=dims_2_to_5,
         a0=st.floats(0.05, 20.0),
         seed=st.integers(0, 10_000),
     )
@@ -331,11 +338,11 @@ class TestMixtureDensity:
 class TestIncrementalModel:
     @given(seed=st.integers(0, 5_000), a0=st.floats(0.05, 20.0))
     def test_matches_refit_after_updates(self, seed, a0):
-        # the second family mixes depths and leaves empty parents under
-        # the first split, where the count-ratio chain stops early
+        # the second family has two split-count classes and leaves empty
+        # parents under the first split, where the count-ratio chain stops early
         families = [
             enumerate_balanced_family(2, {1: 2, 2: 1}),
-            SegmentationFamily((build((1, 1), 2), build((2, 2, 1), 2))),
+            SegmentationFamily((build((1, 1, 1), 2), build((2, 2, 1), 2))),
         ]
         for fam, a in zip(families, (1.0, a0)):
             gen = np.random.default_rng(seed)

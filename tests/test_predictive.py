@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -30,8 +32,8 @@ def small_family():
 
 
 def ragged_family():
-    # depths 2 to 5, four depth groups; one member never splits x, one never splits y
-    dims = [(1, 2, 1, 2), (2, 2, 2), (1, 1), (2, 1, 1, 2, 2)]
+    # depth 4, three split-count classes: x split 2, 0 and 4 times
+    dims = [(1, 2, 1, 2), (2, 2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 2)]
     return SegmentationFamily(tuple(build(d, 2) for d in dims))
 
 
@@ -444,20 +446,16 @@ def _assert_samplers_match(model, mix, n, seed):
 
 def _reference_box_mass(region, obj):
     """The analytic box mass over stacked per-member reference boxes."""
-    family, weights, tables = predictive._components(obj)
-    total = 0.0
-    for (_, idx), table in zip(family._groups, tables):
-        lo, hi = map(np.stack, zip(*(_reference_leaf_boxes(family[j]) for j in idx)))
-        overlap = (np.minimum(hi, b.upper) - np.maximum(lo, b.lower) for b in region)
-        share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
-        total += float(weights[idx] @ np.sum(table * share, axis=-1))
-    return total
+    family, weights, table = predictive._components(obj)
+    lo, hi = map(np.stack, zip(*map(_reference_leaf_boxes, family)))
+    overlap = (np.minimum(hi, b.upper) - np.maximum(lo, b.lower) for b in region)
+    share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
+    return float(weights @ np.sum(table * share, axis=-1))
 
 
 def ragged5_family():
-    # five depth groups, depths 1 to 5, most with several members
-    dims = [(1,), (2,), (1, 1), (2, 1), (2, 2, 2), (1, 2, 1), (1, 2, 1, 2), (2, 1, 1, 2, 2), (1, 1, 2, 2, 1)]
-    return SegmentationFamily(tuple(build(d, 2) for d in dims))
+    # all 32 depth-5 orderings over {x, y}: six split-count classes, x split 0 to 5 times
+    return SegmentationFamily(tuple(build(d, 2) for d in itertools.product((1, 2), repeat=5)))
 
 
 STREAM_FAMILIES = {
@@ -539,7 +537,7 @@ class TestSamplingKernel:
 
         fam = SegmentationFamily((build((1, 1), 1),))
         points, _, _, leaf = predictive._sample_components(
-            fam, np.ones(1), 4, Stub(), lambda m, g: np.full(m.size, -1), lambda g, j, h: np.full((j.size, 4), 0.25)
+            fam, np.ones(1), 4, Stub(), lambda m, g: np.full(m.size, -1), lambda j, h: np.full((j.size, 4), 0.25)
         )
         assert leaf.tolist() == [1, 2, 3, 0]
         assert points[:, 0].tolist() == [0.375, 0.625, 0.875, 0.125]

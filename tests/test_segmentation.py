@@ -118,18 +118,18 @@ class TestPathIndices:
     def test_family_location_matches_inline_binning(self, data, ndim):
         # after its k-th split of dimension d, a path has put the point in
         # bin min(floor(u_d * 2^k), 2^k - 1) along d, in every member
-        member = st.lists(st.integers(1, ndim), min_size=1, max_size=7)
-        members = st.lists(member, min_size=1, max_size=5, unique_by=tuple)
+        # one depth, then distinct orderings of it: members of several classes
+        member = lambda depth: st.lists(st.integers(1, ndim), min_size=depth, max_size=depth)
+        members = st.integers(1, 7).flatmap(lambda depth: st.lists(member(depth), min_size=1, max_size=5, unique_by=tuple))
         ragged = members.map(lambda ms: SegmentationFamily(tuple(build(dims, ndim) for dims in ms)))
-        # unions of pair families behind a prefix, as in the highdim study,
-        # with the bare prefix as a shallower member: several classes, ragged
+        # unions of pair families behind a prefix, as in the highdim study:
+        # several classes of one depth
         pair = st.sampled_from(list(itertools.combinations(range(1, ndim + 1), 2)))
         pairs = st.lists(pair, min_size=1, unique=True)
         prefix = st.lists(st.integers(1, ndim), max_size=2).map(tuple)
         unions = st.builds(
             lambda pairs, prefix, splits: union_families(
                 [enumerate_balanced_family(ndim, {a: splits, b: splits}, prefix) for a, b in pairs]
-                + [SegmentationFamily((build(prefix or (1,), ndim),))]
             ),
             pairs,
             prefix,
@@ -142,7 +142,7 @@ class TestPathIndices:
         pts = np.array(data.draw(rows), dtype=np.float64)
         paths = _locate(pts, family)
         for j, seg in enumerate(family):
-            assert np.array_equal(paths[j, :, : seg.depth], path_indices(pts, seg))
+            assert np.array_equal(paths[j], path_indices(pts, seg))
             for u, path in zip(pts, paths[j]):
                 cells, splits, parent = [0] * ndim, [0] * ndim, 0
                 for level, d in enumerate(seg.dims):
@@ -254,6 +254,21 @@ class TestFamilies:
             SegmentationFamily((seg, seg))
         with pytest.raises(ValueError):
             SegmentationFamily(())
+
+    def test_members_of_different_depths_rejected(self):
+        with pytest.raises(ValueError, match="share one depth"):
+            SegmentationFamily((build((1, 2), 2), build((1, 2, 1), 2)))
+        obj = {"ndim": 2, "members": [[1], [1, 2]]}
+        with pytest.raises(ValueError, match="share one depth"):
+            SegmentationFamily.from_json_obj(obj)
+        fam = SegmentationFamily((build((2, 1, 1), 2), build((1, 1, 2), 2)))
+        assert fam.depth == 3 and fam._dims.shape == (2, 3)
+
+    def test_union_of_different_depths_rejected(self):
+        deep = enumerate_balanced_family(2, {1: 4, 2: 4})  # depth 8
+        shallow = enumerate_balanced_family(2, {1: 2, 2: 2})  # depth 4
+        with pytest.raises(ValueError, match="share one depth"):
+            union_families([deep, shallow])
 
     def test_union_preserves_order_and_distinctness(self):
         a = enumerate_balanced_family(2, {1: 2})

@@ -92,6 +92,12 @@ class TestOneDimStudy:
         ana = rep.rmse_curves["counts_analytic_L4"]
         assert np.median(np.abs(sim - ana) / ana) < 0.15
 
+    def test_repeated_depth_counts_once(self):
+        a = studies.run_1d_study(m=50, a0=1.0, runs=3, depths=(3, 3), seed=1)
+        b = studies.run_1d_study(m=50, a0=1.0, runs=3, depths=(3,), seed=1)
+        for x, y in ((a.mean_curves, b.mean_curves), (a.rmse_curves, b.rmse_curves)):
+            assert x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
+
     def test_csv_output(self, tmp_path):
         studies.run_1d_study(m=20, a0=1.0, runs=5, depths=(3,), seed=0, out=tmp_path)
         meta = read_meta(tmp_path / "sim1d.csv")
