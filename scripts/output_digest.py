@@ -19,9 +19,13 @@ from polyatree.simharness import cli, studies
 
 
 def emit(name, obj):
-    if isinstance(obj, pt.PosteriorModel):  # its public read-outs, every count in one array
-        obj = dict(counts=np.concatenate([level.ravel() for tree in obj.counts for level in tree.levels]),
+    if isinstance(obj, pt.PosteriorModel):  # its public read-outs, every count in one array, member by member
+        obj = dict(counts=np.concatenate([level[j] for j in range(len(obj.family)) for level in obj.stack.levels]),
                    log_weights=obj.log_weights, log_unnormalized=obj.log_unnormalized)
+    if isinstance(obj, pt.MixtureApproximation):  # its fields, the draw block as per-member rows, draws_per_seg too
+        for key, item in dict(family=obj.family, weights=obj.weights, pis=tuple(obj.pis), draws_per_seg=obj.draws_per_seg, seed=obj.seed).items():
+            emit(f"{name}.{key}", item)
+        return
     obj = repr(obj.to_json_obj()) if isinstance(obj, pt.SegmentationFamily) else obj
     if isinstance(obj, np.ndarray) and obj.dtype != object:
         print(name, hashlib.sha256(f"{obj.dtype.str}{obj.shape}".encode() + obj.tobytes()).hexdigest())

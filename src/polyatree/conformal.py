@@ -39,7 +39,7 @@ import numpy as np
 
 from . import predictive as pred
 from .hbeta import CountsTree, _check_a0, _check_count, _path_counts, leaf_predictive_masses
-from .posterior import _add_point, _copy, _from_stack, _log_leaf_mass, fit
+from .posterior import PosteriorModel, _add_point, _copy, _log_leaf_mass, fit
 from .segmentation import SegmentationFamily, _locate, as_points
 
 __all__ = [
@@ -242,10 +242,10 @@ class _MixtureScorer(_Scorer):
         return float(pred._conditional_cdf(self._train_grid, as_points(point, 2))[0])
 
     def _loo(self, cpaths=None, log_cand=None) -> np.ndarray:
-        a0 = self.config.a0
-        stack, lc, m = self._train_model.stack, 0.0, self.m - 1
+        a0 = float(self.config.a0)
+        stack, lc = self._train_model.stack, 0.0
         if cpaths is not None:
-            stack, lc, m = _copy(stack), log_cand, self.m
+            stack, lc = _copy(stack), log_cand
             _add_point(stack, cpaths, +1)
         scores = np.empty(self.m)
         for i in range(self.m):
@@ -254,7 +254,7 @@ class _MixtureScorer(_Scorer):
             log_own = _log_leaf_mass(swapped, self._paths[:, i : i + 1], a0)[:, 0]
             # difference first, as in the exact scorer
             log_w = self._train_model.log_unnormalized + (lc - log_own)
-            grid = pred.grid_mass_matrix(self._mixture(_from_stack(self.family, swapped, a0, m, log_w)))[1]
+            grid = pred.grid_mass_matrix(self._mixture(PosteriorModel(self.family, swapped, a0, log_w)))[1]
             scores[i] = pred._conditional_cdf(grid, self.pts[i : i + 1])[0]
         return scores
 
@@ -272,7 +272,10 @@ def conformity_score(train, point, config: ConformalConfig, direction: str = "be
     gives the complementary upper-tail score.
     """
     orient = _orient(direction)
-    pt = as_points(point, 2)[0]
+    pts = as_points(point, 2)
+    if pts.shape[0] != 1:
+        raise ValueError(f"a conformity score takes a single point, got {pts.shape[0]}")
+    pt = pts[0]
     if np.size(train) == 0:
         return orient(float(pt[1]))  # empty sample: the predictive is uniform
     return orient(_make_scorer(train, config).score_point(pt))
@@ -293,7 +296,9 @@ def conformal_pvalue(train, candidate, config: ConformalConfig) -> float:
     held out of an exchangeable sample of m+1 gets p <= alpha with
     probability at most alpha.
     """
-    cand = as_points(candidate, 2)[:1]
+    cand = as_points(candidate, 2)
+    if cand.shape[0] != 1:
+        raise ValueError(f"a p-value takes a single point, got {cand.shape[0]}")
     return float(_pvalue_tables(_make_scorer(train, config), cand)[0][0])
 
 
@@ -340,6 +345,8 @@ def conformal_band(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     x_values = np.atleast_1d(np.asarray(x_values, dtype=np.float64))
+    if not x_values.size:
+        raise ValueError("x_values must hold at least one value")
     if not np.all((x_values >= 0) & (x_values <= 1)):  # NaN fails too
         raise ValueError("x_values must lie in [0, 1]")
     if y_grid_size is None:

@@ -8,8 +8,9 @@ chain times the reciprocal multinomial coefficient of the leaf counts,
 whose binomial coefficients cancel).  Sums run in log space over cached
 log-gamma values and normalize by log-sum-exp.  The members share one
 depth, so the density form of each likelihood differs from its leaf-sequence
-form by one common factor, which normalizing cancels.  A fitted model's
-counts are one stack, levels (members, 2^l), so fits, weights, densities,
+form by one common factor, which normalizing cancels.  A fitted model
+holds its family, a0, one count stack of levels (members, 2^l) and the
+unnormalized log weights, nothing else, so fits, weights, densities,
 sampling, scoring and one-point updates are array operations; a fit counts
 each split-count class's cells once, for all its members' leaves.
 A level's sum of node terms depends only on the lattice edge a member
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -102,29 +102,30 @@ def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTable
 
 @dataclass(frozen=True, eq=False)
 class PosteriorModel:
-    """Fitted family: node counts and normalized log weights.
+    """Fitted family: its node counts and unnormalized log weights.
 
     ``stack`` is one `CountsTree` of levels (members, 2^l); weights,
-    densities, sampling and scoring read only it.  ``counts``, each
-    member's `CountsTree` of row views of the stack, is made on first read."""
+    densities, sampling and scoring read only it.  The sample size is its
+    root count, and ``log_weights``, the normalized log weights, are
+    derived when the model is made."""
 
     family: SegmentationFamily
     stack: CountsTree
     a0: float
-    m: int
-    log_weights: np.ndarray
     log_unnormalized: np.ndarray
+
+    def __post_init__(self):
+        # made here, not on first read, so that a fit pays for normalizing
+        # and not the first density or sample that reads the weights
+        object.__setattr__(self, "log_weights", self.log_unnormalized - logsumexp(self.log_unnormalized))
+
+    @property
+    def m(self) -> int:
+        return int(self.stack.levels[0][0, 0])
 
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
-
-    @cached_property
-    def counts(self) -> tuple[CountsTree, ...]:
-        return tuple(map(CountsTree, zip(*self.stack.levels)))
-
-    def _leaf_masses(self) -> np.ndarray:
-        return leaf_predictive_masses(self.stack, self.a0)
 
     def to_json_obj(self) -> dict:
         return {
@@ -145,10 +146,6 @@ class PosteriorModel:
 
 def _copy(stack: CountsTree) -> CountsTree:
     return CountsTree(tuple(lvl.copy() for lvl in stack.levels))
-
-
-def _from_stack(family, stack, a0: float, m: int, log_unnorm: np.ndarray) -> PosteriorModel:
-    return PosteriorModel(family, stack, float(a0), m, log_unnorm - logsumexp(log_unnorm), log_unnorm)
 
 
 def _add_point(stack: CountsTree, paths: np.ndarray, sign: int) -> None:
@@ -191,7 +188,7 @@ def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
     levels, log_unnorm = stack.levels, np.zeros(len(family))
     for l, rows in enumerate(reps, 1):
         log_unnorm += np.sum(_node_terms(levels[l][rows], levels[l - 1][rows], tables), axis=-1)[edge[l - 1]]
-    return _from_stack(family, stack, a0, pts.shape[0], log_unnorm)
+    return PosteriorModel(family, stack, float(a0), log_unnorm)
 
 
 def _mixture_at(pts: np.ndarray, family: SegmentationFamily, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -209,7 +206,7 @@ def mixture_predictive_density(points, model: PosteriorModel):
     """Posterior predictive density: the weighted members' predictive leaf
     masses times 2^L at each point's leaves."""
     pts = as_points(points, model.family.ndim)
-    vals = _mixture_at(pts, model.family, model.weights, model._leaf_masses())
+    vals = _mixture_at(pts, model.family, model.weights, leaf_predictive_masses(model.stack, model.a0))
     return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
@@ -228,9 +225,12 @@ class IncrementalModel:
     def __init__(self, model: PosteriorModel):
         self.family = model.family
         self.a0 = model.a0
-        self.m = model.m
         self.stack = _copy(model.stack)
         self.log_unnormalized = model.log_unnormalized.copy()
+
+    @property
+    def m(self) -> int:
+        return int(self.stack.levels[0][0, 0])
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -263,8 +263,6 @@ class IncrementalModel:
         self.log_unnormalized += sign * log_mass
         if sign > 0:
             _add_point(self.stack, paths, +1)
-        self.m += sign
 
     def snapshot(self) -> PosteriorModel:
-        log_unnorm = self.log_unnormalized.copy()
-        return _from_stack(self.family, _copy(self.stack), self.a0, self.m, log_unnorm)
+        return PosteriorModel(self.family, _copy(self.stack), self.a0, self.log_unnormalized.copy())

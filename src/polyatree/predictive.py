@@ -6,9 +6,9 @@ supported by every function here:
 * a ``PosteriorModel`` - the exact predictive, whose per-leaf masses have
   a closed form (product of count ratios down the tree), and
 * a ``MixtureApproximation`` - a fixed collection of posterior draws of
-  the leaf probabilities, `draws_per_seg` per segmentation, each mixture
-  component carrying weight Pr(segmentation | data) / draws_per_seg; all
-  draws of all members come from one Beta call per level.
+  the leaf probabilities, one block (members, draws_per_seg, 2^L), each
+  mixture component carrying weight Pr(segmentation | data) /
+  draws_per_seg; the whole block comes from one Beta call per level.
 
 Since every component density is constant within leaf boxes, conditional
 distributions over a 2-D grid, region probabilities, quantiles and
@@ -69,23 +69,24 @@ def _as_rng_and_seed(rng) -> tuple[np.random.Generator, int | None]:
 class MixtureApproximation:
     """Posterior draws of leaf probabilities, `draws_per_seg` per member.
 
-    ``pis[j]`` has shape (draws_per_seg, 2^L): one row per drawn
-    probability vector for family member j.
+    ``pis`` is one block (members, draws_per_seg, 2^L): ``pis[j]`` holds one
+    row per drawn probability vector for family member j, and the number of
+    draws is read from its shape.
     """
 
     family: SegmentationFamily
     weights: np.ndarray
-    pis: tuple[np.ndarray, ...]
-    draws_per_seg: int
+    pis: np.ndarray
     seed: int | None = None
 
-    @property
-    def n_components(self) -> int:
-        return len(self.family) * self.draws_per_seg
+    def __post_init__(self):
+        shape, want = np.shape(self.pis), (len(self.family), 1 << self.family.depth)
+        if len(shape) != 3 or shape[::2] != want or not shape[1]:
+            raise ValueError(f"pis must have shape ({want[0]}, draws >= 1, {want[1]}), got {shape}")
 
-    def component_weights(self) -> np.ndarray:
-        """Weight of every (member, draw) component; sums to one."""
-        return np.repeat(self.weights / self.draws_per_seg, self.draws_per_seg)
+    @property
+    def draws_per_seg(self) -> int:
+        return self.pis.shape[1]
 
 
 @dataclass(eq=False)
@@ -139,14 +140,13 @@ def region_from_json_obj(obj) -> list[Box]:
 def build_mixture(model: PosteriorModel, draws_per_seg: int = 50, rng=None) -> MixtureApproximation:
     """Draw `draws_per_seg` conjugate-posterior probability vectors per member:
     one Beta call per level for the model's count stack, broadcast over the
-    draws without copying."""
+    draws without copying, gives the (members, draws, 2^L) block."""
     _check_count("draws_per_seg", draws_per_seg, 1)
     gen, seed = _as_rng_and_seed(rng)
     shape = (len(model.family), draws_per_seg)
     levels = tuple(np.broadcast_to(c[:, None], shape + c.shape[1:]) for c in model.stack.levels)
-    # copies, not row views: the whole block held by the mixture slowed later fits ~30%
-    pis = tuple(map(np.copy, pi_from_phi(sample_phi_posterior(CountsTree(levels), model.a0, gen))))
-    return MixtureApproximation(model.family, model.weights.copy(), pis, draws_per_seg, seed)
+    pis = pi_from_phi(sample_phi_posterior(CountsTree(levels), model.a0, gen))
+    return MixtureApproximation(model.family, model.weights.copy(), pis, seed)
 
 
 def _family(obj) -> SegmentationFamily:
@@ -160,8 +160,8 @@ def _components(obj) -> tuple[SegmentationFamily, np.ndarray, np.ndarray]:
     either representation."""
     family = _family(obj)
     if isinstance(obj, PosteriorModel):
-        return family, obj.weights, obj._leaf_masses()
-    return family, obj.weights, np.stack(obj.pis).mean(axis=1)
+        return family, obj.weights, leaf_predictive_masses(obj.stack, obj.a0)
+    return family, obj.weights, obj.pis.mean(axis=1)
 
 
 def mixture_density(points, obj):
@@ -233,18 +233,13 @@ def sample_predictive(mix: MixtureApproximation, n: int, rng=None) -> Predictive
     """
     _check_count("n", n, 1)
     gen, seed = _as_rng_and_seed(rng)
-
-    def laws(members, draws):  # members come sorted: gather each one's drawn rows
-        heads, first = np.unique(members, return_index=True)
-        return np.concatenate([mix.pis[j][h] for j, h in zip(heads.tolist(), np.split(draws, first[1:]))])
-
     points, member, draw, leaf = _sample_components(
         mix.family,
         mix.weights,
         n,
         gen,
         lambda member, g: g.integers(0, mix.draws_per_seg, size=member.size),
-        laws,
+        lambda members, draws: mix.pis[members, draws],
     )
     return PredictiveSample(points, seed, member, draw, leaf)
 

@@ -61,7 +61,7 @@ def _save_model(model: PosteriorModel, outdir: str) -> None:
     with open(os.path.join(outdir, "model.json"), "w") as fh:
         json.dump(model.to_json_obj(), fh)
     with open(os.path.join(outdir, "counts.json"), "w") as fh:
-        json.dump({"counts": [c.to_json_obj() for c in model.counts]}, fh)
+        json.dump({"counts": [CountsTree(rows).to_json_obj() for rows in zip(*model.stack.levels)]}, fh)
     studies.write_csv(
         os.path.join(outdir, "weights.csv"),
         ["segmentation", "log_weight", "log_unnormalized"],
@@ -88,8 +88,6 @@ def _load_model(indir: str) -> PosteriorModel:
         family,
         CountsTree(tuple(map(np.stack, zip(*(tree.levels for tree in counts))))),
         float(obj["a0"]),
-        m,
-        np.asarray(obj["log_weights"]),
         np.asarray(obj["log_unnormalized"]),
     )
 

@@ -21,6 +21,7 @@ from .. import predictive as pred
 from ..encoding import ColumnSchema, decode, encode, fit_encoding
 from ..hbeta import (
     CountsTree,
+    _check_count,
     accumulate_counts,
     leaf_predictive_masses,
     pi_from_phi,
@@ -211,6 +212,7 @@ class PriorCdfResult:
 def run_prior_cdf_study(
     a0_values=(0.1, 1.0, 10.0), draws: int = 50, depth: int = 10, seed: int = 0, out=None
 ) -> PriorCdfResult:
+    _check_count("draws", draws, 1)
     streams = np.random.SeedSequence(seed).spawn(len(a0_values))
     curves, dispersion = {}, {}
     n_leaf = 1 << depth
@@ -253,8 +255,8 @@ def run_1d_study(
     2^L * sqrt(p (1-p) / m) with p the true bin mass; the simulated
     histogram curves are emitted as well.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _check_count("m", m, 1)
+    _check_count("runs", runs, 1)
     density = density or DEFAULT_1D_DENSITY
     depths = tuple(dict.fromkeys(int(L) for L in depths))  # a repeated depth counts once
     if min(depths) < 1:
@@ -356,40 +358,37 @@ def approximation_rmse(seg: Segmentation, density: LogisticStripDensity, grid: i
 def run_2d_study(
     m: int = 50, a0: float = 1.0, runs: int = 500, seed: int = 0, grid: int = 1024, out=None
 ) -> ErrorReport:
+    _check_count("m", m, 1)
+    _check_count("runs", runs, 1)
     density = LogisticStripDensity()
     family = segmentations_2d()
-    true_masses = []
     report = ErrorReport(
         meta={"study": "sim2d", "m": m, "a0": a0, "runs": runs, "seed": seed, "grid": grid}
     )
     for name, seg in zip(SEG_2D_NAMES, family):
-        true_masses.append(_box_masses(seg, density))
         report.approx_rmse[name] = approximation_rmse(seg, density, grid)
 
-    n_segs = len(family)
-    pearson = {name: np.empty((runs, 16)) for name in SEG_2D_NAMES}
-    pearson_counts = {name: np.empty((runs, 16)) for name in SEG_2D_NAMES}
-    weights = np.empty((runs, n_segs))
+    true_masses = np.array([_box_masses(seg, density) for seg in family])  # (members, cells)
+    # standard (observed - expected)/sqrt(expected) scaling, so the
+    # raw-histogram X2 has expectation exactly #cells - 1
+    scale = np.sqrt(m / true_masses)
+    pearson, pearson_counts = (np.empty((runs,) + true_masses.shape) for _ in range(2))
+    weights = np.empty((runs, len(family)))
     streams = np.random.SeedSequence(seed).spawn(runs)
     for r, stream in enumerate(streams):
         gen = np.random.default_rng(stream)
         model = fit(density.sample(m, gen), family, a0)
-        for k, (name, counts) in enumerate(zip(SEG_2D_NAMES, model.counts)):
-            pi_hat = leaf_predictive_masses(counts, a0)
-            # standard (observed - expected)/sqrt(expected) scaling, so the
-            # raw-histogram X2 has expectation exactly #cells - 1
-            scale = np.sqrt(m / true_masses[k])
-            pearson[name][r] = (pi_hat - true_masses[k]) * scale
-            pearson_counts[name][r] = (counts.levels[-1] / m - true_masses[k]) * scale
+        pearson[r] = (leaf_predictive_masses(model.stack, a0) - true_masses) * scale
+        pearson_counts[r] = (model.stack.levels[-1] / m - true_masses) * scale
         log_w = model.log_unnormalized
         weights[r] = np.exp(log_w - log_w.max())
         weights[r] /= weights[r].sum()
 
     for k, name in enumerate(SEG_2D_NAMES):
-        report.pearson_residuals[name] = pearson[name]
-        report.pearson_residuals[f"counts_{name}"] = pearson_counts[name]
-        report.x2[name] = np.sum(pearson[name] ** 2, axis=1)
-        report.x2[f"counts_{name}"] = np.sum(pearson_counts[name] ** 2, axis=1)
+        report.pearson_residuals[name] = pearson[:, k]
+        report.pearson_residuals[f"counts_{name}"] = pearson_counts[:, k]
+        report.x2[name] = np.sum(pearson[:, k] ** 2, axis=1)
+        report.x2[f"counts_{name}"] = np.sum(pearson_counts[:, k] ** 2, axis=1)
         report.posterior_weights[name] = weights[:, k]
     if out:
         write_csv(

@@ -178,8 +178,10 @@ class TestModelCommands:
         assert len(loaded.stack.levels) == len(model.stack.levels) == 5
         for x, y in zip(model.stack.levels, loaded.stack.levels):
             assert x.dtype == y.dtype and np.array_equal(x, y)
-        for a, b in zip(model.counts, loaded.counts):
-            assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a.levels, b.levels))
+        saved = json.loads((tmp_path / "m" / "counts.json").read_text())["counts"]
+        assert len(saved) == len(fam)
+        for j, tree in enumerate(saved):  # one tree per member: row j of every level
+            assert tree == {"m": 57, "levels": [l[j].tolist() for l in model.stack.levels[1:]]}
         for name in ("a0", "m"):
             assert getattr(model, name) == getattr(loaded, name)
         assert np.array_equal(model.log_weights, loaded.log_weights)
@@ -273,6 +275,23 @@ class TestValidationFailures:
         (model_dir / "counts.json").write_text(json.dumps(counts))
         code = main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
         assert code == 2 and "share one depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["sim1d", "--m", "0", "--runs", "2", "--levels", "3"], "m"),
+            (["sim1d", "--runs", "0", "--levels", "3"], "runs"),
+            (["sim2d", "--m", "0", "--runs", "2", "--grid", "8"], "m"),
+            (["sim2d", "--runs", "0", "--grid", "8"], "runs"),
+            (["prior-cdf", "--runs", "0", "--levels", "3"], "draws"),
+        ],
+        ids=["sim1d-m", "sim1d-runs", "sim2d-m", "sim2d-runs", "prior-cdf-runs"],
+    )
+    def test_study_size_below_one_exits_2(self, tmp_path, capsys, argv, name):
+        # a study divides by these sizes: zero would write nan rows
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert f"{name} must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -123,6 +123,12 @@ class TestConformityScore:
         config = ConformalConfig(tiny_family())
         assert conformity_score(np.zeros((0, 2)), [0.2, 0.37], config) == 0.37
 
+    @pytest.mark.parametrize("m", [0, 8])
+    def test_several_points_rejected(self, m, rng):
+        config = ConformalConfig(tiny_family())
+        with pytest.raises(ValueError, match="a conformity score takes a single point, got 3"):
+            conformity_score(rng.uniform(size=(m, 2)), rng.uniform(size=(3, 2)), config)
+
     def test_top_of_range_scores_one(self, rng):
         config = ConformalConfig(tiny_family())
         train = rng.uniform(size=(14, 2))
@@ -210,6 +216,13 @@ class TestPvalue:
     def test_empty_training_set(self):
         config = ConformalConfig(tiny_family())
         assert conformal_pvalue(np.zeros((0, 2)), [0.5, 0.5], config) == 1.0
+
+    @pytest.mark.parametrize("m", [0, 8])
+    def test_several_candidates_rejected(self, m, rng):
+        # a p-value ranks one candidate: the rest must not be dropped silently
+        config = ConformalConfig(tiny_family())
+        with pytest.raises(ValueError, match="a p-value takes a single point, got 2"):
+            conformal_pvalue(rng.uniform(size=(m, 2)), [[0.5, 0.5], [0.2, 0.9]], config)
 
     @pytest.mark.parametrize("draws", [None, 2], ids=["exact", "mixture"])
     def test_exchangeable_splits_meet_level(self, draws):
@@ -343,6 +356,11 @@ class TestBand:
         config = ConformalConfig(tiny_family())
         with pytest.raises(ValueError):
             conformal_band(rng.uniform(size=(5, 2)), [0.5], 0.0, config)
+
+    def test_rejects_no_x_values(self, rng):
+        config = ConformalConfig(tiny_family())
+        with pytest.raises(ValueError, match="x_values must hold at least one value"):
+            conformal_band(rng.uniform(size=(5, 2)), [], 0.1, config)
 
 
 class TestBandReuse:

@@ -1,12 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 from scipy.stats import betabinom
 
-from polyatree import posterior
-from polyatree.hbeta import accumulate_counts, conditional_predictive_density, counts_from_leaf_counts
+from polyatree.hbeta import CountsTree, accumulate_counts, conditional_predictive_density, counts_from_leaf_counts
 from polyatree.posterior import (
     IncrementalModel,
     LogGammaTables,
@@ -24,6 +25,11 @@ from polyatree.simharness.studies import (
     table1_family,
     table1_points,
 )
+
+
+def member_counts(model, j):
+    """Member j's counts: row j of every level of the model's count stack."""
+    return CountsTree(tuple(l[j] for l in model.stack.levels))
 
 
 def oracle_log_weight(points, seg, a0):
@@ -179,26 +185,21 @@ class TestFit:
         fam = highdim_family(ndim=5, prefix=(5,), candidate_dims=range(1, 4), splits=2)
         pts = oracle_points(m, m, 5)
         model = fit(pts, fam, 1.0)
-        for seg, counts in zip(fam, model.counts):
-            ref = accumulate_counts(pts, seg)
+        for j, seg in enumerate(fam):
+            counts, ref = member_counts(model, j), accumulate_counts(pts, seg)
             assert all(np.array_equal(a, b) for a, b in zip(counts.levels, ref.levels))
 
-    def test_member_counts_made_on_first_read(self, monkeypatch):
-        # a fit keeps count stacks; its per-member trees are row views of
-        # them, made when `counts` is first read and then kept
-        made = []
-        tree = posterior.CountsTree
-        monkeypatch.setattr(posterior, "CountsTree", lambda levels: made.append(1) or tree(levels))
+    @pytest.mark.parametrize("m", [0, 1, 37])
+    def test_m_and_log_weights_read_from_stack(self, m):
+        # a fit holds family, count stack, a0 and unnormalized log weights;
+        # the sample size is the stack's root and the weights are normalized
         fam = highdim_family(ndim=5, prefix=(5,), candidate_dims=range(1, 4), splits=2)
-        pts = oracle_points(40, 40, 5)
-        model = fit(pts, fam, 1.0)
-        assert not made and len(model.counts) == len(fam)
-        first = model.counts[3]
-        assert len(made) == len(fam) and model.counts[3] is first
-        assert list(model.counts) == [model.counts[j] for j in range(len(fam))]
-        stack = model.stack.levels[-1]
-        assert np.shares_memory(first.levels[-1], stack)
-        assert np.array_equal(first.levels[-1], accumulate_counts(pts, fam[3]).levels[-1])
+        model = fit(oracle_points(m, m, 5), fam, 1.0)
+        assert [f.name for f in dataclasses.fields(model)] == ["family", "stack", "a0", "log_unnormalized"]
+        assert model.m == m and np.all(model.stack.levels[0] == m)
+        lu = model.log_unnormalized
+        assert np.array_equal(model.log_weights, lu - logsumexp(lu)) and model.log_weights is model.log_weights
+        assert np.array_equal(model.weights, np.exp(model.log_weights))
 
     @pytest.mark.parametrize("name", EDGE_FAMILIES)
     @pytest.mark.parametrize("m", [0, 1, 37, 400])
@@ -301,7 +302,7 @@ class TestMixtureDensity:
         pts = rng.uniform(size=(20, 2))
         assert np.allclose(
             mixture_predictive_density(pts, model),
-            conditional_predictive_density(pts, model.counts[0], seg, 0.8),
+            conditional_predictive_density(pts, member_counts(model, 0), seg, 0.8),
         )
 
     @given(
@@ -314,8 +315,8 @@ class TestMixtureDensity:
         model = fit(oracle_points(seed, 25, 2), fam, a0)
         pts = np.vstack([oracle_points(seed + 1, 40, 2), [[1.0, 1.0], [0.5, 1.0], [1.0, 0.25]]])
         ref = sum(
-            w * conditional_predictive_density(pts, c, seg, a0)
-            for seg, c, w in zip(fam, model.counts, model.weights)
+            w * conditional_predictive_density(pts, member_counts(model, j), seg, a0)
+            for j, (seg, w) in enumerate(zip(fam, model.weights))
         )
         np.testing.assert_allclose(mixture_predictive_density(pts, model), ref, rtol=1e-12)
 
@@ -358,9 +359,9 @@ class TestIncrementalModel:
             assert np.allclose(inc.log_unnormalized, ref.log_unnormalized, atol=1e-9)
             assert np.allclose(inc.log_weights, ref.log_weights, atol=1e-9)
             snap = inc.snapshot()
-            for ca, cb in zip(snap.counts, ref.counts):
-                for la, lb in zip(ca.levels, cb.levels):
-                    assert np.array_equal(la, lb)
+            assert snap.m == ref.m
+            for la, lb in zip(snap.stack.levels, ref.stack.levels):
+                assert np.array_equal(la, lb)
 
     def test_remove_then_add_restores(self, rng):
         fam = enumerate_balanced_family(2, {1: 1, 2: 2})
@@ -388,20 +389,19 @@ class TestIncrementalModel:
             inc.remove_point(np.array([0.1, 0.1]))
         assert inc.m == 1
         assert np.array_equal(inc.log_unnormalized, model.log_unnormalized)
-        for ca, cb in zip(inc.snapshot().counts, model.counts):
-            for la, lb in zip(ca.levels, cb.levels):
-                assert np.array_equal(la, lb)
+        for la, lb in zip(inc.snapshot().stack.levels, model.stack.levels):
+            assert np.array_equal(la, lb)
 
     def test_parent_model_untouched(self, rng):
         fam = enumerate_balanced_family(2, {1: 1, 2: 1})
         pts = rng.uniform(size=(5, 2))
         model = fit(pts, fam, 1.0)
         before = model.log_unnormalized.copy()
-        counts_before = [lvl.copy() for lvl in model.counts[0].levels]
+        counts_before = [lvl.copy() for lvl in model.stack.levels]
         inc = IncrementalModel(model)
         inc.add_point(np.array([0.3, 0.3]))
         assert np.array_equal(model.log_unnormalized, before)
-        for a, b in zip(model.counts[0].levels, counts_before):
+        for a, b in zip(model.stack.levels, counts_before):
             assert np.array_equal(a, b)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polyatree import predictive
 from polyatree.encoding import ColumnSchema, encode, fit_encoding
-from polyatree.hbeta import leaf_predictive_masses
+from polyatree.hbeta import CountsTree, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
 from polyatree.posterior import fit, mixture_predictive_density
 from polyatree.predictive import (
     Box,
@@ -37,6 +37,11 @@ def ragged_family():
     return SegmentationFamily(tuple(build(d, 2) for d in dims))
 
 
+def member_counts(model, j):
+    """Member j's counts: row j of every level of the model's count stack."""
+    return CountsTree(tuple(l[j] for l in model.stack.levels))
+
+
 @pytest.fixture
 def fitted(rng):
     return fit(rng.uniform(size=(40, 2)), small_family(), 1.0)
@@ -45,16 +50,17 @@ def fitted(rng):
 class TestBuildMixture:
     def test_shapes_and_component_weights(self, fitted, rng):
         mix = build_mixture(fitted, 7, rng)
-        assert mix.n_components == 7 * len(small_family())
-        assert all(p.shape == (7, 16) for p in mix.pis)
-        assert mix.component_weights().sum() == pytest.approx(1.0)
-        assert np.allclose([p.sum(axis=1) for p in mix.pis], 1.0)
+        assert mix.pis.shape == (len(small_family()), 7, 16) and mix.draws_per_seg == 7
+        # each (member, draw) component weighs weights[j] / draws_per_seg
+        assert np.repeat(mix.weights / mix.draws_per_seg, mix.draws_per_seg).sum() == pytest.approx(1.0)
+        assert np.allclose(mix.pis.sum(axis=2), 1.0)
 
     def test_ragged_family_rows(self, rng):
         fam = ragged_family()
         model = fit(rng.uniform(size=(30, 2)), fam, 0.8)
         mix = build_mixture(model, 4000, 3)
-        for seg, pis, counts in zip(fam, mix.pis, model.counts):
+        for j, (seg, pis) in enumerate(zip(fam, mix.pis)):
+            counts = member_counts(model, j)
             assert pis.shape == (4000, 1 << seg.depth) and pis.flags.c_contiguous
             np.testing.assert_allclose(pis.sum(axis=1), 1.0, rtol=1e-12)
             se = pis.std(axis=0, ddof=1) / np.sqrt(pis.shape[0])
@@ -72,6 +78,21 @@ class TestBuildMixture:
         assert a.seed == 11
         for pa, pb in zip(a.pis, b.pis):
             assert np.array_equal(pa, pb)
+
+    def test_draws_are_one_block(self, fitted):
+        # one (members, draws, 2^L) block: the conjugate draw of the count
+        # stack broadcast over the draws, under the same seed
+        mix = build_mixture(fitted, 5, 3)
+        levels = tuple(np.broadcast_to(l[:, None], (len(small_family()), 5) + l.shape[1:]) for l in fitted.stack.levels)
+        ref = pi_from_phi(sample_phi_posterior(CountsTree(levels), 1.0, np.random.default_rng(3)))
+        assert mix.pis.shape == (len(small_family()), 5, 16) and mix.draws_per_seg == mix.pis.shape[1]
+        assert mix.pis.dtype == np.float64 and mix.pis.flags.c_contiguous
+        assert np.array_equal(mix.pis, ref)
+
+    @pytest.mark.parametrize("shape", [(5, 3, 16), (6, 3, 8), (6, 0, 16), (6, 16), (6, 3, 16, 1)])
+    def test_misshaped_draws_rejected(self, fitted, shape):
+        with pytest.raises(ValueError, match="pis must have shape"):
+            MixtureApproximation(fitted.family, fitted.weights, np.full(shape, 1.0 / 16))
 
     def test_rebuild_mean_matches_exact_predictive(self, rng):
         # averaging the approximation over fresh rebuilds recovers the
@@ -178,7 +199,7 @@ class TestPredictiveProbability:
         mix = build_mixture(model, 3, 8)
         region = [Box((0.05, 0.1), (0.4, 0.55)), Box((0.6, 0.0), (0.9, 0.3)), Box((0.4, 0.6), (1.0, 1.0))]
         tables = {
-            "exact": (model, [leaf_predictive_masses(c, 1.0) for c in model.counts]),
+            "exact": (model, [leaf_predictive_masses(member_counts(model, j), 1.0) for j in range(len(fam))]),
             "mixture": (mix, [p.mean(axis=0) for p in mix.pis]),
         }
         for obj, leaf_probs in tables.values():
@@ -379,7 +400,7 @@ class TestGridMassMatrix:
         fam = SegmentationFamily((seg,))
         model = fit(rng.uniform(size=(20, 2)), fam, 1.0)
         (nx, ny), M = grid_mass_matrix(model)
-        masses = leaf_predictive_masses(model.counts[0], 1.0)
+        masses = leaf_predictive_masses(member_counts(model, 0), 1.0)
         # leaf order of an x-then-y segmentation is x-major on the 2x2 grid
         assert np.allclose(M.ravel(), masses)
 
@@ -432,7 +453,7 @@ def _reference_samples(obj, n, seed):
     if isinstance(obj, MixtureApproximation):
         draws = lambda member, g: g.integers(0, obj.draws_per_seg, size=member.size)
         return _reference_sample_components(obj.family, obj.weights, lambda j: obj.pis[j], n, gen, draws)
-    laws = lambda j: leaf_predictive_masses(obj.counts[j], obj.a0)
+    laws = lambda j: leaf_predictive_masses(member_counts(obj, j), obj.a0)
     draws = lambda member, g: np.full(member.size, -1, dtype=np.int64)
     return _reference_sample_components(obj.family, obj.weights, laws, n, gen, draws)
 
@@ -515,13 +536,13 @@ class TestSamplingKernel:
 
         read = set()
 
-        class Pis(tuple):
-            def __getitem__(self, j):
-                read.add(int(j))
-                return tuple.__getitem__(self, j)
+        class Pis(np.ndarray):
+            def __getitem__(self, index):
+                read.update(np.unique(index[0]).tolist())
+                return np.asarray(self)[index]
 
         mix = build_mixture(model, 3, 0)
-        spied = MixtureApproximation(fam, mix.weights, Pis(mix.pis), mix.draws_per_seg)
+        spied = MixtureApproximation(fam, mix.weights, mix.pis.view(Pis))
         drawn = np.unique(sample_predictive(spied, 4, 3).member_index)
         assert drawn.size < len(fam) and read == set(drawn.tolist())
 
@@ -547,9 +568,9 @@ class TestSamplingKernel:
         # a hand-built mixture's drawn rows are checked as Generator.choice
         # checks its probabilities
         mix = build_mixture(fitted, 2, 0)
-        pis = tuple(np.zeros_like(p) if bad == "zeros" else np.where(np.arange(p.shape[1]) == 3, bad, p) for p in mix.pis)
+        pis = np.zeros_like(mix.pis) if bad == "zeros" else np.where(np.arange(mix.pis.shape[-1]) == 3, bad, mix.pis)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="leaf probabilities"):
-            sample_predictive(MixtureApproximation(mix.family, mix.weights, pis, 2), 20, 0)
+            sample_predictive(MixtureApproximation(mix.family, mix.weights, pis), 20, 0)
 
     @given(st.integers(1, 5).flatmap(lambda ndim: st.lists(st.integers(1, ndim), min_size=1, max_size=12).map(lambda dims: build(dims, ndim))))
     def test_leaf_boxes_match_halving_loop(self, seg):
