@@ -52,6 +52,10 @@ def library(family, m):
         for draws in (None, 2):
             config = pt.ConformalConfig(family, a0=0.3, draws_per_seg=draws, seed=4)
             out[f"loo{draws}"] = pt.loo_scores(pts[:12], config)
+            # three candidates, the first a training point when there is one, so it ties with that point
+            cands = np.vstack([pts[:1], np.random.default_rng(6).uniform(size=(3 - min(m, 1), 2))])
+            out[f"score{draws}"] = [pt.conformity_score(pts[:12], c, config) for c in cands]
+            out[f"pvalue{draws}"] = [pt.conformal_pvalue(pts[:12], c, config) for c in cands]
             out[f"band{draws}"] = pt.conformal_band(pts[:12], [0.3, 1.0], 0.2, config, 9)
     return out
 

@@ -24,22 +24,24 @@ same pass.  Candidates that share all their leaves share the augmented
 counts and enter one pass as extra rows, so a candidate and a training
 point at the same place tie exactly.  Members mix as densities at x:
 posterior weight times column mass on the common grid times 2^depth / ny.
-Setting `draws_per_seg` instead scores every set, swapped and weighted as
-above, with a freshly seeded finite mixture of posterior draws, matching
-the sampling-based evaluation of the predictive; taking a candidate back
-out leaves the training set, whose mixture is drawn once.
+Setting `draws_per_seg` changes only where a cell's column masses come
+from: the same pass reads them from the mean of a freshly seeded draw of
+posterior leaf probabilities on the count stack less the cell's row, so
+each occupied cell is drawn once per pass, with the weights above.  This
+matches the sampling-based evaluation of the predictive, and since a
+candidate's own row leaves the training set, a candidate and a training
+point at the same place still tie exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
 
 import numpy as np
 
 from . import predictive as pred
 from .hbeta import CountsTree, _check_a0, _check_count, _path_counts, leaf_predictive_masses
-from .posterior import PosteriorModel, _add_point, _copy, _log_leaf_mass, fit
+from .posterior import _add_point, _copy, fit
 from .segmentation import SegmentationFamily, _locate, as_points
 
 __all__ = [
@@ -67,7 +69,6 @@ class ConformalConfig:
     a0: float = 1.0
     draws_per_seg: int | None = None
     seed: int = 0
-    endpoint: str = "grid"  # or "interpolated"
 
     def __post_init__(self):
         if self.family.ndim != 2:
@@ -75,22 +76,19 @@ class ConformalConfig:
         _check_a0(self.a0)
         if self.draws_per_seg is not None:
             _check_count("draws_per_seg", self.draws_per_seg, 1)
-        if self.endpoint not in ("grid", "interpolated"):
-            raise ValueError(f"unknown endpoint rule {self.endpoint!r}")
 
 
 @dataclass(eq=False)
 class ConformalBand:
-    """Per-x lower/upper endpoints and the p-value tables behind them."""
+    """Per-x lower/upper ends of the band and the p-value tables behind them."""
 
     x_values: np.ndarray
     y_grid: np.ndarray
     alpha: float
-    p_below: np.ndarray  # (n_x, n_y) p-values of the <=-direction score
-    p_above: np.ndarray  # same for the >=-direction score
+    p_below: np.ndarray  # (n_x, n_y) p-values ranking scores with <=
+    p_above: np.ndarray  # same, ranking with >=
     lower: np.ndarray  # never NaN: p_below is 1 at y = 1, p_above at y = 0
     upper: np.ndarray
-    endpoint: str
 
     def rows(self) -> list[tuple[float, float, float, float]]:
         return [
@@ -104,13 +102,6 @@ def _train_points(train) -> np.ndarray:
     return as_points(train, 2) if np.size(train) else np.zeros((0, 2))
 
 
-def _orient(direction: str):
-    """Map from below-direction scores to `direction` ("below" or "above")."""
-    if direction not in ("below", "above"):
-        raise ValueError(f"unknown direction {direction!r}")
-    return (lambda s: s) if direction == "below" else (lambda s: 1.0 - s)
-
-
 def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, scale: float) -> np.ndarray:
     """Weight-averaged conditional CDF from per-member arrays (members, n).
 
@@ -120,31 +111,17 @@ def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, scale: float) 
     cumulative sum, so that equal inputs give equal scores whatever n is.
     """
     weights = np.exp(log_w - log_w.max(axis=0, keepdims=True)) * scale
-    return np.cumsum(weights * below, axis=0)[-1] / np.cumsum(weights * total, axis=0)[-1]
+    return np.cumsum(weights * below, axis=0)[-1] / pred._mass(np.cumsum(weights * total, axis=0)[-1])
 
 
 class _Scorer:
-    """`loo_scores` for both scorers, which give `_loo` and `swapped`."""
-
-    def loo_scores(self, candidate=None) -> np.ndarray:
-        """Score of each training point on the other m-1 points (plus the
-        candidate when given): the swapped-set scores of the p-value."""
-        if self.m == 0:
-            return np.zeros(0)
-        if candidate is None:
-            return self._loo()
-        cand = as_points(candidate, 2)
-        return self.swapped(cand, _locate(cand, self.family))[0]
-
-
-class _ExactScorer(_Scorer):
-    """Exact conformity scores as leave-one-out rows of the augmented sample."""
+    """Conformity scores as leave-one-out rows of the augmented sample."""
 
     def __init__(self, train, config: ConformalConfig):
         self.pts = _train_points(train)
         self.m = self.pts.shape[0]
-        self.a0 = config.a0
-        self.family = config.family
+        self.a0, self.family = config.a0, config.family
+        self.draws, self.seed = config.draws_per_seg, config.seed
         model = fit(self.pts, config.family, config.a0)
         self.log_w0, self.stack = model.log_unnormalized, model.stack
         self.shape = nx, ny = pred._common_grid_shape(config.family)
@@ -155,8 +132,15 @@ class _ExactScorer(_Scorer):
         # a column's total on the common grid times this is a member's density at x
         self.scale = 2.0**config.family.depth / ny
 
-    def _loo(self) -> np.ndarray:
-        return self._pass(self.stack, self.pts)
+    def loo_scores(self, candidate=None) -> np.ndarray:
+        """Score of each training point on the other m-1 points (plus the
+        candidate when given): the swapped-set scores of the p-value."""
+        if self.m == 0:
+            return np.zeros(0)
+        if candidate is None:
+            return self._pass(self.stack, self.pts)
+        cand = as_points(candidate, 2)
+        return self.swapped(cand, _locate(cand, self.family))[0]
 
     def swapped(self, cands: np.ndarray, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Swapped-set scores (m,) and own scores of candidates (n, 2) that
@@ -187,10 +171,11 @@ class _ExactScorer(_Scorer):
         over levels l <= a of (o_l-1+a0)/(o_l+a0), for l >= 1, and of
         (o_l+2a0)/(o_l-1+2a0), for l < L, with o_l the count of the row's
         node at level l.  Rows in one cell of the common grid share their
-        leaf in every member, so each occupied cell's column is built once.
-        By Bayes' rule a row's log weight is the training set's, plus the
-        log leaf mass of row first_cand (a candidate; none on the training
-        set), less its own.
+        leaf in every member, so each occupied cell's column is built once;
+        with draws, it is read from the mean of a freshly seeded draw of
+        `stack` less the cell's row.  By Bayes' rule a row's log weight is
+        the training set's, plus the log leaf mass of row first_cand (a
+        candidate; none on the training set), less its own.
         """
         a0, (nx, ny) = self.a0, self.shape
         cells, rows = np.unique(pred._bin(pts[:, 0], nx) * ny + pred._bin(pts[:, 1], ny), return_inverse=True)
@@ -200,12 +185,20 @@ class _ExactScorer(_Scorer):
         down[..., 0] = up[..., -1] = 1.0  # the root is no child; a leaf has no children
         corr = np.cumprod(down * up, axis=-1)
         column = self.leaves[:, cells // ny]  # (members, cells, ny)
-        # a leaf index holds one bit per level, the first level highest, so
-        # the shared depth is L less the bit length (frexp's exponent) of the xor
-        shared = self.family.depth - np.frexp(column ^ path[..., -1:])[1]
         leaf_mass = leaf_predictive_masses(stack, a0)
-        masses = np.take_along_axis(leaf_mass[:, None], column, axis=-1)
-        masses *= np.take_along_axis(corr, shared, axis=-1)
+        if self.draws is None:
+            # a leaf index holds one bit per level, the first level highest, so
+            # the shared depth is L less the bit length (frexp's exponent) of the xor
+            shared = self.family.depth - np.frexp(column ^ path[..., -1:])[1]
+            masses = np.take_along_axis(leaf_mass[:, None], column, axis=-1)
+            masses *= np.take_along_axis(corr, shared, axis=-1)
+        else:
+            masses = np.empty(column.shape)
+            for c in range(cells.size):
+                less = _copy(stack)
+                _add_point(less, path[:, c], -1)
+                drawn = pred._draw(less, a0, self.draws, np.random.default_rng(self.seed)).mean(axis=1)
+                masses[:, c] = np.take_along_axis(drawn, column[:, c], axis=-1)
         below, total = pred._cdf_at(masses, pts[:, 1], rows)
         log_own = np.log(np.take_along_axis(leaf_mass, path[..., -1], axis=-1) * corr[..., -1])[:, rows]
         # difference first: a candidate's own row keeps the training weight
@@ -214,77 +207,19 @@ class _ExactScorer(_Scorer):
         return _mix(self.log_w0[:, None] + (lc - log_own), below, total, self.scale)
 
 
-class _MixtureScorer(_Scorer):
-    """Scores from a finite posterior-draw mixture, re-seeded per score;
-    swapped sets and their weights are built as in the exact scorer."""
-
-    def __init__(self, train, config: ConformalConfig):
-        self.config = config
-        self.family = config.family
-        self.pts = _train_points(train)
-        self.m = self.pts.shape[0]
-        self._train_model = fit(self.pts, config.family, config.a0)
-        self._paths = _locate(self.pts, config.family)
-        self._mixture = partial(pred.build_mixture, draws_per_seg=config.draws_per_seg, rng=config.seed)
-
-    @cached_property
-    def _train_grid(self) -> np.ndarray:
-        return pred.grid_mass_matrix(self._mixture(self._train_model))[1]
-
-    def swapped(self, cands: np.ndarray, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """As the exact scorer's.  Taking a candidate back out of the
-        augmented sample leaves the training set, so the candidates' own
-        scores read its seeded mixture."""
-        log_cand = _log_leaf_mass(self._train_model.stack, paths[:, :1], self.config.a0)[:, 0]
-        return self._loo(paths[:, 0], log_cand), pred._conditional_cdf(self._train_grid, cands)
-
-    def score_point(self, point) -> float:
-        return float(pred._conditional_cdf(self._train_grid, as_points(point, 2))[0])
-
-    def _loo(self, cpaths=None, log_cand=None) -> np.ndarray:
-        a0 = float(self.config.a0)
-        stack, lc = self._train_model.stack, 0.0
-        if cpaths is not None:
-            stack, lc = _copy(stack), log_cand
-            _add_point(stack, cpaths, +1)
-        scores = np.empty(self.m)
-        for i in range(self.m):
-            swapped = _copy(stack)
-            _add_point(swapped, self._paths[:, i], -1)
-            log_own = _log_leaf_mass(swapped, self._paths[:, i : i + 1], a0)[:, 0]
-            # difference first, as in the exact scorer
-            log_w = self._train_model.log_unnormalized + (lc - log_own)
-            grid = pred.grid_mass_matrix(self._mixture(PosteriorModel(self.family, swapped, a0, log_w)))[1]
-            scores[i] = pred._conditional_cdf(grid, self.pts[i : i + 1])[0]
-        return scores
-
-
-def _make_scorer(train, config: ConformalConfig):
-    if config.draws_per_seg is None:
-        return _ExactScorer(train, config)
-    return _MixtureScorer(train, config)
-
-
-def conformity_score(train, point, config: ConformalConfig, direction: str = "below") -> float:
-    """Conditional predictive CDF score of `point` against `train`.
-
-    direction "below" gives Pr(U_y <= u_y | U_x = u_x, train); "above"
-    gives the complementary upper-tail score.
-    """
-    orient = _orient(direction)
+def conformity_score(train, point, config: ConformalConfig) -> float:
+    """Conditional predictive CDF score Pr(U_y <= u_y | U_x = u_x, train) of `point`."""
     pts = as_points(point, 2)
     if pts.shape[0] != 1:
         raise ValueError(f"a conformity score takes a single point, got {pts.shape[0]}")
-    pt = pts[0]
     if np.size(train) == 0:
-        return orient(float(pt[1]))  # empty sample: the predictive is uniform
-    return orient(_make_scorer(train, config).score_point(pt))
+        return float(pts[0, 1])  # empty sample: the predictive is uniform
+    return _Scorer(train, config).score_point(pts)
 
 
-def loo_scores(train, config: ConformalConfig, direction: str = "below") -> np.ndarray:
+def loo_scores(train, config: ConformalConfig) -> np.ndarray:
     """Score of each training point against the remaining m-1 points."""
-    orient = _orient(direction)
-    return orient(_make_scorer(train, config).loo_scores())
+    return _Scorer(train, config).loo_scores()
 
 
 def conformal_pvalue(train, candidate, config: ConformalConfig) -> float:
@@ -299,11 +234,11 @@ def conformal_pvalue(train, candidate, config: ConformalConfig) -> float:
     cand = as_points(candidate, 2)
     if cand.shape[0] != 1:
         raise ValueError(f"a p-value takes a single point, got {cand.shape[0]}")
-    return float(_pvalue_tables(_make_scorer(train, config), cand)[0][0])
+    return float(_pvalue_tables(_Scorer(train, config), cand)[0][0])
 
 
 def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p-values of the below- and above-direction scores of candidates (n, 2).
+    """p-values of candidates (n, 2), ranking scores with <= and with >=.
 
     Swapped sets depend on a candidate only through its leaf in every
     member, so candidates that share all their leaves share one pass.
@@ -335,11 +270,11 @@ def conformal_band(
 ) -> ConformalBand:
     """Two-sided conformal band over a grid of candidate y values.
 
-    The lower endpoint is the smallest grid y whose below-score p-value
-    exceeds alpha, the upper endpoint the largest grid y whose above-score
-    p-value does; each side therefore runs at level 1 - alpha.  Neither
-    side is empty: the grid holds y = 1, where every below-score p-value is
-    1, and y = 0, where every above-score p-value is.  With no training
+    The lower end is the smallest grid y whose p_below exceeds alpha, the
+    upper end the largest grid y whose p_above does, so each end is a y the
+    conformal set keeps and each side runs at level 1 - alpha.  Neither
+    side is empty: the grid holds y = 1, where every p_below is 1, and
+    y = 0, where every p_above is.  With no training
     points every p-value is 1 and the band is the full y range.
     """
     if not 0.0 < alpha < 1.0:
@@ -356,17 +291,7 @@ def conformal_band(
         y_grid = np.linspace(0.0, 1.0, y_grid_size)
     n_x, n_y = x_values.size, y_grid.size
     cands = np.column_stack([np.repeat(x_values, n_y), np.tile(y_grid, n_x)])
-    p_below, p_above = (p.reshape(n_x, n_y) for p in _pvalue_tables(_make_scorer(train, config), cands))
-    lower, upper = np.empty(n_x), np.empty(n_x)
-    for ix in range(n_x):
-        k = np.flatnonzero(p_below[ix] > alpha)[0]
-        lower[ix] = y_grid[k]
-        if config.endpoint == "interpolated" and k > 0:
-            p0, p1 = p_below[ix, k - 1], p_below[ix, k]
-            lower[ix] = y_grid[k - 1] + (alpha - p0) / (p1 - p0) * (y_grid[k] - y_grid[k - 1])
-        k = np.flatnonzero(p_above[ix] > alpha)[-1]
-        upper[ix] = y_grid[k]
-        if config.endpoint == "interpolated" and k < n_y - 1:
-            p0, p1 = p_above[ix, k], p_above[ix, k + 1]
-            upper[ix] = y_grid[k] + (p0 - alpha) / (p0 - p1) * (y_grid[k + 1] - y_grid[k])
-    return ConformalBand(x_values, y_grid, alpha, p_below, p_above, lower, upper, config.endpoint)
+    p_below, p_above = (p.reshape(n_x, n_y) for p in _pvalue_tables(_Scorer(train, config), cands))
+    lower = y_grid[np.argmax(p_below > alpha, axis=1)]
+    upper = y_grid[n_y - 1 - np.argmax(p_above[:, ::-1] > alpha, axis=1)]
+    return ConformalBand(x_values, y_grid, alpha, p_below, p_above, lower, upper)

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .hbeta import (
     CountsTree,
@@ -117,7 +117,7 @@ class PosteriorModel:
     def __post_init__(self):
         # made here, not on first read, so that a fit pays for normalizing
         # and not the first density or sample that reads the weights
-        object.__setattr__(self, "log_weights", self.log_unnormalized - logsumexp(self.log_unnormalized))
+        object.__setattr__(self, "log_weights", _log_normalize(self.log_unnormalized))
 
     @property
     def m(self) -> int:
@@ -142,6 +142,17 @@ class PosteriorModel:
             (json.dumps(list(seg.dims)), float(lw), float(lu))
             for seg, lw, lu in zip(self.family, self.log_weights, self.log_unnormalized)
         ]
+
+
+def _log_normalize(log_w: np.ndarray) -> np.ndarray:
+    """Finite log weights less their log-sum-exp, computed as scipy's
+    `logsumexp` computes it, to the last bit: the maximal terms are kept
+    out of the shifted sum, which enters through log1p."""
+    top = log_w.max()
+    is_top = log_w == top
+    count = float(np.count_nonzero(is_top))
+    rest = np.sum(np.exp(np.where(is_top, -np.inf, log_w) - top)) / count
+    return log_w - (np.log1p(rest) + np.log(count) + top)
 
 
 def _copy(stack: CountsTree) -> CountsTree:
@@ -234,7 +245,7 @@ class IncrementalModel:
 
     @property
     def log_weights(self) -> np.ndarray:
-        return self.log_unnormalized - logsumexp(self.log_unnormalized)
+        return _log_normalize(self.log_unnormalized)
 
     def add_point(self, u) -> None:
         self._update(u, +1)

@@ -137,15 +137,21 @@ def region_from_json_obj(obj) -> list[Box]:
     return [Box.from_json_obj(b) for b in obj]
 
 
+def _draw(stack: CountsTree, a0: float, draws: int, gen: np.random.Generator) -> np.ndarray:
+    """Conjugate-posterior leaf probabilities (members, draws, 2^L) of a count
+    stack: one Beta call per level, the stack broadcast over the draws
+    without copying."""
+    shape = (stack.levels[0].shape[0], draws)
+    levels = tuple(np.broadcast_to(c[:, None], shape + c.shape[1:]) for c in stack.levels)
+    return pi_from_phi(sample_phi_posterior(CountsTree(levels), a0, gen))
+
+
 def build_mixture(model: PosteriorModel, draws_per_seg: int = 50, rng=None) -> MixtureApproximation:
-    """Draw `draws_per_seg` conjugate-posterior probability vectors per member:
-    one Beta call per level for the model's count stack, broadcast over the
-    draws without copying, gives the (members, draws, 2^L) block."""
+    """Draw `draws_per_seg` conjugate-posterior probability vectors per member
+    of the model's count stack, one (members, draws, 2^L) block."""
     _check_count("draws_per_seg", draws_per_seg, 1)
     gen, seed = _as_rng_and_seed(rng)
-    shape = (len(model.family), draws_per_seg)
-    levels = tuple(np.broadcast_to(c[:, None], shape + c.shape[1:]) for c in model.stack.levels)
-    pis = pi_from_phi(sample_phi_posterior(CountsTree(levels), model.a0, gen))
+    pis = _draw(model.stack, model.a0, draws_per_seg, gen)
     return MixtureApproximation(model.family, model.weights.copy(), pis, seed)
 
 
@@ -373,12 +379,6 @@ def _cdf_at(masses: np.ndarray, y_values: np.ndarray, cols: np.ndarray) -> tuple
     frac = y_values * ny - cell
     cums = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)], axis=-1)
     return cums[..., cols, cell] + frac * masses[..., cols, cell], cums[..., cols, -1]
-
-
-def _conditional_cdf(M: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Pr(U_y <= y | U_x = x) at points (n, 2) under grid cell masses M (nx, ny)."""
-    below, total = _cdf_at(M, points[:, 1], _bin(points[:, 0], M.shape[0]))
-    return below / _mass(total)
 
 
 def _column_quantile(M: np.ndarray, q: float) -> np.ndarray:

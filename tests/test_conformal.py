@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyatree import predictive
 from polyatree.conformal import (
     ConformalConfig,
-    _ExactScorer,
-    _make_scorer,
+    _pvalue_tables,
+    _Scorer,
     conformal_band,
     conformal_pvalue,
     conformity_score,
@@ -14,7 +15,7 @@ from polyatree.conformal import (
     loo_scores,
 )
 from polyatree.posterior import fit
-from polyatree.predictive import build_mixture, grid_mass_matrix
+from polyatree.predictive import _bin, _common_grid_shape, build_mixture, grid_mass_matrix
 from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family
 from polyatree.simharness.studies import quantreg_family
 
@@ -58,7 +59,7 @@ class TestExactScorer:
             np.array([1.0, 0.45]),
             (np.floor(train[5] * 4) + 0.5) / 4,
         ]
-        scorer = _ExactScorer(train, ConformalConfig(fam))
+        scorer = _Scorer(train, ConformalConfig(fam))
         for cand in candidates:
             fast = scorer.loo_scores(cand)
             slow = np.array(
@@ -78,7 +79,7 @@ class TestExactScorer:
         # members of different x resolution mix as densities at x
         fam = ragged_family()
         train = rng.uniform(size=(9, 2))
-        scorer = _ExactScorer(train, ConformalConfig(fam, a0=2.0))
+        scorer = _Scorer(train, ConformalConfig(fam, a0=2.0))
         for cand in (np.array([0.63, 0.31]), np.array([1.0, 0.0]), train[3], None):
             fast = scorer.loo_scores(cand)
             slow = np.array(
@@ -107,7 +108,7 @@ class TestExactScorer:
         # the removal factors (n-1+a0)/(n+a0) hardest
         fam = tiny_family()
         train = rng.uniform(size=(m, 2))
-        scorer = _ExactScorer(train, ConformalConfig(fam, a0=a0))
+        scorer = _Scorer(train, ConformalConfig(fam, a0=a0))
         fast = scorer.loo_scores(None)
         slow = np.array(
             [
@@ -135,13 +136,6 @@ class TestConformityScore:
         assert conformity_score(train, [0.5, 1.0], config) == pytest.approx(1.0)
         assert conformity_score(train, [0.5, 0.0], config) == pytest.approx(0.0)
 
-    def test_above_direction_complements(self, rng):
-        config = ConformalConfig(tiny_family())
-        train = rng.uniform(size=(10, 2))
-        below = conformity_score(train, [0.4, 0.6], config)
-        above = conformity_score(train, [0.4, 0.6], config, direction="above")
-        assert below + above == pytest.approx(1.0)
-
     def test_held_out_scores_are_calibrated_at_large_m(self):
         # at large m the posterior predictive tracks the generator, so
         # fresh-point scores are nearly uniform
@@ -153,7 +147,7 @@ class TestConformityScore:
         gen = np.random.default_rng(56)
         train = dens.sample(1000, gen)
         test = dens.sample(300, gen)
-        scorer = _ExactScorer(train, ConformalConfig(quantreg_family()))
+        scorer = _Scorer(train, ConformalConfig(quantreg_family()))
         scores = np.array([scorer.score_point(p) for p in test])
         assert kstest(scores, "uniform").pvalue > 0.01
 
@@ -171,7 +165,7 @@ class TestConformityScore:
         fam = FAMILIES[family]()
         train = rng.uniform(size=(7, 2))
         cand = np.array([0.63, 0.31])
-        scorer = _make_scorer(train, ConformalConfig(fam, a0=0.8, draws_per_seg=2, seed=5))
+        scorer = _Scorer(train, ConformalConfig(fam, a0=0.8, draws_per_seg=2, seed=5))
         slow = [
             brute_force_score(np.vstack([np.delete(train, i, axis=0), cand]), fam, 0.8, train[i], 2, 5)
             for i in range(7)
@@ -187,7 +181,7 @@ class TestConformityScore:
         # set equal to the training set, so the two scores tie exactly
         for seed in range(30):
             train = np.random.default_rng(seed).uniform(size=(12, 2))
-            scorer = _make_scorer(train, ConformalConfig(tiny_family(), draws_per_seg=draws, seed=seed))
+            scorer = _Scorer(train, ConformalConfig(tiny_family(), draws_per_seg=draws, seed=seed))
             assert scorer.loo_scores(train[3])[3] == scorer.score_point(train[3])
 
     def test_mixture_scores_deterministic_given_seed(self, rng):
@@ -197,6 +191,33 @@ class TestConformityScore:
         a = conformity_score(train, [0.7, 0.3], config)
         b = conformity_score(train, [0.7, 0.3], config)
         assert a == b
+
+
+    def test_mixture_pass_draws_once_per_occupied_cell(self, monkeypatch, rng):
+        # rows in one common-grid cell share their swapped stack, so a pass
+        # draws once per distinct cell, however many rows repeat one
+        calls = []
+        draw = predictive._draw
+
+        def counted(*args):
+            calls.append(1)
+            return draw(*args)
+
+        monkeypatch.setattr(predictive, "_draw", counted)
+        fam = quantreg_family()
+        nx, ny = _common_grid_shape(fam)
+        train = rng.uniform(size=(9, 2))
+        train = np.vstack([train, train[:4], train[:2]])
+        config = ConformalConfig(fam, draws_per_seg=2, seed=1)
+
+        def occupied(pts):
+            return np.unique(_bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny)).size
+
+        loo_scores(train, config)
+        assert len(calls) == occupied(train) < len(train)
+        calls.clear()
+        conformal_pvalue(train, train[5], config)  # a candidate in a training point's cell
+        assert len(calls) == occupied(train)
 
 
 class TestPvalue:
@@ -276,8 +297,6 @@ class TestLooScores:
         scores = loo_scores(train, config)
         assert scores.shape == (15,)
         assert np.all((scores >= 0) & (scores <= 1))
-        above = loo_scores(train, config, direction="above")
-        assert np.allclose(scores + above, 1.0)
 
     def test_empty(self):
         assert loo_scores(np.zeros((0, 2)), ConformalConfig(tiny_family())).size == 0
@@ -308,11 +327,10 @@ class TestBand:
         ok = ~np.isnan(narrow.upper)
         assert np.all(wide.upper[ok] >= narrow.upper[ok])
 
-    @pytest.mark.parametrize("endpoint", ["grid", "interpolated"])
-    def test_both_endpoints_exist_at_high_alpha(self, endpoint, rng):
+    def test_both_endpoints_exist_at_high_alpha(self, rng):
         # p_below is 1 at y = 1 and p_above is 1 at y = 0, so neither side
         # is empty even where every other p-value is at most alpha
-        config = ConformalConfig(tiny_family(), endpoint=endpoint)
+        config = ConformalConfig(tiny_family())
         band = conformal_band(rng.uniform(size=(3, 2)), [0.2, 0.5, 1.0], 0.9, config)
         assert np.all(band.p_below[:, -1] == 1.0) and np.all(band.p_above[:, 0] == 1.0)
         assert np.all((0.0 <= band.lower) & (band.lower <= 1.0))
@@ -328,15 +346,22 @@ class TestBand:
             med_idx = np.searchsorted(band.y_grid, 0.5)
             assert np.all(np.diff(p[:med_idx]) >= -1e-12)
 
-    def test_interpolated_endpoint_between_grid_points(self, rng):
-        config_grid = ConformalConfig(tiny_family())
-        config_interp = ConformalConfig(tiny_family(), endpoint="interpolated")
-        train = rng.uniform(size=(30, 2))
-        xs = [0.3]
-        a = conformal_band(train, xs, 0.10, config_grid)
-        b = conformal_band(train, xs, 0.10, config_interp)
-        assert b.lower[0] <= a.lower[0] + 1e-12
-        assert b.upper[0] >= a.upper[0] - 1e-12
+    @pytest.mark.parametrize("draws", [None, 1], ids=["exact", "mixture"])
+    def test_endpoints_are_kept_by_their_own_pvalues(self, draws):
+        # each end of the band is a y that the conformal set keeps: the
+        # lower end's p-value, and the upper end's ranked with >=, exceed alpha
+        from polyatree.simharness.densities import LogitNormalRegression
+
+        fam, m = (quantreg_family(), 20) if draws is None else (tiny_family(), 12)
+        config = ConformalConfig(fam, draws_per_seg=draws, seed=3)
+        xs, alpha = [0.1, 0.40625, 0.7, 1.0], 0.1
+        for seed in range(3):
+            train = LogitNormalRegression().sample(m, np.random.default_rng(seed))
+            band = conformal_band(train, xs, alpha, config)
+            for x, lo, hi in zip(xs, band.lower, band.upper):
+                assert conformal_pvalue(train, [x, lo], config) > alpha
+                p_above = _pvalue_tables(_Scorer(train, config), np.array([[x, hi]]))[1]
+                assert p_above[0] > alpha
 
     def test_custom_y_grid_size(self, rng):
         config = ConformalConfig(tiny_family())
@@ -374,7 +399,7 @@ class TestBandReuse:
         m, xs, size = (12, [0.53125, 1.0], None) if draws is None else (2, [0.3], 18)
         train = rng.uniform(size=(m, 2))
         band = conformal_band(train, xs, 0.2, config, size)
-        scorer = _make_scorer(train, config)
+        scorer = _Scorer(train, config)
         for ix, x in enumerate(xs):
             for iy, y in enumerate(band.y_grid):
                 cand = np.array([x, y])
@@ -395,8 +420,6 @@ class TestConfigValidation:
             ConformalConfig(fam, a0=0.0)
         with pytest.raises(ValueError):
             ConformalConfig(fam, draws_per_seg=0)
-        with pytest.raises(ValueError):
-            ConformalConfig(fam, endpoint="nearest")
 
 
 class TestCoverageSmoke:

@@ -11,6 +11,7 @@ from polyatree.hbeta import CountsTree, accumulate_counts, conditional_predictiv
 from polyatree.posterior import (
     IncrementalModel,
     LogGammaTables,
+    _log_normalize,
     fit,
     log_unnormalized_weight,
     mixture_predictive_density,
@@ -243,6 +244,26 @@ class TestFit:
         assert set(obj) == {"family", "a0", "m", "log_weights", "log_unnormalized"}
         rows = model.weight_rows()
         assert len(rows) == len(fam) and rows[0][0] == "[1, 2]"
+
+
+class TestLogNormalize:
+    @given(
+        values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=200),
+        scale=st.floats(1e-3, 5000.0),
+        ties=st.integers(0, 5),
+    )
+    def test_equals_scipy_bit_for_bit(self, values, scale, ties):
+        # the first `ties` entries are set to the maximum, so maximal terms
+        # come alone and tied
+        x = np.array(values) * scale
+        x[:ties] = x.max()
+        assert np.array_equal(_log_normalize(x), x - logsumexp(x))
+
+    def test_incremental_log_weights_equal_scipy(self, rng):
+        inc = IncrementalModel(fit(rng.uniform(size=(30, 2)), quantreg_family(), 0.7))
+        inc.add_point(np.array([0.3, 0.8]))
+        lu = inc.log_unnormalized
+        assert np.array_equal(inc.log_weights, lu - logsumexp(lu))
 
 
 class TestWeightOracle:

@@ -4,7 +4,7 @@ where it enters the package."""
 import numpy as np
 import pytest
 
-from polyatree.conformal import ConformalConfig, conformal_band, conformal_pvalue, conformity_score
+from polyatree.conformal import ConformalConfig, conformal_band, conformal_pvalue, conformity_score, loo_scores
 from polyatree.encoding import ColumnSchema, decode, encode, fit_encoding
 from polyatree.hbeta import (
     accumulate_counts,
@@ -136,10 +136,19 @@ def test_bad_sample_count_rejected(entry, count):
         call(count)
 
 
-def test_zero_mass_column_rejected():
+ZERO_MASS_ENTRIES = {
+    "conformity_score": lambda train, cand, config: conformity_score(train, cand, config),
+    "conformal_pvalue": lambda train, cand, config: conformal_pvalue(train, cand, config),
+    # the candidate's own row, scored against the training set
+    "loo_scores": lambda train, cand, config: loo_scores(np.vstack([train, cand]), config),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ZERO_MASS_ENTRIES))
+def test_zero_mass_column_rejected(entry):
     # with a tiny a0 the drawn probability of the empty right half underflows to 0
     family = SegmentationFamily((build((1, 1, 2, 2), 2),))
     train = np.array([[0.05, 0.1], [0.15, 0.05], [0.1, 0.18]])
     config = ConformalConfig(family, a0=1e-4, draws_per_seg=1)
     with pytest.raises(ValueError, match="conditional mass is zero in this column"):
-        conformity_score(train, [0.9, 0.5], config)
+        ZERO_MASS_ENTRIES[entry](train, [0.9, 0.5], config)
