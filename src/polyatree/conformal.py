@@ -11,26 +11,33 @@ keeps candidates whose p-value exceeds alpha.
 By default scores use the exact predictive CDF.  Every score of one
 candidate's p-value is then a leave-one-out score of the augmented sample,
 the training set plus the candidate: one of its m+1 points scored against
-the other m.  One pass scores any set of such rows on one count state.  It
-reads the members' predictive leaf masses on the augmented count stack at
-the common-grid cells of a row's x column.  Taking the row out changes
-counts only along its own path, so each cell's mass is corrected by one
-factor, set by the depth to which the cell's leaf shares that path.  Rows
-in one common-grid cell share their leaves, so each occupied cell's column
-is built once per pass.  A swapped set's weight follows from Bayes' rule,
+the other m.  One pass scores any set of such rows on one count state.
+A row's score reads the members' predictive leaf masses on the augmented
+counts at the common-grid cells of its x column, each corrected for
+taking the row out.  That changes counts only along the row's path, so a
+cell's correction is one factor, set by the depth to which the cell's
+leaf shares that path.  Within a column the other cells split into
+log2(ny) dyadic sibling intervals of the row's cell, each at one shared
+depth in every member, so a member's mass below the row and its column
+total are a few differences of the column's prefix sums, each times one
+factor; the family caches where each grid cell's path and leaf lie and at
+which level each member makes each y split.  Rows in one common-grid cell
+share their leaves, so each occupied cell's factors are built once per
+pass.  A swapped set's weight follows from Bayes' rule,
 p(D + c - u) = p(D) p(c | D) / p(u | D + c - u): the training weight plus
 the candidate's log leaf mass less the removed point's, both read in the
-same pass.  Candidates that share all their leaves share the augmented
-counts and enter one pass as extra rows, so a candidate and a training
-point at the same place tie exactly.  Members mix as densities at x:
-posterior weight times column mass on the common grid times 2^depth / ny.
-Setting `draws_per_seg` changes only where a cell's column masses come
-from: the same pass reads them from the mean of a freshly seeded draw of
-posterior leaf probabilities on the count stack less the cell's row, so
-each occupied cell is drawn once per pass, with the weights above.  This
-matches the sampling-based evaluation of the predictive, and since a
-candidate's own row leaves the training set, a candidate and a training
-point at the same place still tie exactly.
+same pass.  Candidates in one common-grid cell share all their leaves,
+hence the augmented counts, and enter one pass as extra rows, so a
+candidate and a training point at the same place tie exactly.  Members
+mix as densities at x: posterior weight times column mass on the common
+grid times 2^depth / ny.  Setting `draws_per_seg` changes only where a
+cell's column comes from: the same pass reads the prefix sums of the mean
+of a freshly seeded draw of posterior leaf probabilities on the counts
+less the cell's row, every factor 1, so each occupied cell is drawn once
+per pass, with the weights above.  This matches the sampling-based
+evaluation of the predictive, and since a candidate's own row leaves the
+training set, a candidate and a training point at the same place still
+tie exactly.
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import predictive as pred
-from .hbeta import CountsTree, _check_a0, _check_count, _path_counts, leaf_predictive_masses
-from .posterior import _add_point, _copy, fit
-from .segmentation import SegmentationFamily, _locate, as_points
+from .hbeta import CountsTree, _check_a0, _check_count, leaf_predictive_masses
+from .posterior import fit
+from .segmentation import SegmentationFamily, as_points
 
 __all__ = [
     "ConformalConfig",
@@ -62,7 +69,8 @@ class ConformalConfig:
     draws_per_seg None scores with the exact predictive CDF; a positive
     value scores with a mixture of that many posterior draws per
     segmentation, re-seeded identically for every score so that all m+1
-    scores of one candidate share one randomness policy.
+    scores of one candidate share one randomness policy.  The seed is
+    therefore an integer >= 0: None would draw each score afresh.
     """
 
     family: SegmentationFamily
@@ -76,6 +84,7 @@ class ConformalConfig:
         _check_a0(self.a0)
         if self.draws_per_seg is not None:
             _check_count("draws_per_seg", self.draws_per_seg, 1)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass(eq=False)
@@ -114,6 +123,50 @@ def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, scale: float) 
     return np.cumsum(weights * below, axis=0)[-1] / pred._mass(np.cumsum(weights * total, axis=0)[-1])
 
 
+def _levels(counts: np.ndarray) -> CountsTree:
+    """Count stack whose levels are views of flat counts (members, 2^(L+1) - 1),
+    the levels concatenated root first."""
+    depth = counts.shape[1].bit_length() - 1
+    return CountsTree(tuple(np.split(counts, (1 << np.arange(1, depth + 1)) - 1, axis=1)))
+
+
+def _moved(counts: np.ndarray, nodes: np.ndarray, sign: int) -> np.ndarray:
+    """A copy of flat counts with sign added along one path in every member,
+    nodes (members, L+1) as in `SegmentationFamily._grid`."""
+    out = counts.copy()
+    out.ravel()[nodes] += sign
+    return out
+
+
+def _column_cdf(prefix, col, cy, own, fac, y, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Mass below y and total mass of the column of every row, (members, n)
+    each: the conditional CDF's numerator and denominator on the grid.
+
+    Row i sits at height y[i] in common-grid cell rows[i], at y index cy
+    of column col of prefix (members, k, ny + 1), the cumulative masses of
+    the column's cells.  The other cells of the column split into B
+    dyadic intervals: interval b holds the cells whose y index first
+    differs from cy at bit b from the top, the sibling of cy's block of
+    ny / 2^(b+1) cells, and lies below the cell when that bit of cy is 1.
+    A cell's mass is own (members, cells) and interval b's is its prefix
+    difference times fac[:, b] (members, B, cells).  Intervals add up
+    from the widest, each row's alike whatever the rows.
+    """
+    ny = prefix.shape[-1] - 1
+    shift = np.arange(ny.bit_length() - 2, -1, -1)[:, None]  # (B, 1): interval b spans 2^shift cells
+    block = cy >> shift  # cy's block at each bit; its low bit is the bit
+    lo = col * (ny + 1) + ((block ^ 1) << shift)
+    flat = prefix.reshape(prefix.shape[0], -1)
+    sibling = (flat[:, lo + (1 << shift)] - flat[:, lo]) * fac
+    below, total = np.zeros(own.shape), np.zeros(own.shape)
+    for mass, under in zip(sibling.transpose(1, 0, 2), block & 1):
+        below += mass * under
+        total += mass
+    total += own
+    frac = y * ny - cy[rows]
+    return below[:, rows] + frac * own[:, rows], total[:, rows]
+
+
 class _Scorer:
     """Conformity scores as leave-one-out rows of the augmented sample."""
 
@@ -123,14 +176,19 @@ class _Scorer:
         self.a0, self.family = config.a0, config.family
         self.draws, self.seed = config.draws_per_seg, config.seed
         model = fit(self.pts, config.family, config.a0)
-        self.log_w0, self.stack = model.log_unnormalized, model.stack
-        self.shape = nx, ny = pred._common_grid_shape(config.family)
-        # the paths of the common-grid cells (members, nx*ny, L) and their
-        # leaves by column (members, nx, ny)
-        self.paths = _locate(pred._grid_centres(self.shape), config.family)
-        self.leaves = self.paths[..., -1].reshape(-1, nx, ny)
+        # counts flat: a common-grid cell's path is one gather from them
+        self.log_w0, self.counts = model.log_unnormalized, np.concatenate(model.stack.levels, axis=1)
+        self.shape, self.leaves, self.nodes, ylev = config.family._grid
+        # rows of leaf masses (members * 2^L) and of factors (members * (L+1), cells)
+        depth, members = config.family.depth, np.arange(len(config.family))[:, None]
+        self.leaf_at, self.ylev_at = self.leaves + (members << depth), ylev + members * (depth + 1)
         # a column's total on the common grid times this is a member's density at x
-        self.scale = 2.0**config.family.depth / ny
+        self.scale = 2.0**depth / self.shape[1]
+
+    def cell_of(self, pts: np.ndarray) -> np.ndarray:
+        """Common-grid cell of each point (n, 2)."""
+        nx, ny = self.shape
+        return pred._bin(pts[:, 0], nx) * ny + pred._bin(pts[:, 1], ny)
 
     def loo_scores(self, candidate=None) -> np.ndarray:
         """Score of each training point on the other m-1 points (plus the
@@ -138,69 +196,77 @@ class _Scorer:
         if self.m == 0:
             return np.zeros(0)
         if candidate is None:
-            return self._pass(self.stack, self.pts)
+            return self._pass(self.counts, self.pts)
         cand = as_points(candidate, 2)
-        return self.swapped(cand, _locate(cand, self.family))[0]
+        return self.swapped(cand, self.cell_of(cand)[0])[0]
 
-    def swapped(self, cands: np.ndarray, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Swapped-set scores (m,) and own scores of candidates (n, 2) that
-        share every leaf, located along paths (members, n, L): one pass over
-        the training and candidate rows of the augmented sample."""
-        scores = self._pass(self._augmented(paths), np.vstack([self.pts, cands]), self.m)
+    def swapped(self, cands: np.ndarray, cell: int) -> tuple[np.ndarray, np.ndarray]:
+        """Swapped-set scores (m,) and own scores of candidates (n, 2) in one
+        common-grid cell, so sharing every leaf: one pass over the training
+        and candidate rows of the augmented sample."""
+        scores = self._pass(_moved(self.counts, self.nodes[..., cell], +1), np.vstack([self.pts, cands]), self.m)
         return scores[: self.m], scores[self.m :]
 
     def score_point(self, point) -> float:
         """Conformity score of one point against the unmodified training set:
         its own row of the augmented sample."""
         cand = as_points(point, 2)
-        return float(self._pass(self._augmented(_locate(cand, self.family)), cand, 0)[0])
+        return float(self._pass(_moved(self.counts, self.nodes[..., self.cell_of(cand)[0]], +1), cand, 0)[0])
 
-    def _augmented(self, paths: np.ndarray) -> CountsTree:
-        """A copy of the training count stack with the first candidate added."""
-        stack = _copy(self.stack)
-        _add_point(stack, paths[:, 0], +1)
-        return stack
-
-    def _pass(self, stack: CountsTree, pts: np.ndarray, first_cand: int | None = None) -> np.ndarray:
-        """Score of every row of pts (n, 2) against the count `stack` with
+    def _pass(self, counts: np.ndarray, pts: np.ndarray, first_cand: int | None = None) -> np.ndarray:
+        """Score of every row of pts (n, 2) against the flat `counts` with
         the row itself taken out.
 
         Taking a row out lowers counts only along its own path.  A cell of
-        its x column keeps its leaf's mass on `stack` times corr[a], where
-        a is the depth to which that leaf shares the row's path: the product
+        its column keeps its leaf's mass on `counts` times corr[a], where a
+        is the depth to which that leaf shares the row's path: the product
         over levels l <= a of (o_l-1+a0)/(o_l+a0), for l >= 1, and of
         (o_l+2a0)/(o_l-1+2a0), for l < L, with o_l the count of the row's
-        node at level l.  Rows in one cell of the common grid share their
-        leaf in every member, so each occupied cell's column is built once;
-        with draws, it is read from the mean of a freshly seeded draw of
-        `stack` less the cell's row.  By Bayes' rule a row's log weight is
-        the training set's, plus the log leaf mass of row first_cand (a
-        candidate; none on the training set), less its own.
+        node at level l.  That depth is one value on each of the B sibling
+        intervals of the row's cell, ylev[b] on interval b (L past a
+        member's last y split, where the interval lies in the row's leaf),
+        so each interval's mass is one difference of the column's prefix
+        sums times one factor, and the cell's own mass takes corr[L].  Rows
+        in one common-grid cell share their leaf in every member, so the
+        factors are built once per occupied cell.  With draws, a cell's
+        column is instead the mean of a freshly seeded draw of `counts`
+        less the cell's row, its prefix sums taken per cell, every factor
+        1.  By Bayes' rule a row's log weight is the training set's, plus
+        the log leaf mass of row first_cand (a candidate; none on the
+        training set), less its own.
         """
-        a0, (nx, ny) = self.a0, self.shape
-        cells, rows = np.unique(pred._bin(pts[:, 0], nx) * ny + pred._bin(pts[:, 1], ny), return_inverse=True)
-        path = self.paths[:, cells]  # (members, cells, L)
-        o = _path_counts(stack.levels, path).astype(np.float64)
-        down, up = (o - 1.0 + a0) / (o + a0), (o + 2.0 * a0) / (o - 1.0 + 2.0 * a0)
-        down[..., 0] = up[..., -1] = 1.0  # the root is no child; a leaf has no children
-        corr = np.cumprod(down * up, axis=-1)
-        column = self.leaves[:, cells // ny]  # (members, cells, ny)
-        leaf_mass = leaf_predictive_masses(stack, a0)
+        a0, (nx, ny), size = self.a0, self.shape, len(self.family)
+        cells, rows = np.unique(self.cell_of(pts), return_inverse=True)
+        nodes = self.nodes[..., cells]  # (members, L+1, cells)
+        # the factor of a node holding k >= 1 points (the row among them):
+        # up only at the root, which is no child, down only at a leaf, which
+        # has no children; `start` is each level's part of the table, less 1
+        k = np.arange(1.0, counts[0, 0] + 1.0)
+        down, up = (k - 1.0 + a0) / (k + a0), (k + 2.0 * a0) / (k - 1.0 + 2.0 * a0)
+        start = np.full((nodes.shape[1], 1), k.size - 1)
+        start[0], start[-1] = -1, 2 * k.size - 1
+        corr = np.concatenate((up, down * up, down))[counts.ravel()[nodes] + start]
+        for level in range(1, corr.shape[1]):
+            corr[:, level] *= corr[:, level - 1]
+        leaf_mass = leaf_predictive_masses(_levels(counts), a0).ravel()
+        own = leaf_mass[self.leaf_at[:, cells]] * corr[:, -1]
+        cy = cells % ny
         if self.draws is None:
-            # a leaf index holds one bit per level, the first level highest, so
-            # the shared depth is L less the bit length (frexp's exponent) of the xor
-            shared = self.family.depth - np.frexp(column ^ path[..., -1:])[1]
-            masses = np.take_along_axis(leaf_mass[:, None], column, axis=-1)
-            masses *= np.take_along_axis(corr, shared, axis=-1)
+            cols, col = np.unique(cells // ny, return_inverse=True)
+            prefix = np.zeros((size, cols.size, ny + 1))
+            np.cumsum(leaf_mass[self.leaf_at.reshape(size, nx, ny)[:, cols]], axis=-1, out=prefix[..., 1:])
+            fac = corr.reshape(-1, cells.size)[self.ylev_at]
+            below, total = _column_cdf(prefix, col, cy, own, fac, pts[:, 1], rows)
         else:
-            masses = np.empty(column.shape)
-            for c in range(cells.size):
-                less = _copy(stack)
-                _add_point(less, path[:, c], -1)
+            prefix, drawn_own = np.zeros((size, cells.size, ny + 1)), np.empty(own.shape)
+            for c, cell in enumerate(cells):
+                less = _levels(_moved(counts, nodes[..., c], -1))
                 drawn = pred._draw(less, a0, self.draws, np.random.default_rng(self.seed)).mean(axis=1)
-                masses[:, c] = np.take_along_axis(drawn, column[:, c], axis=-1)
-        below, total = pred._cdf_at(masses, pts[:, 1], rows)
-        log_own = np.log(np.take_along_axis(leaf_mass, path[..., -1], axis=-1) * corr[..., -1])[:, rows]
+                column = np.take_along_axis(drawn, self.leaves[:, cell - cy[c] : cell - cy[c] + ny], axis=1)
+                np.cumsum(column, axis=-1, out=prefix[:, c, 1:])
+                drawn_own[:, c] = column[:, cy[c]]
+            below, total = _column_cdf(prefix, np.arange(cells.size), cy, drawn_own, 1.0, pts[:, 1], rows)
+        log_own = np.log(own)[:, rows]
         # difference first: a candidate's own row keeps the training weight
         # bit for bit, so it ties exactly with a training point at its place
         lc = 0.0 if first_cand is None else log_own[:, first_cand, None]
@@ -241,15 +307,14 @@ def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p-values of candidates (n, 2), ranking scores with <= and with >=.
 
     Swapped sets depend on a candidate only through its leaf in every
-    member, so candidates that share all their leaves share one pass.
+    member, so candidates that share all their leaves, those in one
+    common-grid cell, share one pass.
     """
-    paths = _locate(cands, scorer.family)
-    # a path's last entry is the member's leaf
-    group = np.unique(paths[..., -1], axis=1, return_inverse=True)[1].ravel()
+    cells, group = np.unique(scorer.cell_of(cands), return_inverse=True)
     p_below, p_above = np.empty((2, cands.shape[0]))
-    for g in range(group.max() + 1):
+    for g, cell in enumerate(cells):
         sel = np.flatnonzero(group == g)
-        a_train, a_cand = scorer.swapped(cands[sel], paths[:, sel])
+        a_train, a_cand = scorer.swapped(cands[sel], cell)
         p_below[sel] = (1 + np.sum(a_train[:, None] <= a_cand, axis=0)) / (scorer.m + 1)
         p_above[sel] = (1 + np.sum(a_train[:, None] >= a_cand, axis=0)) / (scorer.m + 1)
     return p_below, p_above
@@ -257,7 +322,7 @@ def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def default_y_grid(config: ConformalConfig) -> np.ndarray:
     """Finest y-bin boundaries plus bin midpoints of the family grid."""
-    ny = pred._common_grid_shape(config.family)[1]
+    ny = config.family._grid[0][1]
     return np.unique(np.concatenate([np.arange(ny + 1) / ny, (np.arange(ny) + 0.5) / ny]))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -127,6 +128,13 @@ class PosteriorModel:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
+    @cached_property
+    def _grid_mass(self) -> np.ndarray:
+        """`predictive._grid_mass` of the model, built on first read."""
+        from .predictive import _grid_mass  # predictive imports this module
+
+        return _grid_mass(self)
+
     def to_json_obj(self) -> dict:
         return {
             "family": self.family.to_json_obj(),
@@ -204,13 +212,18 @@ def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
 
 def _mixture_at(pts: np.ndarray, family: SegmentationFamily, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Sum over members of w_j * table_j[leaf] * 2^L at validated points,
-    table (members, 2^L).  Members add up in order (a cumulative sum),
-    whatever the number of points."""
+    table (members, 2^L)."""
     vals = np.zeros(pts.shape[0])
     for rows in _blocks(pts.shape[0], len(family) * family.ndim):
-        mass = np.take_along_axis(table, _leaves(pts[rows], family), axis=1)
-        vals[rows] += np.cumsum(weights[:, None] * mass * table.shape[1], axis=0)[-1]
+        vals[rows] = _mixture_of(_leaves(pts[rows], family), weights, table)
     return vals
+
+
+def _mixture_of(leaves: np.ndarray, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """`_mixture_at` at points with leaves (members, n).  Members add up in
+    order (a cumulative sum), whatever the number of points."""
+    mass = np.take_along_axis(table, leaves, axis=1)
+    return np.cumsum(weights[:, None] * mass * table.shape[1], axis=0)[-1]
 
 
 def mixture_predictive_density(points, model: PosteriorModel):

@@ -30,12 +30,13 @@ loop's bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .hbeta import CountsTree, _check_count, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
-from .posterior import PosteriorModel, _mixture_at
+from .posterior import PosteriorModel, _mixture_at, _mixture_of
 from .segmentation import Segmentation, SegmentationFamily, _corner_steps, as_points
 
 __all__ = [
@@ -65,13 +66,14 @@ def _as_rng_and_seed(rng) -> tuple[np.random.Generator, int | None]:
     return np.random.default_rng(rng), seed  # a Generator comes back unaltered
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MixtureApproximation:
     """Posterior draws of leaf probabilities, `draws_per_seg` per member.
 
     ``pis`` is one block (members, draws_per_seg, 2^L): ``pis[j]`` holds one
     row per drawn probability vector for family member j, and the number of
-    draws is read from its shape.
+    draws is read from its shape.  Fields are fixed once made, as the grid
+    masses are built from them on first read.
     """
 
     family: SegmentationFamily
@@ -87,6 +89,11 @@ class MixtureApproximation:
     @property
     def draws_per_seg(self) -> int:
         return self.pis.shape[1]
+
+    @cached_property
+    def _grid_mass(self) -> np.ndarray:
+        """`_grid_mass` of the mixture, built on first read."""
+        return _grid_mass(self)
 
 
 @dataclass(eq=False)
@@ -334,28 +341,28 @@ def predictive_probability(
     return PredictiveProbability(p, float(np.sqrt(p * (1.0 - p) / mc_samples)), "mc")
 
 
-def _common_grid_shape(family: SegmentationFamily) -> tuple[int, ...]:
-    return tuple(int(n) for n in family._table[1].max(axis=(0, 1)))
-
-
-def _grid_centres(shape: tuple[int, int]) -> np.ndarray:
-    """Centres (nx * ny, 2) of the cells of an nx x ny grid on the unit square, x major."""
-    return (np.indices(shape).reshape(2, -1).T + 0.5) / shape
-
-
 def grid_mass_matrix(obj) -> tuple[tuple[int, int], np.ndarray]:
     """Predictive mass of every cell of the common refinement grid (2-D only).
 
     Returns ((nx, ny), M) with M[ix, iy] the mass of cell
-    [ix/nx, (ix+1)/nx) x [iy/ny, (iy+1)/ny); dimension 1 is x.  Every
-    member's density is constant on each cell, so the mass is the density
-    at the cell centre divided by nx * ny, a power of two: exact.
+    [ix/nx, (ix+1)/nx) x [iy/ny, (iy+1)/ny); dimension 1 is x.  M is built
+    once per model or mixture and is read-only.
     """
     family = _family(obj)
     if family.ndim != 2:
         raise ValueError("grid mass matrix is defined for 2-D families only")
-    (nx, ny) = shape = _common_grid_shape(family)
-    return shape, (mixture_density(_grid_centres(shape), obj) / (nx * ny)).reshape(shape)
+    return family._grid[0], obj._grid_mass
+
+
+def _grid_mass(obj) -> np.ndarray:
+    """The grid masses of `grid_mass_matrix`, read-only.  Every member's
+    density is constant on each cell, so the mass is the density at the
+    cell centre divided by nx * ny, a power of two: exact."""
+    family, weights, table = _components(obj)
+    (nx, ny), leaves = family._grid[:2]
+    mass = (_mixture_of(leaves, weights, table) / (nx * ny)).reshape(nx, ny)
+    mass.flags.writeable = False
+    return mass
 
 
 def _bin(values: np.ndarray, n: int) -> np.ndarray:
@@ -368,17 +375,6 @@ def _mass(total: np.ndarray) -> np.ndarray:
     if np.any(total <= 0.0):  # drawn leaf probabilities can underflow to 0
         raise ValueError("conditional mass is zero in this column")
     return total
-
-
-def _cdf_at(masses: np.ndarray, y_values: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mass below y, total mass) of column cols[i] of masses (..., k, ny)
-    at y_values[i], each shape (..., n): leading axes such as members pass
-    through."""
-    ny = masses.shape[-1]
-    cell = _bin(y_values, ny)
-    frac = y_values * ny - cell
-    cums = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)], axis=-1)
-    return cums[..., cols, cell] + frac * masses[..., cols, cell], cums[..., cols, -1]
 
 
 def _column_quantile(M: np.ndarray, q: float) -> np.ndarray:

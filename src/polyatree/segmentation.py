@@ -182,6 +182,36 @@ def _corner_steps(dims: np.ndarray, ndim: int) -> np.ndarray:
     return np.where(onehot, 0.5 ** np.cumsum(onehot, axis=-2), 0.0)
 
 
+def _common_grid(family: "SegmentationFamily") -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The common refinement grid of a family and the members' tables on it.
+
+    The grid halves dimension d as often as any member does, 2^s_d cells,
+    so every leaf is a union of cells, and two cells differ in the leaf of
+    the member that splits the dimension they differ in most often.
+    Returns the shape; each cell's leaf (members, cells), cells numbered
+    in C order, the first dimension major; each cell's path as flat
+    indices into the count levels concatenated root first, member j's
+    levels at offset j (2^(L+1) - 1), shape (members, L+1, cells); and
+    `ylev` (members, B), B the splits of the last dimension: entry [j, b]
+    is the 0-based level of member j's (b+1)-th split of that dimension,
+    or L past its last, so that two cells of one column first differing
+    at bit b from the top share member j's path down to depth ylev[j, b].
+    """
+    shape = tuple(int(n) for n in family._table[1].max(axis=(0, 1)))
+    centres = (np.indices(shape).reshape(len(shape), -1).T + 0.5) / shape
+    paths = _locate(centres, family).transpose(0, 2, 1)
+    depth, size = family.depth, len(family)
+    root = np.zeros((size, 1, paths.shape[-1]), paths.dtype)
+    # level l starts at 2^l - 1 in its member's levels
+    start = ((1 << np.arange(depth + 1)) - 1)[:, None] + np.arange(size)[:, None, None] * ((2 << depth) - 1)
+    nodes = np.concatenate((root, paths), axis=1) + start
+    last = family._dims == family.ndim
+    ylev = np.full((size, int(last.sum(axis=1).max())), depth)
+    member, level = np.nonzero(last)
+    ylev[member, np.cumsum(last, axis=1)[member, level] - 1] = level
+    return shape, paths[:, -1].copy(), nodes, ylev
+
+
 def _class_cells(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
     """Cell of validated points (n, P) in every class, shape (classes, n);
     powers of two and integer sums below 2^53 are exact in floating point."""
@@ -283,6 +313,12 @@ class SegmentationFamily:
         """`_corner_steps` of every member, (members, L, ndim): where
         sampling and box masses place leaves."""
         return _corner_steps(self._dims, self.ndim)
+
+    @cached_property
+    def _grid(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """`_common_grid` of the members: what grid masses and conformal
+        scores read, located once per family on first read."""
+        return _common_grid(self)
 
     def __iter__(self) -> Iterator[Segmentation]:
         return iter(self.members)

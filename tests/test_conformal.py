@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyatree import predictive
+from polyatree import conformal, predictive, segmentation
 from polyatree.conformal import (
     ConformalConfig,
+    _mix,
     _pvalue_tables,
     _Scorer,
     conformal_band,
@@ -14,10 +15,11 @@ from polyatree.conformal import (
     default_y_grid,
     loo_scores,
 )
-from polyatree.posterior import fit
-from polyatree.predictive import _bin, _common_grid_shape, build_mixture, grid_mass_matrix
-from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family
-from polyatree.simharness.studies import quantreg_family
+from polyatree.hbeta import _path_counts, leaf_predictive_masses
+from polyatree.posterior import _add_point, _copy, fit
+from polyatree.predictive import _bin, build_mixture, grid_mass_matrix
+from polyatree.segmentation import SegmentationFamily, _locate, build, enumerate_balanced_family
+from polyatree.simharness.studies import quantreg_family, segmentations_2d
 
 
 def tiny_family():
@@ -28,6 +30,11 @@ def ragged_family():
     # depth 4, three split-count classes: x split 2, 0 and 4 times
     dims = [(1, 2, 1, 2), (2, 2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 2)]
     return SegmentationFamily(tuple(build(d, 2) for d in dims))
+
+
+def five_class_family():
+    # depth 4, one member per number of y splits, 0 to 4
+    return SegmentationFamily(tuple(build((1,) * (4 - k) + (2,) * k, 2) for k in range(5)))
 
 
 FAMILIES = {"tiny": tiny_family, "quantreg": quantreg_family, "ragged": ragged_family}
@@ -119,6 +126,95 @@ class TestExactScorer:
         assert np.allclose(fast, slow, atol=1e-10)
 
 
+def reference_pass(config, train, stack, pts, first_cand=None):
+    """The scoring pass as a (members, cells, ny) tensor of column masses,
+    each entry times its own removal factor at the depth its leaf shares
+    with the row's path, that depth from the bit length of the leaves'
+    xor; with draws, every column drawn in full.  Scores `pts` against
+    `stack`, each row taken out, with the training set's weights."""
+    family, a0 = config.family, config.a0
+    nx, ny = (int(n) for n in family._table[1].max(axis=(0, 1)))
+    grid = _locate((np.indices((nx, ny)).reshape(2, -1).T + 0.5) / (nx, ny), family)
+    leaves = grid[..., -1].reshape(-1, nx, ny)
+    cells, rows = np.unique(_bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny), return_inverse=True)
+    path = grid[:, cells]
+    o = _path_counts(stack.levels, path).astype(np.float64)
+    down, up = (o - 1.0 + a0) / (o + a0), (o + 2.0 * a0) / (o - 1.0 + 2.0 * a0)
+    down[..., 0] = up[..., -1] = 1.0
+    corr = np.cumprod(down * up, axis=-1)
+    column = leaves[:, cells // ny]
+    leaf_mass = leaf_predictive_masses(stack, a0)
+    if config.draws_per_seg is None:
+        shared = family.depth - np.frexp(column ^ path[..., -1:])[1]
+        masses = np.take_along_axis(leaf_mass[:, None], column, axis=-1)
+        masses *= np.take_along_axis(corr, shared, axis=-1)
+    else:
+        masses = np.empty(column.shape)
+        for c in range(cells.size):
+            less = _copy(stack)
+            _add_point(less, path[:, c], -1)
+            gen = np.random.default_rng(config.seed)
+            drawn = predictive._draw(less, a0, config.draws_per_seg, gen).mean(axis=1)
+            masses[:, c] = np.take_along_axis(drawn, column[:, c], axis=-1)
+    cell = _bin(pts[:, 1], ny)
+    cums = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)], axis=-1)
+    below = cums[:, rows, cell] + (pts[:, 1] * ny - cell) * masses[:, rows, cell]
+    log_own = np.log(np.take_along_axis(leaf_mass, path[..., -1], axis=-1) * corr[..., -1])[:, rows]
+    lc = 0.0 if first_cand is None else log_own[:, first_cand, None]
+    log_w0 = fit(train, family, a0).log_unnormalized
+    return _mix(log_w0[:, None] + (lc - log_own), below, cums[:, rows, -1], 2.0**family.depth / ny)
+
+
+class TestReferencePass:
+    ORACLE_FAMILIES = {"quantreg": quantreg_family, "2d": segmentations_2d, "5classes": five_class_family}
+
+    @pytest.mark.parametrize("draws", [None, 2], ids=["exact", "mixture"])
+    @pytest.mark.parametrize("m", [1, 20, 100])
+    @pytest.mark.parametrize("a0", [0.3, 1.0])
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_matches_tensor_pass(self, family, a0, m, draws):
+        # sibling intervals and prefix sums give the tensor pass's scores up
+        # to rounding, and the same p-value tables
+        config = ConformalConfig(self.ORACLE_FAMILIES[family](), a0=a0, draws_per_seg=draws, seed=3)
+        gen = np.random.default_rng(m)
+        train = gen.beta(2.0, 3.0, size=(m, 2))
+        # a training point, random candidates and the ends of y; a mixture
+        # pass draws once per occupied cell, so it scores the training point only
+        cands = np.vstack([train[:1], gen.uniform(size=(6, 2)), [[0.4, 0.0], [0.7, 1.0]]])[: 1 if draws else None]
+        scorer = _Scorer(train, config)
+        ref = reference_pass(config, train, fit(train, config.family, a0).stack, train)
+        np.testing.assert_allclose(scorer.loo_scores(), ref, rtol=0, atol=1e-12)
+        p_below, p_above = _pvalue_tables(scorer, cands)
+        for i, cand in enumerate(cands):
+            a_train, a_cand = scorer.swapped(cand[None], scorer.cell_of(cand[None])[0])
+            augmented = np.vstack([train, cand])
+            ref = reference_pass(config, train, fit(augmented, config.family, a0).stack, augmented, m)
+            np.testing.assert_allclose(np.append(a_train, a_cand), ref, rtol=0, atol=1e-12)
+            assert p_below[i] == (1 + np.sum(ref[:m] <= ref[m])) / (m + 1)
+            assert p_above[i] == (1 + np.sum(ref[:m] >= ref[m])) / (m + 1)
+
+    def test_common_grid_located_once_per_family(self, monkeypatch, rng):
+        fam = enumerate_balanced_family(2, {1: 4, 2: 4})
+        grid_size = np.prod(fam._table[1].max(axis=(0, 1)))
+        sizes = []
+
+        def spy(pts, segs):
+            sizes.append(len(pts))
+            return locate(pts, segs)
+
+        locate = segmentation._locate
+        monkeypatch.setattr(segmentation, "_locate", spy)
+        # a module that imports `_locate` by name calls its own binding
+        monkeypatch.setattr(conformal, "_locate", spy, raising=False)
+        config = ConformalConfig(fam)
+        train = rng.uniform(size=(30, 2))
+        loo_scores(train, config)
+        conformal_pvalue(train, [0.3, 0.6], config)
+        conformal_pvalue(train, [0.8, 0.1], config)
+        conformal_band(train, [0.5], 0.1, config)
+        assert sizes.count(grid_size) == 1
+
+
 class TestConformityScore:
     def test_empty_training_set_gives_uniform_cdf(self):
         config = ConformalConfig(tiny_family())
@@ -205,7 +301,7 @@ class TestConformityScore:
 
         monkeypatch.setattr(predictive, "_draw", counted)
         fam = quantreg_family()
-        nx, ny = _common_grid_shape(fam)
+        nx, ny = fam._grid[0]
         train = rng.uniform(size=(9, 2))
         train = np.vstack([train, train[:4], train[:2]])
         config = ConformalConfig(fam, draws_per_seg=2, seed=1)

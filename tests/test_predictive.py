@@ -371,6 +371,26 @@ class TestGridMassMatrix:
         (_, _), M_exact = grid_mass_matrix(fitted)
         assert np.max(np.abs(M_mix - M_exact)) < 0.01
 
+    def test_built_once_per_object(self, fitted, monkeypatch):
+        # three curves and one set read one grid of each object, read-only
+        calls = []
+        components = predictive._components
+
+        def spy(obj):
+            calls.append(obj)
+            return components(obj)
+
+        mix = build_mixture(fitted, 3, 1)
+        model = fit(np.random.default_rng(2).uniform(size=(15, 2)), fitted.family, 1.0)
+        monkeypatch.setattr(predictive, "_components", spy)
+        for obj in (model, mix):
+            for q in (0.1, 0.5, 0.9):
+                quantile_curve(q, obj)
+            credible_prediction_set(obj, 0.2)
+            assert sum(c is obj for c in calls) == 1
+            M = grid_mass_matrix(obj)[1]
+            assert M is grid_mass_matrix(obj)[1] and not M.flags.writeable
+
     def test_leaf_boxes_shapes(self):
         lo, hi = leaf_boxes(build((1, 2, 2), 2))
         assert lo.shape == (8, 2)

@@ -118,6 +118,13 @@ def test_bad_draws_per_seg_rejected(entry, draws):
         DRAWS_ENTRIES[entry](draws)
 
 
+@pytest.mark.parametrize("seed", [None, -1, 1.5, True])
+def test_bad_conformal_seed_rejected(seed):
+    # every score of one p-value must share one reproducible seed
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        ConformalConfig(FAMILY, draws_per_seg=2, seed=seed)
+
+
 COUNT_ENTRIES = {
     "sample_predictive": ("n", lambda n: sample_predictive(build_mixture(fit(TRAIN, FAMILY, 1.0), 2), n)),
     "sample_posterior_predictive": ("n", lambda n: sample_posterior_predictive(fit(TRAIN, FAMILY, 1.0), n)),
