@@ -11,7 +11,8 @@ keeps candidates whose p-value exceeds alpha.
 By default scores use the exact predictive CDF.  Every score of one
 candidate's p-value is then a leave-one-out score of the augmented sample,
 the training set plus the candidate: one of its m+1 points scored against
-the other m.  One pass scores any set of such rows on one count state.
+the other m.  One pass scores any set of such rows on one count state,
+the flat counts of `posterior` that `IncrementalModel` moves too.
 A row's score reads the members' predictive leaf masses on the augmented
 counts at the common-grid cells of its x column, each corrected for
 taking the row out.  That changes counts only along the row's path, so a
@@ -47,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import predictive as pred
-from .hbeta import CountsTree, _check_a0, _check_count, leaf_predictive_masses
-from .posterior import fit
+from .hbeta import _check_a0, _check_count, leaf_predictive_masses
+from .posterior import _levels, _moved, fit
 from .segmentation import SegmentationFamily, as_points
 
 __all__ = [
@@ -121,21 +122,6 @@ def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, scale: float) 
     """
     weights = np.exp(log_w - log_w.max(axis=0, keepdims=True)) * scale
     return np.cumsum(weights * below, axis=0)[-1] / pred._mass(np.cumsum(weights * total, axis=0)[-1])
-
-
-def _levels(counts: np.ndarray) -> CountsTree:
-    """Count stack whose levels are views of flat counts (members, 2^(L+1) - 1),
-    the levels concatenated root first."""
-    depth = counts.shape[1].bit_length() - 1
-    return CountsTree(tuple(np.split(counts, (1 << np.arange(1, depth + 1)) - 1, axis=1)))
-
-
-def _moved(counts: np.ndarray, nodes: np.ndarray, sign: int) -> np.ndarray:
-    """A copy of flat counts with sign added along one path in every member,
-    nodes (members, L+1) as in `SegmentationFamily._grid`."""
-    out = counts.copy()
-    out.ravel()[nodes] += sign
-    return out
 
 
 def _column_cdf(prefix, col, cy, own, fac, y, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +264,10 @@ def conformity_score(train, point, config: ConformalConfig) -> float:
     pts = as_points(point, 2)
     if pts.shape[0] != 1:
         raise ValueError(f"a conformity score takes a single point, got {pts.shape[0]}")
-    if np.size(train) == 0:
-        return float(pts[0, 1])  # empty sample: the predictive is uniform
+    if np.size(train) == 0 and config.draws_per_seg is None:
+        # the exact predictive of an empty sample is uniform; the pass
+        # would give y to rounding.  Drawn columns are not uniform.
+        return float(pts[0, 1])
     return _Scorer(train, config).score_point(pts)
 
 

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .segmentation import Segmentation, _leaves, as_points, leaf_indices, path_indices
+from .segmentation import Segmentation, _leaves, _nodes, as_points, leaf_indices
 
 __all__ = [
     "BetaTree",
@@ -67,7 +67,9 @@ class CountsTree:
     """Observation counts at every node: ``levels[l]`` has 2^l entries.
 
     ``levels[0]`` is the single root count, the total sample size.
-    Every parent count equals the sum of its two children.
+    Every parent count equals the sum of its two children.  Levels of
+    shape (members, 2^l) hold a stack of members of one sample, which
+    share that root count.
     """
 
     levels: tuple[np.ndarray, ...]
@@ -78,7 +80,7 @@ class CountsTree:
 
     @property
     def m(self) -> int:
-        return int(self.levels[0][0])
+        return int(self.levels[0].flat[0])
 
     def validate(self) -> None:
         for l in range(1, len(self.levels)):
@@ -89,6 +91,8 @@ class CountsTree:
             raise ValueError("negative counts")
 
     def to_json_obj(self) -> dict:
+        if self.levels[0].ndim > 1:
+            raise ValueError("to_json_obj writes one tree; write a stack's members one by one")
         return {"m": self.m, "levels": [lvl.tolist() for lvl in self.levels[1:]]}
 
     @classmethod
@@ -173,32 +177,19 @@ def conditional_predictive_density(points, counts: CountsTree, seg: Segmentation
     _check_a0(a0)
     if counts.depth != seg.depth:
         raise ValueError("counts tree depth does not match the segmentation")
-    pts = as_points(points, seg.ndim)
-    vals = np.exp(_log_path_density(counts.levels, path_indices(pts, seg), a0))
+    nodes = _nodes(leaf_indices(as_points(points, seg.ndim), seg)[None], seg.depth)[0]
+    vals = np.exp(_log_path_density(np.concatenate(counts.levels)[nodes], a0))
     return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
-def _path_counts(levels, paths: np.ndarray) -> np.ndarray:
-    """Node counts along each path, paths (n, L): the root's, then one per
-    level, shape (n, L+1).  ``levels`` are node counts as in
-    ``CountsTree.levels``; a stack takes paths (members, n, L)."""
-    depth = paths.shape[-1]
-    node_counts = np.empty(paths.shape[:-1] + (depth + 1,), dtype=np.int64)
-    node_counts[..., 0] = levels[0][..., :1]
-    for l in range(1, depth + 1):
-        node_counts[..., l] = np.take_along_axis(levels[l], paths[..., l - 1], axis=-1)
-    return node_counts
-
-
-def _log_path_density(levels, paths: np.ndarray, a0: float) -> np.ndarray:
-    """Log predictive density at the leaf ending each path, paths (n, L).
-
-    ``levels`` and paths are as in `_path_counts`.  The result is the log
-    predictive probability of the path's leaf plus L*log(2): the sum over
-    levels of log(N_level + a0) - log(N_parent + 2*a0) + log(2), with
-    levels below an empty parent contributing exactly zero.
+def _log_path_density(node_counts: np.ndarray, a0: float) -> np.ndarray:
+    """Log predictive density at the leaf ending each path, from the node
+    counts along it (..., L+1), the root's first, as gathered through
+    `segmentation._nodes`.  The result is the log predictive probability
+    of the path's leaf plus L*log(2): the sum over levels of
+    log(N_level + a0) - log(N_parent + 2*a0) + log(2), with levels below
+    an empty parent contributing exactly zero.
     """
-    node_counts = _path_counts(levels, paths)
     active = node_counts[..., :-1] > 0  # below an empty parent every factor is 1
     terms = (
         np.log(node_counts[..., 1:] + a0)

@@ -16,7 +16,11 @@ each split-count class's cells once, for all its members' leaves.
 A level's sum of node terms depends only on the lattice edge a member
 takes there (its split counts before the level and the dimension split
 at it), so a fit sums each edge once and a member's log weight is the
-sum of its edges' terms.
+sum of its edges' terms.  One-point moves, in `IncrementalModel` and the
+conformal scorers, run on flat counts instead: the levels concatenated
+root first, member j at offset j (2^(L+1) - 1), where `segmentation._nodes`
+gives the nodes of a path, so a move is one gather and one indexed add for
+all members, and `_levels` reads flat counts as a stack again.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .hbeta import (
     counts_from_leaf_counts,
     leaf_predictive_masses,
 )
-from .segmentation import SegmentationFamily, _class_cells, _leaves, _locate, as_points
+from .segmentation import SegmentationFamily, _class_cells, _leaves, _nodes, as_points
 
 __all__ = [
     "LogGammaTables",
@@ -122,7 +126,7 @@ class PosteriorModel:
 
     @property
     def m(self) -> int:
-        return int(self.stack.levels[0][0, 0])
+        return self.stack.m
 
     @property
     def weights(self) -> np.ndarray:
@@ -163,21 +167,19 @@ def _log_normalize(log_w: np.ndarray) -> np.ndarray:
     return log_w - (np.log1p(rest) + np.log(count) + top)
 
 
-def _copy(stack: CountsTree) -> CountsTree:
-    return CountsTree(tuple(lvl.copy() for lvl in stack.levels))
+def _levels(counts: np.ndarray) -> CountsTree:
+    """Count stack whose levels are views of flat counts (members,
+    2^(L+1) - 1), the levels concatenated root first as `_nodes` reads them."""
+    depth = counts.shape[1].bit_length() - 1
+    return CountsTree(tuple(np.split(counts, (1 << np.arange(1, depth + 1)) - 1, axis=1)))
 
 
-def _add_point(stack: CountsTree, paths: np.ndarray, sign: int) -> None:
-    """Add sign to the counts along every member's path, paths (members, L)."""
-    stack.levels[0][:, 0] += sign
-    for l in range(1, len(stack.levels)):
-        stack.levels[l][np.arange(paths.shape[0]), paths[:, l - 1]] += sign
-
-
-def _log_leaf_mass(stack: CountsTree, paths: np.ndarray, a0: float) -> np.ndarray:
-    """Log predictive probability (members, n) of the leaf ending each of the
-    members' paths (members, n, L) given the stack: the chain less L log 2."""
-    return _log_path_density(stack.levels, paths, a0) - paths.shape[-1] * np.log(2.0)
+def _moved(counts: np.ndarray, nodes: np.ndarray, sign: int) -> np.ndarray:
+    """A copy of flat counts with sign added along one path in every member,
+    nodes (members, L+1) as `_nodes` gives them."""
+    out = counts.copy()
+    out.ravel()[nodes] += sign
+    return out
 
 
 def _blocks(n: int, width: int):
@@ -242,19 +244,20 @@ class IncrementalModel:
     by the predictive probability of the point's leaf given the other
     points, and removing one divides by it.  An update therefore costs
     one count-ratio chain along the point's path per member, O(depth),
-    run on a copy of the count stack for all members at once.
+    for all members at once: one gather of the path's node counts from
+    a flat copy of the count stack and one indexed add into it.
     Intended for leave-one-out loops; the parent model is never modified.
     """
 
     def __init__(self, model: PosteriorModel):
         self.family = model.family
         self.a0 = model.a0
-        self.stack = _copy(model.stack)
+        self.counts = np.concatenate(model.stack.levels, axis=1)  # flat, as `_nodes` reads them
         self.log_unnormalized = model.log_unnormalized.copy()
 
     @property
     def m(self) -> int:
-        return int(self.stack.levels[0][0, 0])
+        return int(self.counts[0, 0])
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -276,17 +279,17 @@ class IncrementalModel:
         pts = as_points(u, self.family.ndim)
         if pts.shape[0] != 1:
             raise ValueError("an update takes a single point")
-        paths = _locate(pts, self.family)[:, 0]
+        nodes = _nodes(_leaves(pts, self.family)[:, 0], self.family.depth)
+        node_counts = self.counts.ravel()[nodes]
         if sign < 0:
             if self.m == 0:
                 raise ValueError("no points to remove")
-            if np.any(self.stack.levels[-1][np.arange(paths.shape[0]), paths[:, -1]] <= 0):
+            if np.any(node_counts[:, -1] <= 0):
                 raise ValueError("no observation in that leaf to remove")
-            _add_point(self.stack, paths, -1)
-        log_mass = _log_leaf_mass(self.stack, paths[:, None], self.a0)[:, 0]
+            node_counts -= 1
+        log_mass = _log_path_density(node_counts, self.a0) - self.family.depth * np.log(2.0)
         self.log_unnormalized += sign * log_mass
-        if sign > 0:
-            _add_point(self.stack, paths, +1)
+        self.counts.ravel()[nodes] += sign
 
     def snapshot(self) -> PosteriorModel:
-        return PosteriorModel(self.family, _copy(self.stack), self.a0, self.log_unnormalized.copy())
+        return PosteriorModel(self.family, _levels(self.counts.copy()), self.a0, self.log_unnormalized.copy())

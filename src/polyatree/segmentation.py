@@ -182,6 +182,15 @@ def _corner_steps(dims: np.ndarray, ndim: int) -> np.ndarray:
     return np.where(onehot, 0.5 ** np.cumsum(onehot, axis=-2), 0.0)
 
 
+def _nodes(leaves: np.ndarray, depth: int) -> np.ndarray:
+    """Flat index of every node on the path of each leaf, leaves (members,
+    ...) -> (members, ..., L+1), root first.  Flat counts hold each member's
+    levels concatenated root first, member j at offset j (2^(L+1) - 1), so
+    the level-l node over leaf k is 2^l - 1 + (k >> (L - l)) in its member."""
+    member = np.arange(leaves.shape[0]).reshape((-1,) + (1,) * leaves.ndim) * ((2 << depth) - 1)
+    return (leaves[..., None] >> np.arange(depth, -1, -1)) + ((1 << np.arange(depth + 1)) - 1) + member
+
+
 def _common_grid(family: "SegmentationFamily") -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
     """The common refinement grid of a family and the members' tables on it.
 
@@ -189,27 +198,24 @@ def _common_grid(family: "SegmentationFamily") -> tuple[tuple[int, ...], np.ndar
     so every leaf is a union of cells, and two cells differ in the leaf of
     the member that splits the dimension they differ in most often.
     Returns the shape; each cell's leaf (members, cells), cells numbered
-    in C order, the first dimension major; each cell's path as flat
-    indices into the count levels concatenated root first, member j's
-    levels at offset j (2^(L+1) - 1), shape (members, L+1, cells); and
-    `ylev` (members, B), B the splits of the last dimension: entry [j, b]
-    is the 0-based level of member j's (b+1)-th split of that dimension,
-    or L past its last, so that two cells of one column first differing
-    at bit b from the top share member j's path down to depth ylev[j, b].
+    in C order, the first dimension major; each cell's path as `_nodes`
+    into flat counts, shape (members, L+1, cells); and `ylev` (members,
+    B), B the splits of the last dimension: entry [j, b] is the 0-based
+    level of member j's (b+1)-th split of that dimension, or L past its
+    last, so that two cells of one column first differing at bit b from
+    the top share member j's path down to depth ylev[j, b].
     """
     shape = tuple(int(n) for n in family._table[1].max(axis=(0, 1)))
-    centres = (np.indices(shape).reshape(len(shape), -1).T + 0.5) / shape
-    paths = _locate(centres, family).transpose(0, 2, 1)
+    leaves = _leaves((np.indices(shape).reshape(len(shape), -1).T + 0.5) / shape, family)
     depth, size = family.depth, len(family)
-    root = np.zeros((size, 1, paths.shape[-1]), paths.dtype)
-    # level l starts at 2^l - 1 in its member's levels
-    start = ((1 << np.arange(depth + 1)) - 1)[:, None] + np.arange(size)[:, None, None] * ((2 << depth) - 1)
-    nodes = np.concatenate((root, paths), axis=1) + start
+    # cell-major in memory: a scoring pass gathers the paths of a few
+    # cells, each then one contiguous run of L+1 nodes per member
+    nodes = _nodes(leaves, depth).transpose(0, 2, 1)
     last = family._dims == family.ndim
     ylev = np.full((size, int(last.sum(axis=1).max())), depth)
     member, level = np.nonzero(last)
     ylev[member, np.cumsum(last, axis=1)[member, level] - 1] = level
-    return shape, paths[:, -1].copy(), nodes, ylev
+    return shape, leaves, nodes, ylev
 
 
 def _class_cells(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:

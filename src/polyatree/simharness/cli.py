@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import conformal as conf
 from .. import predictive as pred
-from ..hbeta import CountsTree
+from ..hbeta import CountsTree, _check_count
 from ..posterior import PosteriorModel, fit
 from ..segmentation import SegmentationFamily, as_points, enumerate_balanced_family
 from . import studies
@@ -278,7 +278,8 @@ def _cmd_density(args) -> None:
     model = _load_model(args.model)
     if args.points:
         pts = as_points(_read_points(args.points), model.family.ndim)
-    elif args.grid:
+    elif args.grid is not None:
+        _check_count("grid", args.grid, 1)
         if model.family.ndim != 2:
             raise ValueError("--grid evaluation needs a 2-D model")
         g = args.grid

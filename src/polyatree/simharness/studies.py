@@ -360,6 +360,7 @@ def run_2d_study(
 ) -> ErrorReport:
     _check_count("m", m, 1)
     _check_count("runs", runs, 1)
+    _check_count("grid", grid, 1)
     density = LogisticStripDensity()
     family = segmentations_2d()
     report = ErrorReport(
@@ -380,9 +381,7 @@ def run_2d_study(
         model = fit(density.sample(m, gen), family, a0)
         pearson[r] = (leaf_predictive_masses(model.stack, a0) - true_masses) * scale
         pearson_counts[r] = (model.stack.levels[-1] / m - true_masses) * scale
-        log_w = model.log_unnormalized
-        weights[r] = np.exp(log_w - log_w.max())
-        weights[r] /= weights[r].sum()
+        weights[r] = model.weights
 
     for k, name in enumerate(SEG_2D_NAMES):
         report.pearson_residuals[name] = pearson[:, k]

@@ -227,6 +227,16 @@ class TestValidationFailures:
         main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)])
         assert main(["density", "--model", str(model_dir), "--out", str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_density_grid_below_one_exits_2(self, tmp_path, rng, capsys, grid):
+        data_path = tmp_path / "data.csv"
+        write_points_csv(data_path, rng.uniform(size=(6, 2)))
+        model_dir = tmp_path / "model"
+        main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)])
+        assert main(["density", "--model", str(model_dir), "--grid", grid, "--out", str(tmp_path / "d")]) == 2
+        assert "grid must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_conformal_grid_below_two_exits_2(self, tmp_path, rng):
         data_path = tmp_path / "data.csv"
         write_points_csv(data_path, rng.uniform(size=(5, 2)))
@@ -283,9 +293,10 @@ class TestValidationFailures:
             (["sim1d", "--runs", "0", "--levels", "3"], "runs"),
             (["sim2d", "--m", "0", "--runs", "2", "--grid", "8"], "m"),
             (["sim2d", "--runs", "0", "--grid", "8"], "runs"),
+            (["sim2d", "--m", "5", "--runs", "2", "--grid", "0"], "grid"),
             (["prior-cdf", "--runs", "0", "--levels", "3"], "draws"),
         ],
-        ids=["sim1d-m", "sim1d-runs", "sim2d-m", "sim2d-runs", "prior-cdf-runs"],
+        ids=["sim1d-m", "sim1d-runs", "sim2d-m", "sim2d-runs", "sim2d-grid", "prior-cdf-runs"],
     )
     def test_study_size_below_one_exits_2(self, tmp_path, capsys, argv, name):
         # a study divides by these sizes: zero would write nan rows

@@ -15,10 +15,10 @@ from polyatree.conformal import (
     default_y_grid,
     loo_scores,
 )
-from polyatree.hbeta import _path_counts, leaf_predictive_masses
-from polyatree.posterior import _add_point, _copy, fit
+from polyatree.hbeta import leaf_predictive_masses
+from polyatree.posterior import _levels, _moved, fit
 from polyatree.predictive import _bin, build_mixture, grid_mass_matrix
-from polyatree.segmentation import SegmentationFamily, _locate, build, enumerate_balanced_family
+from polyatree.segmentation import SegmentationFamily, _locate, _nodes, build, enumerate_balanced_family
 from polyatree.simharness.studies import quantreg_family, segmentations_2d
 
 
@@ -138,7 +138,8 @@ def reference_pass(config, train, stack, pts, first_cand=None):
     leaves = grid[..., -1].reshape(-1, nx, ny)
     cells, rows = np.unique(_bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny), return_inverse=True)
     path = grid[:, cells]
-    o = _path_counts(stack.levels, path).astype(np.float64)
+    counts, nodes = np.concatenate(stack.levels, axis=1), _nodes(path[..., -1], family.depth)
+    o = counts.ravel()[nodes].astype(np.float64)
     down, up = (o - 1.0 + a0) / (o + a0), (o + 2.0 * a0) / (o - 1.0 + 2.0 * a0)
     down[..., 0] = up[..., -1] = 1.0
     corr = np.cumprod(down * up, axis=-1)
@@ -151,8 +152,7 @@ def reference_pass(config, train, stack, pts, first_cand=None):
     else:
         masses = np.empty(column.shape)
         for c in range(cells.size):
-            less = _copy(stack)
-            _add_point(less, path[:, c], -1)
+            less = _levels(_moved(counts, nodes[:, c], -1))
             gen = np.random.default_rng(config.seed)
             drawn = predictive._draw(less, a0, config.draws_per_seg, gen).mean(axis=1)
             masses[:, c] = np.take_along_axis(drawn, column[:, c], axis=-1)
@@ -200,12 +200,12 @@ class TestReferencePass:
 
         def spy(pts, segs):
             sizes.append(len(pts))
-            return locate(pts, segs)
+            return leaves(pts, segs)
 
-        locate = segmentation._locate
-        monkeypatch.setattr(segmentation, "_locate", spy)
-        # a module that imports `_locate` by name calls its own binding
-        monkeypatch.setattr(conformal, "_locate", spy, raising=False)
+        leaves = segmentation._leaves
+        monkeypatch.setattr(segmentation, "_leaves", spy)
+        # a module that imports `_leaves` by name calls its own binding
+        monkeypatch.setattr(conformal, "_leaves", spy, raising=False)
         config = ConformalConfig(fam)
         train = rng.uniform(size=(30, 2))
         loo_scores(train, config)
@@ -219,6 +219,19 @@ class TestConformityScore:
     def test_empty_training_set_gives_uniform_cdf(self):
         config = ConformalConfig(tiny_family())
         assert conformity_score(np.zeros((0, 2)), [0.2, 0.37], config) == 0.37
+
+    @pytest.mark.parametrize("draws", [None, 2], ids=["exact", "mixture"])
+    def test_empty_training_set_scores_as_loo_of_the_point(self, draws):
+        # a point scored on an empty set is the leave-one-out row of the
+        # sample holding it alone; exact scoring gives y itself, which the
+        # pass reaches only to rounding
+        config = ConformalConfig(quantreg_family(), draws_per_seg=draws, seed=4)
+        for p in np.random.default_rng(4).uniform(size=(50, 2)):
+            score, loo = conformity_score(np.zeros((0, 2)), p, config), loo_scores([p], config)[0]
+            if draws is None:
+                assert score == p[1] and loo == pytest.approx(p[1], rel=0, abs=1e-14)
+            else:
+                assert score == loo
 
     @pytest.mark.parametrize("m", [0, 8])
     def test_several_points_rejected(self, m, rng):

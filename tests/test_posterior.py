@@ -11,13 +11,22 @@ from polyatree.hbeta import CountsTree, accumulate_counts, conditional_predictiv
 from polyatree.posterior import (
     IncrementalModel,
     LogGammaTables,
+    _levels,
     _log_normalize,
     fit,
     log_unnormalized_weight,
     mixture_predictive_density,
 )
 from polyatree.predictive import grid_mass_matrix
-from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family, union_families
+from polyatree.segmentation import (
+    SegmentationFamily,
+    _leaves,
+    _locate,
+    _nodes,
+    build,
+    enumerate_balanced_family,
+    union_families,
+)
 from polyatree.simharness.studies import (
     TABLE1_TARGETS,
     highdim_family,
@@ -202,6 +211,14 @@ class TestFit:
         assert np.array_equal(model.log_weights, lu - logsumexp(lu)) and model.log_weights is model.log_weights
         assert np.array_equal(model.weights, np.exp(model.log_weights))
 
+    def test_stack_root_count_is_m(self):
+        # every member of a stack shares the root count; a stack is no one
+        # tree, so it has no one-tree JSON form
+        model = fit(np.random.default_rng(3).uniform(size=(50, 2)), quantreg_family(), 1.0)
+        assert model.stack.m == model.m == 50
+        with pytest.raises(ValueError, match="one tree"):
+            model.stack.to_json_obj()
+
     @pytest.mark.parametrize("name", EDGE_FAMILIES)
     @pytest.mark.parametrize("m", [0, 1, 37, 400])
     def test_edge_weights_match_member_weights(self, name, m):
@@ -357,21 +374,47 @@ class TestMixtureDensity:
         assert np.allclose(M.ravel(), dens / (nx * ny), atol=1e-14)
 
 
+class TestFlatCounts:
+    @given(data=st.data(), ndim=st.integers(1, 4), depth=st.integers(1, 10))
+    def test_nodes_gather_each_path_from_the_levels(self, data, ndim, depth):
+        # flat counts are the levels concatenated root first, member by
+        # member; a path's flat nodes read what each level holds on it
+        member = st.lists(st.integers(1, ndim), min_size=depth, max_size=depth).map(tuple)
+        family = SegmentationFamily(
+            tuple(build(d, ndim) for d in data.draw(st.lists(member, min_size=1, max_size=5, unique=True)))
+        )
+        point = st.lists(st.floats(0.0, 1.0), min_size=ndim, max_size=ndim)
+        rows = lambda least: st.lists(point, min_size=least, max_size=8)
+        train, query = (np.array(data.draw(rows(least)), dtype=np.float64).reshape(-1, ndim) for least in (0, 1))
+        stack = fit(train, family, 1.0).stack
+        counts = np.concatenate(stack.levels, axis=1)
+        paths = _locate(query, family)  # (members, n, L)
+        want = np.stack(
+            [np.broadcast_to(stack.levels[0], paths.shape[:2])]
+            + [np.take_along_axis(stack.levels[l], paths[..., l - 1], axis=1) for l in range(1, depth + 1)],
+            axis=-1,
+        )
+        assert np.array_equal(counts.ravel()[_nodes(_leaves(query, family), depth)], want)
+        assert all(np.array_equal(a, b) for a, b in zip(_levels(counts).levels, stack.levels, strict=True))
+
+
 class TestIncrementalModel:
     @given(seed=st.integers(0, 5_000), a0=st.floats(0.05, 20.0))
     def test_matches_refit_after_updates(self, seed, a0):
         # the second family has two split-count classes and leaves empty
-        # parents under the first split, where the count-ratio chain stops early
+        # parents under the first split, where the count-ratio chain stops
+        # early; the third is 3-D, 30 members at distinct flat offsets
         families = [
             enumerate_balanced_family(2, {1: 2, 2: 1}),
             SegmentationFamily((build((1, 1, 1), 2), build((2, 2, 1), 2))),
+            enumerate_balanced_family(3, {1: 2, 2: 2, 3: 1}, prefix=(3,)),
         ]
-        for fam, a in zip(families, (1.0, a0)):
+        for fam, a in zip(families, (1.0, a0, a0)):
             gen = np.random.default_rng(seed)
-            pts = gen.uniform(size=(12, 2))
+            pts = gen.uniform(size=(12, fam.ndim))
             model = fit(pts, fam, a)
             inc = IncrementalModel(model)
-            extra = gen.uniform(size=(3, 2))
+            extra = gen.uniform(size=(3, fam.ndim))
             for u in extra:
                 inc.add_point(u)
             inc.remove_point(pts[4])
