@@ -12,7 +12,7 @@ By default scores use the exact predictive CDF.  Every score of one
 candidate's p-value is then a leave-one-out score of the augmented sample,
 the training set plus the candidate: one of its m+1 points scored against
 the other m.  One pass scores any set of such rows on one count state,
-the flat counts of `posterior` that `IncrementalModel` moves too.
+the level-major flat counts of a fit, which `IncrementalModel` moves too.
 A row's score reads the members' predictive leaf masses on the augmented
 counts at the common-grid cells of its x column, each corrected for
 taking the row out.  That changes counts only along the row's path, so a
@@ -31,14 +31,14 @@ same pass.  Candidates in one common-grid cell share all their leaves,
 hence the augmented counts, and enter one pass as extra rows, so a
 candidate and a training point at the same place tie exactly.  Members
 mix as densities at x: posterior weight times column mass on the common
-grid times 2^depth / ny.  Setting `draws_per_seg` changes only where a
-cell's column comes from: the same pass reads the prefix sums of the mean
-of a freshly seeded draw of posterior leaf probabilities on the counts
-less the cell's row, every factor 1, so each occupied cell is drawn once
-per pass, with the weights above.  This matches the sampling-based
-evaluation of the predictive, and since a candidate's own row leaves the
-training set, a candidate and a training point at the same place still
-tie exactly.
+grid (times 2^depth / ny, which cancels).  Setting `draws_per_seg`
+changes only where a cell's column comes from: the same pass reads the
+prefix sums of the mean of a freshly seeded draw of posterior leaf
+probabilities on the counts less the cell's row, every factor 1, so each
+occupied cell is drawn once per pass, with the weights above.  This
+matches the sampling-based evaluation of the predictive, and since a
+candidate's own row leaves the training set, a candidate and a training
+point at the same place still tie exactly.
 """
 
 from __future__ import annotations
@@ -112,15 +112,15 @@ def _train_points(train) -> np.ndarray:
     return as_points(train, 2) if np.size(train) else np.zeros((0, 2))
 
 
-def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray, scale: float) -> np.ndarray:
+def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Weight-averaged conditional CDF from per-member arrays (members, n).
 
-    A member enters with its posterior weight times its marginal density
-    at x, which is its column total times scale, so members of different x
-    resolution mix as densities.  Members are summed in order by a
-    cumulative sum, so that equal inputs give equal scores whatever n is.
+    A member enters with its posterior weight times its column total, its
+    marginal density at x up to a factor the members share.  Members are
+    summed in order by a cumulative sum, so that equal inputs give equal
+    scores whatever n is.
     """
-    weights = np.exp(log_w - log_w.max(axis=0, keepdims=True)) * scale
+    weights = np.exp(log_w - log_w.max(axis=0, keepdims=True))
     return np.cumsum(weights * below, axis=0)[-1] / pred._mass(np.cumsum(weights * total, axis=0)[-1])
 
 
@@ -162,29 +162,22 @@ class _Scorer:
         self.a0, self.family = config.a0, config.family
         self.draws, self.seed = config.draws_per_seg, config.seed
         model = fit(self.pts, config.family, config.a0)
-        # counts flat: a common-grid cell's path is one gather from them
-        self.log_w0, self.counts = model.log_unnormalized, np.concatenate(model.stack.levels, axis=1)
+        self.log_w0, self.counts = model.log_unnormalized, model.counts
         self.shape, self.leaves, self.nodes, ylev = config.family._grid
         # rows of leaf masses (members * 2^L) and of factors (members * (L+1), cells)
         depth, members = config.family.depth, np.arange(len(config.family))[:, None]
         self.leaf_at, self.ylev_at = self.leaves + (members << depth), ylev + members * (depth + 1)
-        # a column's total on the common grid times this is a member's density at x
-        self.scale = 2.0**depth / self.shape[1]
 
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
         """Common-grid cell of each point (n, 2)."""
         nx, ny = self.shape
         return pred._bin(pts[:, 0], nx) * ny + pred._bin(pts[:, 1], ny)
 
-    def loo_scores(self, candidate=None) -> np.ndarray:
-        """Score of each training point on the other m-1 points (plus the
-        candidate when given): the swapped-set scores of the p-value."""
+    def loo_scores(self) -> np.ndarray:
+        """Score of each training point on the other m-1 points."""
         if self.m == 0:
             return np.zeros(0)
-        if candidate is None:
-            return self._pass(self.counts, self.pts)
-        cand = as_points(candidate, 2)
-        return self.swapped(cand, self.cell_of(cand)[0])[0]
+        return self._pass(self.counts, self.pts)
 
     def swapped(self, cands: np.ndarray, cell: int) -> tuple[np.ndarray, np.ndarray]:
         """Swapped-set scores (m,) and own scores of candidates (n, 2) in one
@@ -227,14 +220,14 @@ class _Scorer:
         # the factor of a node holding k >= 1 points (the row among them):
         # up only at the root, which is no child, down only at a leaf, which
         # has no children; `start` is each level's part of the table, less 1
-        k = np.arange(1.0, counts[0, 0] + 1.0)
+        k = np.arange(1.0, counts[0] + 1.0)
         down, up = (k - 1.0 + a0) / (k + a0), (k + 2.0 * a0) / (k - 1.0 + 2.0 * a0)
         start = np.full((nodes.shape[1], 1), k.size - 1)
         start[0], start[-1] = -1, 2 * k.size - 1
-        corr = np.concatenate((up, down * up, down))[counts.ravel()[nodes] + start]
+        corr = np.concatenate((up, down * up, down))[counts[nodes] + start]
         for level in range(1, corr.shape[1]):
             corr[:, level] *= corr[:, level - 1]
-        leaf_mass = leaf_predictive_masses(_levels(counts), a0).ravel()
+        leaf_mass = leaf_predictive_masses(_levels(counts, size), a0).ravel()
         own = leaf_mass[self.leaf_at[:, cells]] * corr[:, -1]
         cy = cells % ny
         if self.draws is None:
@@ -246,7 +239,7 @@ class _Scorer:
         else:
             prefix, drawn_own = np.zeros((size, cells.size, ny + 1)), np.empty(own.shape)
             for c, cell in enumerate(cells):
-                less = _levels(_moved(counts, nodes[..., c], -1))
+                less = _levels(_moved(counts, nodes[..., c], -1), size)
                 drawn = pred._draw(less, a0, self.draws, np.random.default_rng(self.seed)).mean(axis=1)
                 column = np.take_along_axis(drawn, self.leaves[:, cell - cy[c] : cell - cy[c] + ny], axis=1)
                 np.cumsum(column, axis=-1, out=prefix[:, c, 1:])
@@ -256,7 +249,7 @@ class _Scorer:
         # difference first: a candidate's own row keeps the training weight
         # bit for bit, so it ties exactly with a training point at its place
         lc = 0.0 if first_cand is None else log_own[:, first_cand, None]
-        return _mix(self.log_w0[:, None] + (lc - log_own), below, total, self.scale)
+        return _mix(self.log_w0[:, None] + (lc - log_own), below, total)
 
 
 def conformity_score(train, point, config: ConformalConfig) -> float:

@@ -9,18 +9,17 @@ whose binomial coefficients cancel).  Sums run in log space over cached
 log-gamma values and normalize by log-sum-exp.  The members share one
 depth, so the density form of each likelihood differs from its leaf-sequence
 form by one common factor, which normalizing cancels.  A fitted model
-holds its family, a0, one count stack of levels (members, 2^l) and the
-unnormalized log weights, nothing else, so fits, weights, densities,
-sampling, scoring and one-point updates are array operations; a fit counts
-each split-count class's cells once, for all its members' leaves.
-A level's sum of node terms depends only on the lattice edge a member
-takes there (its split counts before the level and the dimension split
-at it), so a fit sums each edge once and a member's log weight is the
-sum of its edges' terms.  One-point moves, in `IncrementalModel` and the
-conformal scorers, run on flat counts instead: the levels concatenated
-root first, member j at offset j (2^(L+1) - 1), where `segmentation._nodes`
-gives the nodes of a path, so a move is one gather and one indexed add for
-all members, and `_levels` reads flat counts as a stack again.
+holds its family, a0, one level-major count buffer (level l of each of M
+members in turn, from offset M (2^l - 1), so `_levels` reads every level
+as a (members, 2^l) view) and the unnormalized log weights, nothing else,
+so fits, weights, densities, sampling, scoring and one-point updates are
+array operations; a fit counts each split-count class's cells once, for
+all its members' leaves.  A level's sum of node terms depends only on the
+lattice edge a member takes there (its split counts before the level and
+the dimension split at it), so a fit sums each edge once and a member's
+log weight is the sum of its edges' terms.  A one-point move, in
+`IncrementalModel` or a conformal scorer, is one gather and one indexed
+add for all members at the nodes `segmentation._nodes` gives.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .hbeta import (
     CountsTree,
     _check_a0,
     _log_path_density,
-    counts_from_leaf_counts,
     leaf_predictive_masses,
 )
 from .segmentation import SegmentationFamily, _class_cells, _leaves, _nodes, as_points
@@ -109,24 +107,31 @@ def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTable
 class PosteriorModel:
     """Fitted family: its node counts and unnormalized log weights.
 
-    ``stack`` is one `CountsTree` of levels (members, 2^l); weights,
-    densities, sampling and scoring read only it.  The sample size is its
-    root count, and ``log_weights``, the normalized log weights, are
-    derived when the model is made."""
+    ``counts`` is the level-major count buffer and ``stack`` its levels
+    (members, 2^l) as views; weights, densities, sampling and scoring read
+    only these.  The sample size is the root count, and ``log_weights``,
+    the normalized log weights, are derived when the model is made."""
 
     family: SegmentationFamily
-    stack: CountsTree
+    counts: np.ndarray
     a0: float
     log_unnormalized: np.ndarray
 
     def __post_init__(self):
+        counts, size = self.counts, len(self.family) * ((2 << self.family.depth) - 1)
+        if not isinstance(counts, np.ndarray) or counts.shape != (size,) or counts.dtype.kind != "i":
+            raise ValueError(f"counts must be a 1-D signed integer array of {size} node counts")
         # made here, not on first read, so that a fit pays for normalizing
         # and not the first density or sample that reads the weights
         object.__setattr__(self, "log_weights", _log_normalize(self.log_unnormalized))
 
+    @cached_property
+    def stack(self) -> CountsTree:
+        return _levels(self.counts, len(self.family))
+
     @property
     def m(self) -> int:
-        return self.stack.m
+        return int(self.counts[0])
 
     @property
     def weights(self) -> np.ndarray:
@@ -167,18 +172,18 @@ def _log_normalize(log_w: np.ndarray) -> np.ndarray:
     return log_w - (np.log1p(rest) + np.log(count) + top)
 
 
-def _levels(counts: np.ndarray) -> CountsTree:
-    """Count stack whose levels are views of flat counts (members,
-    2^(L+1) - 1), the levels concatenated root first as `_nodes` reads them."""
-    depth = counts.shape[1].bit_length() - 1
-    return CountsTree(tuple(np.split(counts, (1 << np.arange(1, depth + 1)) - 1, axis=1)))
+def _levels(counts: np.ndarray, members: int) -> CountsTree:
+    """Count stack whose levels (members, 2^l) are views of level-major flat
+    counts, level l at offset members (2^l - 1), as `_nodes` reads them."""
+    widths = [1 << l for l in range((counts.size // members).bit_length())]
+    return CountsTree(tuple([counts[members * (w - 1) : members * (2 * w - 1)].reshape(members, w) for w in widths]))
 
 
 def _moved(counts: np.ndarray, nodes: np.ndarray, sign: int) -> np.ndarray:
     """A copy of flat counts with sign added along one path in every member,
     nodes (members, L+1) as `_nodes` gives them."""
     out = counts.copy()
-    out.ravel()[nodes] += sign
+    out[nodes] += sign
     return out
 
 
@@ -199,17 +204,21 @@ def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
     pts = as_points(points, family.ndim)
     tables = LogGammaTables(a0, pts.shape[0])
     cls, scale, _, table = family._table
-    counts = np.zeros((scale.shape[0], table.shape[1]), dtype=np.int64)  # of each class's cells
+    cell_counts = np.zeros((scale.shape[0], table.shape[1]), dtype=np.int64)  # of each class's cells
     for rows in _blocks(pts.shape[0], scale.size):
-        cells = _class_cells(pts[rows], family) + np.arange(0, counts.size, table.shape[1])[:, None]
-        counts += np.bincount(cells.ravel(), minlength=counts.size).reshape(counts.shape)
-    leaf_counts = np.empty(table.shape, dtype=np.int64)  # a member's cells are its leaves, permuted
-    np.put_along_axis(leaf_counts, table, counts[cls], axis=1)
-    stack, (reps, edge) = counts_from_leaf_counts(leaf_counts), family._edges
+        cells = _class_cells(pts[rows], family) + np.arange(0, cell_counts.size, table.shape[1])[:, None]
+        cell_counts += np.bincount(cells.ravel(), minlength=cell_counts.size).reshape(cell_counts.shape)
+    counts = np.empty(len(family) * ((2 << family.depth) - 1), dtype=np.int64)
+    stack, (reps, edge) = _levels(counts, len(family)), family._edges
     levels, log_unnorm = stack.levels, np.zeros(len(family))
+    np.put_along_axis(levels[-1], table, cell_counts[cls], axis=1)  # a member's cells are its leaves, permuted
+    for l in range(family.depth, 0, -1):  # each level above sums its children in place
+        np.add(levels[l][:, 0::2], levels[l][:, 1::2], levels[l - 1])
     for l, rows in enumerate(reps, 1):
         log_unnorm += np.sum(_node_terms(levels[l][rows], levels[l - 1][rows], tables), axis=-1)[edge[l - 1]]
-    return PosteriorModel(family, stack, float(a0), log_unnorm)
+    model = PosteriorModel(family, counts, float(a0), log_unnorm)
+    model.__dict__["stack"] = stack  # the views summed into above, so they are built once
+    return model
 
 
 def _mixture_at(pts: np.ndarray, family: SegmentationFamily, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -245,19 +254,19 @@ class IncrementalModel:
     points, and removing one divides by it.  An update therefore costs
     one count-ratio chain along the point's path per member, O(depth),
     for all members at once: one gather of the path's node counts from
-    a flat copy of the count stack and one indexed add into it.
+    a copy of the model's flat counts and one indexed add into it.
     Intended for leave-one-out loops; the parent model is never modified.
     """
 
     def __init__(self, model: PosteriorModel):
         self.family = model.family
         self.a0 = model.a0
-        self.counts = np.concatenate(model.stack.levels, axis=1)  # flat, as `_nodes` reads them
+        self.counts = model.counts.copy()
         self.log_unnormalized = model.log_unnormalized.copy()
 
     @property
     def m(self) -> int:
-        return int(self.counts[0, 0])
+        return int(self.counts[0])
 
     @property
     def log_weights(self) -> np.ndarray:
@@ -280,7 +289,7 @@ class IncrementalModel:
         if pts.shape[0] != 1:
             raise ValueError("an update takes a single point")
         nodes = _nodes(_leaves(pts, self.family)[:, 0], self.family.depth)
-        node_counts = self.counts.ravel()[nodes]
+        node_counts = self.counts[nodes]
         if sign < 0:
             if self.m == 0:
                 raise ValueError("no points to remove")
@@ -289,7 +298,7 @@ class IncrementalModel:
             node_counts -= 1
         log_mass = _log_path_density(node_counts, self.a0) - self.family.depth * np.log(2.0)
         self.log_unnormalized += sign * log_mass
-        self.counts.ravel()[nodes] += sign
+        self.counts[nodes] += sign
 
     def snapshot(self) -> PosteriorModel:
-        return PosteriorModel(self.family, _levels(self.counts.copy()), self.a0, self.log_unnormalized.copy())
+        return PosteriorModel(self.family, self.counts.copy(), self.a0, self.log_unnormalized.copy())

@@ -184,11 +184,12 @@ def _corner_steps(dims: np.ndarray, ndim: int) -> np.ndarray:
 
 def _nodes(leaves: np.ndarray, depth: int) -> np.ndarray:
     """Flat index of every node on the path of each leaf, leaves (members,
-    ...) -> (members, ..., L+1), root first.  Flat counts hold each member's
-    levels concatenated root first, member j at offset j (2^(L+1) - 1), so
-    the level-l node over leaf k is 2^l - 1 + (k >> (L - l)) in its member."""
-    member = np.arange(leaves.shape[0]).reshape((-1,) + (1,) * leaves.ndim) * ((2 << depth) - 1)
-    return (leaves[..., None] >> np.arange(depth, -1, -1)) + ((1 << np.arange(depth + 1)) - 1) + member
+    ...) -> (members, ..., L+1), root first.  Flat counts are level-major:
+    level l of every member in turn from offset M (2^l - 1), M members, so
+    member j's level-l node over leaf k is M (2^l - 1) + j 2^l + (k >> (L - l))."""
+    size, level = leaves.shape[0], np.arange(depth + 1)
+    member = np.arange(size).reshape((-1,) + (1,) * leaves.ndim) << level
+    return (leaves[..., None] >> (depth - level)) + size * ((1 << level) - 1) + member
 
 
 def _common_grid(family: "SegmentationFamily") -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
@@ -199,11 +200,11 @@ def _common_grid(family: "SegmentationFamily") -> tuple[tuple[int, ...], np.ndar
     the member that splits the dimension they differ in most often.
     Returns the shape; each cell's leaf (members, cells), cells numbered
     in C order, the first dimension major; each cell's path as `_nodes`
-    into flat counts, shape (members, L+1, cells); and `ylev` (members,
-    B), B the splits of the last dimension: entry [j, b] is the 0-based
-    level of member j's (b+1)-th split of that dimension, or L past its
-    last, so that two cells of one column first differing at bit b from
-    the top share member j's path down to depth ylev[j, b].
+    into level-major counts, shape (members, L+1, cells); and `ylev`
+    (members, B), B the splits of the last dimension: entry [j, b] is the
+    0-based level of member j's (b+1)-th split of that dimension, or L
+    past its last, so that two cells of one column first differing at bit
+    b from the top share member j's path down to depth ylev[j, b].
     """
     shape = tuple(int(n) for n in family._table[1].max(axis=(0, 1)))
     leaves = _leaves((np.indices(shape).reshape(len(shape), -1).T + 0.5) / shape, family)

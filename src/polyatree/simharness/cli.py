@@ -40,17 +40,19 @@ def _parse_splits(text: str) -> dict[int, int]:
 
 
 def _read_points(path: str) -> np.ndarray:
-    rows = []
+    """Numeric CSV rows, of which only the first non-comment line may be a header."""
+    rows, first = [], True
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
             try:
-                rows.append([float(p) for p in parts])
+                rows.append([float(p) for p in line.split(",")])
             except ValueError:
-                continue  # header row
+                if not first:
+                    raise ValueError(f"{path} line {number} is not a numeric row: {line!r}") from None
+            first = False
     if not rows:
         raise ValueError(f"no numeric rows in {path}")
     return np.asarray(rows)
@@ -72,7 +74,7 @@ def _save_model(model: PosteriorModel, outdir: str) -> None:
 
 def _load_model(indir: str) -> PosteriorModel:
     """Read a saved model, checking that counts.json fits model.json, and
-    stack its per-member trees."""
+    lay its per-member trees out level by level in one flat buffer."""
     with open(os.path.join(indir, "model.json")) as fh:
         obj = json.load(fh)
     with open(os.path.join(indir, "counts.json")) as fh:
@@ -86,7 +88,7 @@ def _load_model(indir: str) -> PosteriorModel:
         raise ValueError(f"counts.json trees must have their members' depths and m = {m} points")
     return PosteriorModel(
         family,
-        CountsTree(tuple(map(np.stack, zip(*(tree.levels for tree in counts))))),
+        np.concatenate(tuple(map(np.stack, zip(*(tree.levels for tree in counts)))), axis=None),  # level-major
         float(obj["a0"]),
         np.asarray(obj["log_unnormalized"]),
     )

@@ -304,6 +304,37 @@ class TestValidationFailures:
         assert f"{name} must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad_row", ["0.3,oops", "0.7,", "u_x,u_y"], ids=["word", "empty-field", "second-header"])
+    @pytest.mark.parametrize("command", ["fit", "conformal", "density"])
+    def test_malformed_data_row_exits_2(self, tmp_path, rng, capsys, command, bad_row):
+        # only the first non-comment line may be a header: a later line that
+        # does not parse is refused by its number, not dropped
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"u_x,u_y\n# note\n0.1,0.2\n{bad_row}\n0.5,0.6\n")
+        out, model_dir = tmp_path / "o", tmp_path / "model"
+        argv = {
+            "fit": ["fit", "--data", str(bad), "--splits", "1:1,2:1"],
+            "conformal": ["conformal", "--data", str(bad)],
+            "density": ["density", "--model", str(model_dir), "--points", str(bad)],
+        }[command]
+        if command == "density":
+            write_points_csv(tmp_path / "data.csv", rng.uniform(size=(6, 2)))
+            assert main(["fit", "--data", str(tmp_path / "data.csv"), "--splits", "1:1,2:1", "--out", str(model_dir)]) == 0
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "line 4 is not a numeric row" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# logged\n\nu_x,u_y\n0.1,0.2\n# mid\n0.5,0.6\n0.7,0.8\n", "0.1,0.2\n0.5,0.6\n\n0.7,0.8\n"],
+        ids=["comment-then-header", "headerless"],
+    )
+    def test_header_and_comments_are_skipped(self, tmp_path, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert main(["fit", "--data", str(data), "--splits", "1:1,2:1", "--out", str(tmp_path / "m")]) == 0
+        assert read_meta(tmp_path / "m" / "weights.csv")["m"] == 3
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -22,6 +22,12 @@ from polyatree.segmentation import SegmentationFamily, _locate, _nodes, build, e
 from polyatree.simharness.studies import quantreg_family, segmentations_2d
 
 
+def swapped_scores(scorer, cand):
+    """Swapped-set scores of the training points with one candidate (2,)."""
+    cands = cand[None]
+    return scorer.swapped(cands, scorer.cell_of(cands)[0])[0]
+
+
 def tiny_family():
     return enumerate_balanced_family(2, {1: 2, 2: 2})  # 6 members, depth 4
 
@@ -68,7 +74,7 @@ class TestExactScorer:
         ]
         scorer = _Scorer(train, ConformalConfig(fam))
         for cand in candidates:
-            fast = scorer.loo_scores(cand)
+            fast = swapped_scores(scorer, cand)
             slow = np.array(
                 [
                     brute_force_score(
@@ -88,7 +94,7 @@ class TestExactScorer:
         train = rng.uniform(size=(9, 2))
         scorer = _Scorer(train, ConformalConfig(fam, a0=2.0))
         for cand in (np.array([0.63, 0.31]), np.array([1.0, 0.0]), train[3], None):
-            fast = scorer.loo_scores(cand)
+            fast = scorer.loo_scores() if cand is None else swapped_scores(scorer, cand)
             slow = np.array(
                 [
                     brute_force_score(
@@ -116,7 +122,7 @@ class TestExactScorer:
         fam = tiny_family()
         train = rng.uniform(size=(m, 2))
         scorer = _Scorer(train, ConformalConfig(fam, a0=a0))
-        fast = scorer.loo_scores(None)
+        fast = scorer.loo_scores()
         slow = np.array(
             [
                 brute_force_score(np.delete(train, i, axis=0), fam, a0, train[i])
@@ -138,8 +144,8 @@ def reference_pass(config, train, stack, pts, first_cand=None):
     leaves = grid[..., -1].reshape(-1, nx, ny)
     cells, rows = np.unique(_bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny), return_inverse=True)
     path = grid[:, cells]
-    counts, nodes = np.concatenate(stack.levels, axis=1), _nodes(path[..., -1], family.depth)
-    o = counts.ravel()[nodes].astype(np.float64)
+    counts, nodes = np.concatenate(stack.levels, axis=None), _nodes(path[..., -1], family.depth)
+    o = counts[nodes].astype(np.float64)
     down, up = (o - 1.0 + a0) / (o + a0), (o + 2.0 * a0) / (o - 1.0 + 2.0 * a0)
     down[..., 0] = up[..., -1] = 1.0
     corr = np.cumprod(down * up, axis=-1)
@@ -152,7 +158,7 @@ def reference_pass(config, train, stack, pts, first_cand=None):
     else:
         masses = np.empty(column.shape)
         for c in range(cells.size):
-            less = _levels(_moved(counts, nodes[:, c], -1))
+            less = _levels(_moved(counts, nodes[:, c], -1), len(family))
             gen = np.random.default_rng(config.seed)
             drawn = predictive._draw(less, a0, config.draws_per_seg, gen).mean(axis=1)
             masses[:, c] = np.take_along_axis(drawn, column[:, c], axis=-1)
@@ -162,7 +168,7 @@ def reference_pass(config, train, stack, pts, first_cand=None):
     log_own = np.log(np.take_along_axis(leaf_mass, path[..., -1], axis=-1) * corr[..., -1])[:, rows]
     lc = 0.0 if first_cand is None else log_own[:, first_cand, None]
     log_w0 = fit(train, family, a0).log_unnormalized
-    return _mix(log_w0[:, None] + (lc - log_own), below, cums[:, rows, -1], 2.0**family.depth / ny)
+    return _mix(log_w0[:, None] + (lc - log_own), below, cums[:, rows, -1])
 
 
 class TestReferencePass:
@@ -279,7 +285,7 @@ class TestConformityScore:
             brute_force_score(np.vstack([np.delete(train, i, axis=0), cand]), fam, 0.8, train[i], 2, 5)
             for i in range(7)
         ]
-        np.testing.assert_allclose(scorer.loo_scores(cand), slow, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(swapped_scores(scorer, cand), slow, rtol=0, atol=1e-12)
         assert scorer.score_point(cand) == pytest.approx(
             brute_force_score(train, fam, 0.8, cand, 2, 5), abs=1e-12
         )
@@ -291,7 +297,7 @@ class TestConformityScore:
         for seed in range(30):
             train = np.random.default_rng(seed).uniform(size=(12, 2))
             scorer = _Scorer(train, ConformalConfig(tiny_family(), draws_per_seg=draws, seed=seed))
-            assert scorer.loo_scores(train[3])[3] == scorer.score_point(train[3])
+            assert swapped_scores(scorer, train[3])[3] == scorer.score_point(train[3])
 
     def test_mixture_scores_deterministic_given_seed(self, rng):
         fam = tiny_family()
@@ -513,7 +519,7 @@ class TestBandReuse:
             for iy, y in enumerate(band.y_grid):
                 cand = np.array([x, y])
                 a_cand = scorer.score_point(cand)
-                a_train = scorer.loo_scores(cand)
+                a_train = swapped_scores(scorer, cand)
                 assert band.p_below[ix, iy] == (1 + np.sum(a_train <= a_cand)) / (m + 1)
                 assert band.p_above[ix, iy] == (1 + np.sum(a_train >= a_cand)) / (m + 1)
 

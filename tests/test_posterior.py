@@ -11,6 +11,7 @@ from polyatree.hbeta import CountsTree, accumulate_counts, conditional_predictiv
 from polyatree.posterior import (
     IncrementalModel,
     LogGammaTables,
+    PosteriorModel,
     _levels,
     _log_normalize,
     fit,
@@ -201,11 +202,11 @@ class TestFit:
 
     @pytest.mark.parametrize("m", [0, 1, 37])
     def test_m_and_log_weights_read_from_stack(self, m):
-        # a fit holds family, count stack, a0 and unnormalized log weights;
+        # a fit holds family, flat counts, a0 and unnormalized log weights;
         # the sample size is the stack's root and the weights are normalized
         fam = highdim_family(ndim=5, prefix=(5,), candidate_dims=range(1, 4), splits=2)
         model = fit(oracle_points(m, m, 5), fam, 1.0)
-        assert [f.name for f in dataclasses.fields(model)] == ["family", "stack", "a0", "log_unnormalized"]
+        assert [f.name for f in dataclasses.fields(model)] == ["family", "counts", "a0", "log_unnormalized"]
         assert model.m == m and np.all(model.stack.levels[0] == m)
         lu = model.log_unnormalized
         assert np.array_equal(model.log_weights, lu - logsumexp(lu)) and model.log_weights is model.log_weights
@@ -218,6 +219,17 @@ class TestFit:
         assert model.stack.m == model.m == 50
         with pytest.raises(ValueError, match="one tree"):
             model.stack.to_json_obj()
+
+    def test_rejects_malformed_counts(self):
+        # counts are one flat signed integer buffer holding every member's
+        # nodes; unsigned counts could not take a removal's -1
+        model = fit(np.random.default_rng(3).uniform(size=(5, 2)), quantreg_family(), 1.0)
+        family, counts, lu = model.family, model.counts, model.log_unnormalized
+        bad = [counts[:-1], np.append(counts, 0), counts.reshape(len(family), -1), counts.astype(float), list(counts)]
+        for wrong in bad + [counts.astype(np.uint64), model.stack]:
+            with pytest.raises(ValueError, match="1-D signed integer array"):
+                PosteriorModel(family, wrong, 1.0, lu)
+        assert PosteriorModel(family, counts.copy(), 1.0, lu).m == 5
 
     @pytest.mark.parametrize("name", EDGE_FAMILIES)
     @pytest.mark.parametrize("m", [0, 1, 37, 400])
@@ -377,8 +389,9 @@ class TestMixtureDensity:
 class TestFlatCounts:
     @given(data=st.data(), ndim=st.integers(1, 4), depth=st.integers(1, 10))
     def test_nodes_gather_each_path_from_the_levels(self, data, ndim, depth):
-        # flat counts are the levels concatenated root first, member by
-        # member; a path's flat nodes read what each level holds on it
+        # flat counts are level-major, every member's level 0, then level 1,
+        # and so on; a path's flat nodes read what each level holds on it,
+        # and every level of the stack is a view of the model's counts
         member = st.lists(st.integers(1, ndim), min_size=depth, max_size=depth).map(tuple)
         family = SegmentationFamily(
             tuple(build(d, ndim) for d in data.draw(st.lists(member, min_size=1, max_size=5, unique=True)))
@@ -386,16 +399,19 @@ class TestFlatCounts:
         point = st.lists(st.floats(0.0, 1.0), min_size=ndim, max_size=ndim)
         rows = lambda least: st.lists(point, min_size=least, max_size=8)
         train, query = (np.array(data.draw(rows(least)), dtype=np.float64).reshape(-1, ndim) for least in (0, 1))
-        stack = fit(train, family, 1.0).stack
-        counts = np.concatenate(stack.levels, axis=1)
+        model = fit(train, family, 1.0)
+        stack, counts = model.stack, model.counts
         paths = _locate(query, family)  # (members, n, L)
         want = np.stack(
             [np.broadcast_to(stack.levels[0], paths.shape[:2])]
             + [np.take_along_axis(stack.levels[l], paths[..., l - 1], axis=1) for l in range(1, depth + 1)],
             axis=-1,
         )
-        assert np.array_equal(counts.ravel()[_nodes(_leaves(query, family), depth)], want)
-        assert all(np.array_equal(a, b) for a, b in zip(_levels(counts).levels, stack.levels, strict=True))
+        assert np.array_equal(counts[_nodes(_leaves(query, family), depth)], want)
+        assert np.array_equal(counts, np.concatenate(stack.levels, axis=None))
+        assert all(np.shares_memory(level, counts) for level in stack.levels)
+        for a, b in zip(_levels(counts, len(family)).levels, stack.levels, strict=True):
+            assert np.array_equal(a, b) and np.shares_memory(a, counts)
 
 
 class TestIncrementalModel:
