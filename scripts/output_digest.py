@@ -44,8 +44,11 @@ def library(family, m):
     model, unit = pt.fit(pts, family, 0.3), np.ones(family.ndim)
     mix, inc = pt.build_mixture(model, 4, 1), pt.IncrementalModel(model)
     inc.add_point(0.4 * unit)
-    out = dict(model=model, mixture=mix, update=inc.snapshot(), box=pt.predictive_probability(pt.Box(tuple(0.1 * unit), tuple(0.6 * unit)), mix),
-               density=pt.mixture_predictive_density(np.random.default_rng(9).uniform(size=(50, family.ndim)), model),
+    overlapping = [pt.Box(tuple(0.1 * unit), tuple(0.6 * unit)), pt.Box(tuple(0.4 * unit), tuple(0.9 * unit))]
+    at = np.random.default_rng(9).uniform(size=(50, family.ndim))
+    out = dict(model=model, mixture=mix, update=inc.snapshot(), box=pt.predictive_probability(overlapping[0], mix),
+               overlap=[pt.predictive_probability(overlapping, obj) for obj in (model, mix)],
+               density=pt.mixture_predictive_density(at, model), mixture_density=pt.mixture_predictive_density(at, mix),
                exact=pt.sample_posterior_predictive(model, 300, 2), drawn=pt.sample_predictive(mix, 300, 3))
     if family.ndim == 2:
         out.update(curve=pt.quantile_curve(0.3, model), boxes=pt.credible_prediction_set(mix, 0.2))

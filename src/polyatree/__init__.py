@@ -34,7 +34,6 @@ from .posterior import (
     PosteriorModel,
     fit,
     log_unnormalized_weight,
-    mixture_predictive_density,
 )
 from .predictive import (
     Box,
@@ -44,7 +43,7 @@ from .predictive import (
     conditional_quantile,
     credible_prediction_set,
     grid_mass_matrix,
-    mixture_density,
+    mixture_predictive_density,
     predictive_probability,
     quantile_curve,
     sample_posterior_predictive,

@@ -48,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import predictive as pred
-from .hbeta import _check_a0, _check_count, leaf_predictive_masses
+from .hbeta import _check_a0, leaf_predictive_masses
 from .posterior import _levels, _moved, fit
-from .segmentation import SegmentationFamily, as_points
+from .segmentation import SegmentationFamily, _check_count, as_points
 
 __all__ = [
     "ConformalConfig",

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .segmentation import Segmentation, _leaves, _nodes, as_points, leaf_indices
+from .segmentation import Segmentation, _check_count, _leaves, _nodes, as_points, leaf_indices
 
 __all__ = [
     "BetaTree",
@@ -40,12 +40,6 @@ def _check_a0(a0: float) -> None:
     """Reject a concentration that is not a finite positive number."""
     if not (np.isfinite(a0) and a0 > 0):
         raise ValueError(f"a0 must be finite and positive, got {a0}")
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Reject a count that is not an integer >= least; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +101,7 @@ class CountsTree:
 def sample_phi_prior(depth: int, a0: float, rng=None) -> BetaTree:
     """Independent Beta(a0, a0) draws at every node of a depth-L tree."""
     _check_a0(a0)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_count("depth", depth, 1)
     gen = np.random.default_rng(rng)  # a Generator comes back unaltered
     return BetaTree(tuple(gen.beta(a0, a0, size=1 << l) for l in range(depth)))
 

@@ -31,12 +31,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .hbeta import (
-    CountsTree,
-    _check_a0,
-    _log_path_density,
-    leaf_predictive_masses,
-)
+from .hbeta import CountsTree, _check_a0, _log_path_density
 from .segmentation import SegmentationFamily, _class_cells, _leaves, _nodes, as_points
 
 __all__ = [
@@ -44,7 +39,6 @@ __all__ = [
     "log_unnormalized_weight",
     "fit",
     "PosteriorModel",
-    "mixture_predictive_density",
     "IncrementalModel",
 ]
 
@@ -118,9 +112,13 @@ class PosteriorModel:
     log_unnormalized: np.ndarray
 
     def __post_init__(self):
-        counts, size = self.counts, len(self.family) * ((2 << self.family.depth) - 1)
+        counts, log_w, members = self.counts, self.log_unnormalized, len(self.family)
+        size = members * ((2 << self.family.depth) - 1)
         if not isinstance(counts, np.ndarray) or counts.shape != (size,) or counts.dtype.kind != "i":
             raise ValueError(f"counts must be a 1-D signed integer array of {size} node counts")
+        if not (isinstance(log_w, np.ndarray) and log_w.shape == (members,) and log_w.dtype.kind == "f"
+                and np.all(np.isfinite(log_w))):
+            raise ValueError(f"log_unnormalized must be a 1-D array of {members} finite floats, one per member")
         # made here, not on first read, so that a fit pays for normalizing
         # and not the first density or sample that reads the weights
         object.__setattr__(self, "log_weights", _log_normalize(self.log_unnormalized))
@@ -219,30 +217,6 @@ def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
     model = PosteriorModel(family, counts, float(a0), log_unnorm)
     model.__dict__["stack"] = stack  # the views summed into above, so they are built once
     return model
-
-
-def _mixture_at(pts: np.ndarray, family: SegmentationFamily, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Sum over members of w_j * table_j[leaf] * 2^L at validated points,
-    table (members, 2^L)."""
-    vals = np.zeros(pts.shape[0])
-    for rows in _blocks(pts.shape[0], len(family) * family.ndim):
-        vals[rows] = _mixture_of(_leaves(pts[rows], family), weights, table)
-    return vals
-
-
-def _mixture_of(leaves: np.ndarray, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """`_mixture_at` at points with leaves (members, n).  Members add up in
-    order (a cumulative sum), whatever the number of points."""
-    mass = np.take_along_axis(table, leaves, axis=1)
-    return np.cumsum(weights[:, None] * mass * table.shape[1], axis=0)[-1]
-
-
-def mixture_predictive_density(points, model: PosteriorModel):
-    """Posterior predictive density: the weighted members' predictive leaf
-    masses times 2^L at each point's leaves."""
-    pts = as_points(points, model.family.ndim)
-    vals = _mixture_at(pts, model.family, model.weights, leaf_predictive_masses(model.stack, model.a0))
-    return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
 class IncrementalModel:

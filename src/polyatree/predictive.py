@@ -10,12 +10,13 @@ supported by every function here:
   mixture component carrying weight Pr(segmentation | data) /
   draws_per_seg; the whole block comes from one Beta call per level.
 
-Since every component density is constant within leaf boxes, conditional
-distributions over a 2-D grid, region probabilities, quantiles and
-credible bands are all available in closed form given the component leaf
-probabilities.  A leaf box's lower corner is its bits times its member's
-per-level corner steps, and its widths follow from the member's split
-counts, so no member's boxes are built one at a time.
+Since every component density is constant within leaf boxes, densities,
+conditional distributions over a 2-D grid, the probability of any union
+of boxes, quantiles and credible bands are all available in closed form
+given the component leaf probabilities, each read through one path for
+both representations.  A leaf box's lower corner is its bits times its
+member's per-level corner steps, and its widths follow from the member's
+split counts, so no member's boxes are built one at a time.
 
 Both samplers run one kernel over the whole family: leaf laws only for
 the distinct drawn (member, draw) rows, every leaf by bisection of its
@@ -31,13 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .hbeta import CountsTree, _check_count, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
-from .posterior import PosteriorModel, _mixture_at, _mixture_of
-from .segmentation import Segmentation, SegmentationFamily, _corner_steps, as_points
+from .hbeta import CountsTree, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
+from .posterior import PosteriorModel, _blocks
+from .segmentation import Segmentation, SegmentationFamily, _check_count, _corner_steps, _leaves, as_points
 
 __all__ = [
     "MixtureApproximation",
@@ -46,7 +47,7 @@ __all__ = [
     "PredictiveProbability",
     "build_mixture",
     "leaf_boxes",
-    "mixture_density",
+    "mixture_predictive_density",
     "sample_predictive",
     "sample_posterior_predictive",
     "predictive_probability",
@@ -109,8 +110,6 @@ class PredictiveSample:
 
 class PredictiveProbability(NamedTuple):
     value: float
-    stderr: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -177,8 +176,26 @@ def _components(obj) -> tuple[SegmentationFamily, np.ndarray, np.ndarray]:
     return family, obj.weights, obj.pis.mean(axis=1)
 
 
-def mixture_density(points, obj):
-    """Evaluate the (approximate) predictive density at each point."""
+def _mixture_at(pts: np.ndarray, family: SegmentationFamily, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Sum over members of w_j * table_j[leaf] * 2^L at validated points,
+    table (members, 2^L)."""
+    vals = np.zeros(pts.shape[0])
+    for rows in _blocks(pts.shape[0], len(family) * family.ndim):
+        vals[rows] = _mixture_of(_leaves(pts[rows], family), weights, table)
+    return vals
+
+
+def _mixture_of(leaves: np.ndarray, weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """`_mixture_at` at points with leaves (members, n).  Members add up in
+    order (a cumulative sum), whatever the number of points."""
+    mass = np.take_along_axis(table, leaves, axis=1)
+    return np.cumsum(weights[:, None] * mass * table.shape[1], axis=0)[-1]
+
+
+def mixture_predictive_density(points, obj):
+    """Predictive density at each point: the weighted members' leaf masses
+    times 2^L at the point's leaves.  A model's masses are its exact
+    predictive leaf masses, a mixture's the means of its drawn rows."""
     family, weights, table = _components(obj)
     vals = _mixture_at(as_points(points, family.ndim), family, weights, table)
     return float(vals[0]) if np.ndim(points) == 1 else vals
@@ -293,52 +310,54 @@ def _as_boxes(region) -> list[Box]:
     return boxes
 
 
-def _boxes_disjoint(boxes: Sequence[Box]) -> bool:
-    lo, hi = np.array([b.lower for b in boxes]), np.array([b.upper for b in boxes])
-    meet = np.all(np.minimum(hi[:, None], hi) > np.maximum(lo[:, None], lo), axis=-1)
-    return not np.any(np.triu(meet, 1))
+def _outside(lower: tuple, upper: tuple, box: Box) -> list[tuple[tuple, tuple]]:
+    """Disjoint boxes (lower, upper) covering [lower, upper] less `box`:
+    the box itself when the two share no volume (a shared face is none),
+    else the slabs cut off at `box`'s faces, up to two per dimension."""
+    if not all(max(a, c) < min(b, e) for a, b, c, e in zip(lower, upper, box.lower, box.upper)):
+        return [(lower, upper)]
+    parts, lo, hi = [], list(lower), list(upper)
+    for d, (c, e) in enumerate(zip(box.lower, box.upper)):
+        if lo[d] < c:
+            parts.append((tuple(lo), tuple(hi[:d] + [c] + hi[d + 1 :])))
+            lo[d] = c
+        if e < hi[d]:
+            parts.append((tuple(lo[:d] + [e] + lo[d + 1 :]), tuple(hi)))
+            hi[d] = e
+    return parts  # what is left, [lo, hi], lies inside `box`
 
 
-def predictive_probability(
-    region,
-    obj,
-    method: str = "auto",
-    mc_samples: int = 100_000,
-    rng=None,
-) -> PredictiveProbability:
-    """Predictive probability of a union of boxes.
+def _pieces(boxes: list[Box]) -> list[tuple[tuple, tuple]]:
+    """Disjoint boxes (lower, upper) whose union is the boxes' union: each
+    box less every earlier box.  Pairwise disjoint boxes are their own
+    pieces, in order."""
+    pieces = []
+    for i, box in enumerate(boxes):
+        parts = [(box.lower, box.upper)]
+        for earlier in boxes[:i]:
+            parts = [part for lower, upper in parts for part in _outside(lower, upper, earlier)]
+        pieces += parts
+    return pieces
+
+
+def predictive_probability(region, obj) -> PredictiveProbability:
+    """Predictive probability of a box or a union of boxes, exact.
 
     Component densities are uniform within leaf boxes, so the mass of any
-    axis-aligned box is an exact sum of fractional leaf overlaps; that
-    analytic path is used whenever the boxes are pairwise disjoint.
-    Overlapping unions (or method="mc") fall back to Monte Carlo over
-    predictive samples, with the binomial standard error reported.
+    axis-aligned box is a sum of fractional leaf overlaps.  A union is
+    first cut into disjoint pieces, each box less the earlier boxes it
+    overlaps, so that no volume counts twice, and the pieces' masses add.
     """
     boxes = _as_boxes(region)
     family, weights, table = _components(obj)
-    for b in boxes:
-        if len(b.lower) != family.ndim:
-            raise ValueError("box dimension does not match the family")
-    if method not in ("auto", "analytic", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-    disjoint = _boxes_disjoint(boxes)
-    if method == "analytic" and not disjoint:
-        raise ValueError("analytic mass needs pairwise-disjoint boxes")
-    if method in ("auto", "analytic") and disjoint:
-        cls, scale = family._table[:2]
-        lo = _lower_corners(family.depth, family._steps)  # every member's leaf boxes, (members, 2^L, ndim)
-        hi = lo + 1.0 / scale[cls]
-        overlap = (np.minimum(hi, b.upper) - np.maximum(lo, b.lower) for b in boxes)
-        share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
-        return PredictiveProbability(float(weights @ np.sum(table * share, axis=-1)), 0.0, "analytic")
-    _check_count("mc_samples", mc_samples, 1)
-    draw = sample_predictive if isinstance(obj, MixtureApproximation) else sample_posterior_predictive
-    pts = draw(obj, mc_samples, rng).points
-    inside = np.zeros(mc_samples, dtype=bool)
-    for b in boxes:
-        inside |= np.all((pts >= b.lower) & (pts <= b.upper), axis=1)
-    p = float(inside.mean())
-    return PredictiveProbability(p, float(np.sqrt(p * (1.0 - p) / mc_samples)), "mc")
+    if any(len(b.lower) != family.ndim for b in boxes):
+        raise ValueError("box dimension does not match the family")
+    cls, scale = family._table[:2]
+    lo = _lower_corners(family.depth, family._steps)  # every member's leaf boxes, (members, 2^L, ndim)
+    hi = lo + 1.0 / scale[cls]
+    overlap = (np.minimum(hi, upper) - np.maximum(lo, lower) for lower, upper in _pieces(boxes))
+    share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
+    return PredictiveProbability(float(weights @ np.sum(table * share, axis=-1)))
 
 
 def grid_mass_matrix(obj) -> tuple[tuple[int, int], np.ndarray]:
@@ -395,13 +414,10 @@ def conditional_quantile(x_value: float, q: float, obj) -> float:
     piecewise linear in y and the quantile profile is piecewise constant
     across the x columns.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {q}")
     if not 0.0 <= x_value <= 1.0:
         raise ValueError("x_value must lie in [0, 1]")
-    (nx, _), M = grid_mass_matrix(obj)
-    ix = min(int(x_value * nx), nx - 1)
-    return _column_quantile(M[ix : ix + 1], q)[0]
+    curve = quantile_curve(q, obj)
+    return curve[min(int(x_value * curve.size), curve.size - 1)]
 
 
 def quantile_curve(q: float, obj) -> np.ndarray:
@@ -422,6 +438,6 @@ def credible_prediction_set(obj, alpha: float) -> list[Box]:
         raise ValueError("credible bands are defined for 2-D families only")
     if alpha == 0.0:
         return [Box((0.0, 0.0), (1.0, 1.0))]
-    (nx, _), M = grid_mass_matrix(obj)
-    lo, hi = (_column_quantile(M, q) for q in (alpha / 2.0, 1.0 - alpha / 2.0))
+    lo, hi = (quantile_curve(q, obj) for q in (alpha / 2.0, 1.0 - alpha / 2.0))
+    nx = lo.size
     return [Box((ix / nx, lo[ix]), ((ix + 1) / nx, hi[ix])) for ix in range(nx)]

@@ -44,6 +44,19 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not an integer >= least; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_dim(dim, ndim: int) -> None:
+    """Reject a splitting dimension that is not an integer in 1..ndim."""
+    _check_count("splitting dimension", dim, 1)
+    if dim > ndim:
+        raise ValueError(f"splitting dimension {dim} outside 1..{ndim}")
+
+
 @dataclass(frozen=True)
 class Segmentation:
     """Per-level splitting dimensions (1-based), for the unit cube in `ndim`."""
@@ -54,11 +67,16 @@ class Segmentation:
     def __post_init__(self):
         if len(self.dims) < 1:
             raise ValueError("a segmentation needs at least one level")
-        if self.ndim < 1:
-            raise ValueError(f"ndim must be >= 1, got {self.ndim}")
-        for d in self.dims:
-            if not 1 <= d <= self.ndim:
-                raise ValueError(f"splitting dimension {d} outside 1..{self.ndim}")
+        ndim = self.ndim
+        for d in self.dims:  # the common case, ints in range, costs one pass
+            if type(d) is not int or type(ndim) is not int or not 1 <= d <= ndim:
+                _check_count("ndim", ndim, 1)
+                for dim in self.dims:
+                    _check_dim(dim, ndim)
+                # numpy integers are stored as ints, so members hash and serialize alike
+                object.__setattr__(self, "dims", tuple(map(int, self.dims)))
+                object.__setattr__(self, "ndim", int(ndim))
+                break
 
     @property
     def depth(self) -> int:
@@ -77,7 +95,7 @@ class Segmentation:
 
     @classmethod
     def from_json_obj(cls, obj: Sequence[int], ndim: int) -> "Segmentation":
-        return cls(tuple(int(d) for d in obj), ndim)
+        return cls(tuple(obj), ndim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +116,7 @@ class SubintervalPath:
 
 def build(dims: Sequence[int], ndim: int) -> Segmentation:
     """Construct a segmentation from 1-based splitting dimensions."""
-    return Segmentation(tuple(int(d) for d in dims), int(ndim))
+    return Segmentation(tuple(dims), ndim)
 
 
 def as_points(u, ndim: int) -> np.ndarray:
@@ -338,8 +356,7 @@ class SegmentationFamily:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SegmentationFamily":
-        ndim = int(obj["ndim"])
-        return cls(tuple(Segmentation(tuple(int(d) for d in m), ndim) for m in obj["members"]))
+        return cls(tuple(Segmentation(tuple(m), obj["ndim"]) for m in obj["members"]))
 
 
 def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -371,15 +388,11 @@ def enumerate_balanced_family(
     the multiset {dim repeated per_dim_splits[dim] times} appears exactly
     once, in lexicographic order, so the family layout is reproducible.
     """
-    prefix = tuple(int(d) for d in prefix)
-    multiset: list[int] = []
-    for dim, count in sorted(per_dim_splits.items()):
-        dim, count = int(dim), int(count)
-        if not 1 <= dim <= ndim:
-            raise ValueError(f"splitting dimension {dim} outside 1..{ndim}")
-        if count < 0:
-            raise ValueError(f"negative split count for dimension {dim}")
-        multiset.extend([dim] * count)
+    _check_count("ndim", ndim, 1)
+    for dim, count in per_dim_splits.items():
+        _check_dim(dim, ndim)
+        _check_count(f"split count for dimension {dim}", count, 0)
+    prefix, multiset = tuple(prefix), [dim for dim, count in per_dim_splits.items() for _ in range(count)]
     if len(prefix) + len(multiset) < 1:
         raise ValueError("family segmentations need at least one level")
     members = tuple(

@@ -15,9 +15,9 @@ import numpy as np
 
 from .. import conformal as conf
 from .. import predictive as pred
-from ..hbeta import CountsTree, _check_count
+from ..hbeta import CountsTree
 from ..posterior import PosteriorModel, fit
-from ..segmentation import SegmentationFamily, as_points, enumerate_balanced_family
+from ..segmentation import SegmentationFamily, _check_count, as_points, enumerate_balanced_family
 from . import studies
 
 
@@ -275,8 +275,6 @@ def _cmd_sample(args) -> None:
 
 
 def _cmd_density(args) -> None:
-    from ..posterior import mixture_predictive_density
-
     model = _load_model(args.model)
     if args.points:
         pts = as_points(_read_points(args.points), model.family.ndim)
@@ -289,7 +287,7 @@ def _cmd_density(args) -> None:
         pts = np.column_stack([np.repeat(xs, g), np.tile(xs, g)])
     else:
         raise ValueError("give either --points or --grid")
-    vals = mixture_predictive_density(pts, model)
+    vals = pred.mixture_predictive_density(pts, model)
     header = [f"u{j}" for j in range(1, model.family.ndim + 1)] + ["density"]
     rows = [tuple(f"{v:.8f}" for v in p) + (f"{d:.8f}",) for p, d in zip(pts, vals)]
     meta = {"command": "density", "m": model.m, "a0": model.a0}

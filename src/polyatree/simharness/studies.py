@@ -21,7 +21,6 @@ from .. import predictive as pred
 from ..encoding import ColumnSchema, decode, encode, fit_encoding
 from ..hbeta import (
     CountsTree,
-    _check_count,
     accumulate_counts,
     leaf_predictive_masses,
     pi_from_phi,
@@ -32,6 +31,7 @@ from ..posterior import PosteriorModel, fit
 from ..segmentation import (
     Segmentation,
     SegmentationFamily,
+    _check_count,
     build,
     enumerate_balanced_family,
     union_families,

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from polyatree.posterior import fit, mixture_predictive_density
-from polyatree.predictive import build_mixture, sample_posterior_predictive, sample_predictive
+from polyatree.posterior import fit
+from polyatree.predictive import build_mixture, mixture_predictive_density, sample_posterior_predictive, sample_predictive
 from polyatree.segmentation import SegmentationFamily, build
 from polyatree.simharness.cli import _load_model, _save_model, main
 
@@ -269,6 +269,25 @@ class TestValidationFailures:
         (model_dir / "counts.json").write_text(json.dumps(counts))
         code = main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda w: w.__setitem__(0, float("nan")), lambda w: w.pop()],
+        ids=["nan-weight", "weight-short"],
+    )
+    @pytest.mark.parametrize("command", [["density", "--grid", "2"], ["sample", "--n", "5"]])
+    def test_malformed_log_weights_exit_2(self, tmp_path, rng, capsys, corrupt, command):
+        # one NaN weight made every density nan; one weight short, a broadcast error
+        data_path = tmp_path / "data.csv"
+        write_points_csv(data_path, rng.uniform(size=(12, 2)))
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)]) == 0
+        model = json.loads((model_dir / "model.json").read_text())
+        corrupt(model["log_unnormalized"])
+        (model_dir / "model.json").write_text(json.dumps(model))
+        code = main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
+        assert code == 2 and "log_unnormalized must be a 1-D array of 2 finite floats" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", [["density", "--grid", "2"], ["sample", "--n", "5"]])
     def test_model_mixing_depths_exits_2(self, tmp_path, rng, capsys, command):

@@ -16,9 +16,8 @@ from polyatree.posterior import (
     _log_normalize,
     fit,
     log_unnormalized_weight,
-    mixture_predictive_density,
 )
-from polyatree.predictive import grid_mass_matrix
+from polyatree.predictive import grid_mass_matrix, mixture_predictive_density
 from polyatree.segmentation import (
     SegmentationFamily,
     _leaves,

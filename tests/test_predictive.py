@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polyatree import predictive
 from polyatree.encoding import ColumnSchema, encode, fit_encoding
 from polyatree.hbeta import CountsTree, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
-from polyatree.posterior import fit, mixture_predictive_density
+from polyatree.posterior import fit
 from polyatree.predictive import (
     Box,
     MixtureApproximation,
@@ -17,7 +17,7 @@ from polyatree.predictive import (
     credible_prediction_set,
     grid_mass_matrix,
     leaf_boxes,
-    mixture_density,
+    mixture_predictive_density,
     predictive_probability,
     quantile_curve,
     sample_posterior_predictive,
@@ -101,7 +101,7 @@ class TestBuildMixture:
         u = np.array([0.3, 0.7])
         exact = mixture_predictive_density(u, model)
         vals = np.array(
-            [mixture_density(u, build_mixture(model, 5, rng)) for _ in range(300)]
+            [mixture_predictive_density(u, build_mixture(model, 5, rng)) for _ in range(300)]
         )
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - exact) <= 3 * se
@@ -177,7 +177,6 @@ class TestPredictiveProbability:
         mix = build_mixture(fitted, 5, 0)
         res = predictive_probability(Box((0.0, 0.0), (1.0, 1.0)), mix)
         assert res.value == pytest.approx(1.0, abs=1e-12)
-        assert res.method == "analytic" and res.stderr == 0.0
 
     def test_finest_box_of_empty_model_has_its_volume(self):
         fam = enumerate_balanced_family(2, {1: 1, 2: 1})
@@ -186,12 +185,16 @@ class TestPredictiveProbability:
         assert predictive_probability(box, model).value == pytest.approx(0.25)
 
     def test_analytic_matches_monte_carlo(self, fitted, rng):
+        # the samplers are the oracle: the share of predictive draws in an
+        # overlapping union, each draw counted once
         mix = build_mixture(fitted, 5, 1)
-        region = [Box((0.05, 0.1), (0.4, 0.55)), Box((0.6, 0.0), (0.9, 0.3))]
-        exact = predictive_probability(region, mix).value
-        mc = predictive_probability(region, mix, method="mc", mc_samples=100_000, rng=2)
-        assert abs(mc.value - exact) <= 3 * mc.stderr + 1e-12
-        assert mc.method == "mc" and mc.stderr > 0
+        region = [Box((0.05, 0.1), (0.4, 0.55)), Box((0.3, 0.4), (0.9, 0.8)), Box((0.6, 0.0), (0.9, 0.5))]
+        n = 100_000
+        for obj, sampler in ((mix, sample_predictive), (fitted, sample_posterior_predictive)):
+            pts = sampler(obj, n, 2).points
+            inside = np.any([np.all((pts >= b.lower) & (pts <= b.upper), axis=1) for b in region], axis=0)
+            exact = predictive_probability(region, obj).value
+            assert abs(inside.mean() - exact) <= 3 * np.sqrt(exact * (1 - exact) / n)
 
     def test_ragged_family_matches_member_loop(self, rng):
         fam = ragged_family()
@@ -210,14 +213,6 @@ class TestPredictiveProbability:
                     ov = np.clip(np.minimum(hi, b.upper) - np.maximum(lo, b.lower), 0.0, None)
                     ref += w * float(pi @ np.prod(ov / (hi - lo), axis=1))
             assert predictive_probability(region, obj).value == pytest.approx(ref, rel=1e-12)
-
-    def test_overlapping_boxes_fall_back_to_mc(self, fitted):
-        mix = build_mixture(fitted, 3, 0)
-        region = [Box((0.0, 0.0), (0.6, 0.6)), Box((0.5, 0.5), (1.0, 1.0))]
-        res = predictive_probability(region, mix, mc_samples=2000, rng=0)
-        assert res.method == "mc"
-        with pytest.raises(ValueError):
-            predictive_probability(region, mix, method="analytic")
 
     def test_malformed_region_rejected(self, fitted):
         with pytest.raises(ValueError):
@@ -407,7 +402,7 @@ class TestGridMassMatrix:
         [
             lambda obj: grid_mass_matrix(obj),
             lambda obj: credible_prediction_set(obj, 0.1),
-            lambda obj: mixture_density([0.5, 0.5], obj),
+            lambda obj: mixture_predictive_density([0.5, 0.5], obj),
         ],
         ids=["grid", "credible", "density"],
     )
@@ -606,6 +601,22 @@ class TestSamplingKernel:
         for obj in (model, build_mixture(model, 3, 2)):
             assert predictive_probability(region, obj).value == _reference_box_mass(region, obj)
 
+    @pytest.mark.parametrize(
+        "family", [ragged5_family, studies.quantreg_family, STREAM_FAMILIES["balanced3"]], ids=["ragged5", "quantreg", "balanced3"]
+    )
+    def test_overlapping_union_equals_disjoint_partition(self, family):
+        # a box inside another, a corner overlap and a box sharing a face:
+        # the union, and the same region cut by hand into disjoint boxes
+        fam = family()
+        model = fit(np.random.default_rng(5).beta(2.0, 3.0, size=(60, fam.ndim)), fam, 0.5)
+        pad = (0.0,) * (fam.ndim - 2), (1.0,) * (fam.ndim - 2)
+        box = lambda lo, hi: Box(lo + pad[0], hi + pad[1])
+        union = [box((0.1, 0.1), (0.6, 0.5)), box((0.2, 0.2), (0.3, 0.3)), box((0.4, 0.3), (0.8, 0.9)), box((0.6, 0.1), (0.8, 0.3))]
+        partition = [box((0.1, 0.1), (0.6, 0.5)), box((0.6, 0.1), (0.8, 0.9)), box((0.4, 0.5), (0.6, 0.9))]
+        for obj in (model, build_mixture(model, 3, 2)):
+            got, want = (predictive_probability(r, obj).value for r in (union, partition))
+            assert got == pytest.approx(want, abs=1e-12)
+
 
 RNG_FORMS = {
     "int": lambda: 5,
@@ -626,6 +637,3 @@ def test_every_rng_form_gives_the_same_stream(fitted, form):
     for sampler, obj in ((sample_predictive, ref), (sample_posterior_predictive, fitted)):
         got, want = sampler(obj, 50, make()), sampler(obj, 50, 5)
         assert got.seed == seed and np.array_equal(got.points, want.points)
-    region = [Box((0.0, 0.0), (0.6, 0.6)), Box((0.5, 0.5), (1.0, 1.0))]
-    mc = predictive_probability(region, fitted, method="mc", mc_samples=500, rng=make())
-    assert mc == predictive_probability(region, fitted, method="mc", mc_samples=500, rng=5)

@@ -1,9 +1,13 @@
 """Non-finite input, and input with no mass to condition on, is rejected
 where it enters the package."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import polyatree
 from polyatree.conformal import ConformalConfig, conformal_band, conformal_pvalue, conformity_score, loo_scores
 from polyatree.encoding import ColumnSchema, decode, encode, fit_encoding
 from polyatree.hbeta import (
@@ -13,20 +17,14 @@ from polyatree.hbeta import (
     sample_phi_posterior,
     sample_phi_prior,
 )
-from polyatree.posterior import (
-    IncrementalModel,
-    LogGammaTables,
-    fit,
-    mixture_predictive_density,
-)
+from polyatree.posterior import IncrementalModel, LogGammaTables, PosteriorModel, fit
 from polyatree.predictive import (
-    Box,
     build_mixture,
-    predictive_probability,
+    mixture_predictive_density,
     sample_posterior_predictive,
     sample_predictive,
 )
-from polyatree.segmentation import SegmentationFamily, build, enumerate_balanced_family, path_indices
+from polyatree.segmentation import Segmentation, SegmentationFamily, build, enumerate_balanced_family, path_indices
 
 FAMILY = enumerate_balanced_family(2, {1: 1, 2: 1})
 SEG = FAMILY[0]
@@ -128,10 +126,6 @@ def test_bad_conformal_seed_rejected(seed):
 COUNT_ENTRIES = {
     "sample_predictive": ("n", lambda n: sample_predictive(build_mixture(fit(TRAIN, FAMILY, 1.0), 2), n)),
     "sample_posterior_predictive": ("n", lambda n: sample_posterior_predictive(fit(TRAIN, FAMILY, 1.0), n)),
-    "predictive_probability": (
-        "mc_samples",
-        lambda n: predictive_probability(Box((0.0, 0.0), (0.5, 0.5)), fit(TRAIN, FAMILY, 1.0), "mc", n),
-    ),
 }
 
 
@@ -159,3 +153,47 @@ def test_zero_mass_column_rejected(entry):
     config = ConformalConfig(family, a0=1e-4, draws_per_seg=1)
     with pytest.raises(ValueError, match="conditional mass is zero in this column"):
         ZERO_MASS_ENTRIES[entry](train, [0.9, 0.5], config)
+
+
+@pytest.mark.parametrize(
+    "log_w",
+    [np.array([0.0, np.nan]), np.array([0.0, np.inf]), np.array([-np.inf, 0.0]), np.zeros(1), np.zeros(3),
+     np.zeros((2, 1)), np.array([0, 0]), [0.0, 0.0]],
+    ids=["nan", "inf", "-inf", "short", "long", "2-D", "int", "list"],
+)
+def test_model_rejects_malformed_log_weights(log_w):
+    model = fit(TRAIN, FAMILY, 1.0)
+    with pytest.raises(ValueError, match="log_unnormalized must be a 1-D array of 2 finite floats"):
+        PosteriorModel(FAMILY, model.counts, 1.0, log_w)
+
+
+SEGMENTATION_ENTRIES = {
+    "build-dim": lambda v: build((v, 2), 2),
+    "build-ndim": lambda v: build((1, 2), v),
+    "Segmentation-dim": lambda v: Segmentation((v,), 2),
+    "Segmentation-ndim": lambda v: Segmentation((1,), v),
+    "family-count": lambda v: enumerate_balanced_family(2, {1: v, 2: 1}),
+    "family-key": lambda v: enumerate_balanced_family(2, {v: 1, 2: 1}),
+    "family-prefix": lambda v: enumerate_balanced_family(2, {2: 1}, prefix=(v,)),
+    "family-ndim": lambda v: enumerate_balanced_family(v, {1: 1}),
+    "sample_phi_prior": lambda v: sample_phi_prior(v, 1.0, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEGMENTATION_ENTRIES))
+@pytest.mark.parametrize("value", [1.9, 1.0, 2.5, True, "1"])
+def test_non_integer_segmentation_input_rejected(entry, value):
+    # an integer-valued float is no integer either: nothing is truncated
+    with pytest.raises(ValueError, match="must be an integer"):
+        SEGMENTATION_ENTRIES[entry](value)
+
+
+def test_numpy_integer_dims_are_stored_as_ints():
+    seg = build(np.array([1, 2]), np.int64(2))
+    assert seg == build((1, 2), 2) and all(type(d) is int for d in seg.dims + (seg.ndim,))
+
+
+@pytest.mark.parametrize("module", sorted(name for _, name, _ in pkgutil.walk_packages(polyatree.__path__, "polyatree.")))
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
