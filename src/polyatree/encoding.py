@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .segmentation import as_points
+from .segmentation import _check_count, as_points
 
 __all__ = [
     "ColumnSchema",
@@ -133,7 +133,8 @@ def fit_encoding(
     Continuous columns take coordinates 1..n_cont in schema order, then
     each categorical column claims one coordinate per non-reference level.
     """
-    if bins < 2 or bins & (bins - 1):
+    _check_count("bins", bins, 2)
+    if bins & (bins - 1):
         raise ValueError(f"bins must be a power of two >= 2, got {bins}")
     cont: list[ContinuousCoding] = []
     cat: list[CategoricalCoding] = []

@@ -16,7 +16,6 @@ a stack broadcast to (members, draws, 2^l) takes one Beta call per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -75,27 +74,6 @@ class CountsTree:
     @property
     def m(self) -> int:
         return int(self.levels[0].flat[0])
-
-    def validate(self) -> None:
-        for l in range(1, len(self.levels)):
-            lower, upper = self.levels[l][..., 0::2], self.levels[l][..., 1::2]
-            if not np.array_equal(self.levels[l - 1], lower + upper):
-                raise ValueError(f"parent-sum violated between levels {l - 1} and {l}")
-        if np.any(self.levels[-1] < 0):
-            raise ValueError("negative counts")
-
-    def to_json_obj(self) -> dict:
-        if self.levels[0].ndim > 1:
-            raise ValueError("to_json_obj writes one tree; write a stack's members one by one")
-        return {"m": self.m, "levels": [lvl.tolist() for lvl in self.levels[1:]]}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "CountsTree":
-        levels = [np.array([int(obj["m"])], dtype=np.int64)]
-        levels.extend(np.asarray(lvl, dtype=np.int64) for lvl in obj["levels"])
-        tree = cls(tuple(levels))
-        tree.validate()
-        return tree
 
 
 def sample_phi_prior(depth: int, a0: float, rng=None) -> BetaTree:

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .hbeta import CountsTree, _check_a0, _log_path_density
+from .hbeta import CountsTree, _check_a0, _log_path_density, counts_from_leaf_counts
 from .segmentation import SegmentationFamily, _class_cells, _leaves, _nodes, as_points
 
 __all__ = [
@@ -112,6 +112,7 @@ class PosteriorModel:
     log_unnormalized: np.ndarray
 
     def __post_init__(self):
+        _check_a0(self.a0)
         counts, log_w, members = self.counts, self.log_unnormalized, len(self.family)
         size = members * ((2 << self.family.depth) - 1)
         if not isinstance(counts, np.ndarray) or counts.shape != (size,) or counts.dtype.kind != "i":
@@ -146,10 +147,30 @@ class PosteriorModel:
         return {
             "family": self.family.to_json_obj(),
             "a0": self.a0,
-            "m": self.m,
-            "log_weights": self.log_weights.tolist(),
+            "leaf_counts": self.stack.levels[-1].tolist(),
             "log_unnormalized": self.log_unnormalized.tolist(),
         }
+
+    @classmethod
+    def from_json_obj(cls, obj) -> "PosteriorModel":
+        """The model `to_json_obj` wrote: one row of 2^L non-negative integer
+        leaf counts per member, every row the same total, whose levels above
+        are summed here, so that no parent count can disagree with its children."""
+        missing = sorted({"family", "a0", "leaf_counts", "log_unnormalized"} - set(obj))
+        if missing:  # such as a model saved in the earlier two-file form
+            raise ValueError(f"model has no {', '.join(missing)}")
+        family = SegmentationFamily.from_json_obj(obj["family"])
+        want = (len(family), 1 << family.depth)
+        try:
+            leaves = np.asarray(obj["leaf_counts"])
+        except ValueError:  # rows of unequal length
+            leaves = np.empty(0)
+        if leaves.shape != want or leaves.dtype.kind != "i":
+            raise ValueError(f"leaf_counts must be a signed integer array of shape {want}")
+        if np.any(leaves < 0) or np.any(leaves.sum(axis=1) != leaves[0].sum()):
+            raise ValueError("leaf_counts must be non-negative with one total for every member")
+        counts = np.concatenate(counts_from_leaf_counts(leaves).levels, axis=None)  # level-major
+        return cls(family, counts, float(obj["a0"]), np.asarray(obj["log_unnormalized"]))
 
     def weight_rows(self) -> list[tuple[str, float, float]]:
         """(segmentation, normalized log weight, unnormalized log weight) rows."""

@@ -20,12 +20,9 @@ split counts, so no member's boxes are built one at a time.
 
 Both samplers run one kernel over the whole family: leaf laws only for
 the distinct drawn (member, draw) rows, every leaf by bisection of its
-row's CDF, every point in its leaf's box.  The doubles come from one
-call, handed out in the order a loop over the drawn members, ascending,
-would consume them: a member's leaf uniforms, by draw and then by sample,
-then its in-box offsets, by sample.  That order, the reason the kernel
-ranks samples within members, keeps every sample equal to the per-member
-loop's bit for bit.
+row's CDF, every point in its leaf's box.  After the members (and draws),
+the doubles come from one call in sample order: every sample's leaf
+uniform, then every sample's in-box offsets.
 """
 
 from __future__ import annotations
@@ -225,14 +222,8 @@ def _sample_components(family, weights, n, gen, draw_of_member, leaf_laws):
     member = gen.choice(len(family), size=n, p=weights / weights.sum())
     draw = draw_of_member(member, gen)
     ndim = family.ndim
-    size = np.bincount(member, minlength=len(family))
-    end = np.cumsum(size)  # member j's doubles are [(1 + ndim) (end - size), (1 + ndim) end)
     stream = gen.random(n * (1 + ndim))
-    rank = np.empty(n, np.intp)  # rank among all samples, by member first
-    rank[np.lexsort((draw, member))] = np.arange(n)
-    u = stream[ndim * (end - size)[member] + rank]  # leaf uniforms: by draw, then sample
-    rank[np.argsort(member, kind="stable")] = np.arange(n)
-    offset = stream[(end[member] + ndim * rank)[:, None] + np.arange(ndim)]  # then by sample
+    u, offset = stream[:n], stream[n:].reshape(n, ndim)  # leaf uniforms, then in-box offsets
     span = int(draw.max()) + 2  # (member, draw + 1) keys of leaf-law rows
     keys, row = np.unique(member * span + draw + 1, return_inverse=True)
     law = leaf_laws(keys // span, keys % span - 1)
@@ -258,8 +249,7 @@ def sample_predictive(mix: MixtureApproximation, n: int, rng=None) -> Predictive
     A component (member, draw) is chosen with weight Pr(member)/draws_per_seg,
     a leaf with that component's leaf probabilities, and the point uniformly
     within the leaf box.  One kernel samples the whole family; only the
-    drawn components' rows of ``pis`` are read, and the stream is the one a
-    loop over the drawn members in ascending order would consume.
+    drawn components' rows of ``pis`` are read.
     """
     _check_count("n", n, 1)
     gen, seed = _as_rng_and_seed(rng)
@@ -281,8 +271,7 @@ def sample_posterior_predictive(model: PosteriorModel, n: int, rng=None) -> Pred
     closed-form predictive leaf masses, so no probability vectors need to
     be drawn; each sample behaves as if it used its own fresh draw.  One
     kernel samples the whole family; leaf masses are computed only for the
-    drawn members' rows of the count stack, and the stream is the one a
-    loop over the drawn members in ascending order would consume.
+    drawn members' rows of the count stack.
     """
     _check_count("n", n, 1)
     gen, seed = _as_rng_and_seed(rng)
@@ -353,10 +342,15 @@ def predictive_probability(region, obj) -> PredictiveProbability:
     if any(len(b.lower) != family.ndim for b in boxes):
         raise ValueError("box dimension does not match the family")
     cls, scale = family._table[:2]
-    lo = _lower_corners(family.depth, family._steps)  # every member's leaf boxes, (members, 2^L, ndim)
-    hi = lo + 1.0 / scale[cls]
-    overlap = (np.minimum(hi, upper) - np.maximum(lo, lower) for lower, upper in _pieces(boxes))
-    share = sum(np.prod(np.clip(ov, 0.0, None) / (hi - lo), axis=-1) for ov in overlap)
+    width = 1.0 / scale[cls, 0]  # (members, ndim)
+    share = 0
+    for lower, upper in _pieces(boxes):  # a piece's share of every leaf, one dimension at a time
+        part = 1.0
+        for d in range(family.ndim):
+            lo = _lower_corners(family.depth, family._steps[..., d, None])[..., 0]  # (members, 2^L)
+            hi = lo + width[:, d, None]
+            part = part * (np.clip(np.minimum(hi, upper[d]) - np.maximum(lo, lower[d]), 0.0, None) / (hi - lo))
+        share = share + part
     return PredictiveProbability(float(weights @ np.sum(table * share, axis=-1)))
 
 

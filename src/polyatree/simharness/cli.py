@@ -15,9 +15,8 @@ import numpy as np
 
 from .. import conformal as conf
 from .. import predictive as pred
-from ..hbeta import CountsTree
 from ..posterior import PosteriorModel, fit
-from ..segmentation import SegmentationFamily, _check_count, as_points, enumerate_balanced_family
+from ..segmentation import _check_count, as_points, enumerate_balanced_family
 from . import studies
 
 
@@ -62,8 +61,6 @@ def _save_model(model: PosteriorModel, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "model.json"), "w") as fh:
         json.dump(model.to_json_obj(), fh)
-    with open(os.path.join(outdir, "counts.json"), "w") as fh:
-        json.dump({"counts": [CountsTree(rows).to_json_obj() for rows in zip(*model.stack.levels)]}, fh)
     studies.write_csv(
         os.path.join(outdir, "weights.csv"),
         ["segmentation", "log_weight", "log_unnormalized"],
@@ -73,25 +70,8 @@ def _save_model(model: PosteriorModel, outdir: str) -> None:
 
 
 def _load_model(indir: str) -> PosteriorModel:
-    """Read a saved model, checking that counts.json fits model.json, and
-    lay its per-member trees out level by level in one flat buffer."""
     with open(os.path.join(indir, "model.json")) as fh:
-        obj = json.load(fh)
-    with open(os.path.join(indir, "counts.json")) as fh:
-        counts_obj = json.load(fh)
-    family = SegmentationFamily.from_json_obj(obj["family"])
-    counts = tuple(CountsTree.from_json_obj(c) for c in counts_obj["counts"])
-    m = int(obj["m"])
-    if len(counts) != len(family):
-        raise ValueError(f"counts.json has {len(counts)} trees for {len(family)} family members")
-    if any(tree.depth != seg.depth or tree.m != m for seg, tree in zip(family, counts)):
-        raise ValueError(f"counts.json trees must have their members' depths and m = {m} points")
-    return PosteriorModel(
-        family,
-        np.concatenate(tuple(map(np.stack, zip(*(tree.levels for tree in counts)))), axis=None),  # level-major
-        float(obj["a0"]),
-        np.asarray(obj["log_unnormalized"]),
-    )
+        return PosteriorModel.from_json_obj(json.load(fh))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

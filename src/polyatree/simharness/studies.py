@@ -512,6 +512,7 @@ def run_quantreg_study(
     y_grid_size: int | None = None,
     out=None,
 ) -> QuantregResult:
+    _check_count("m", m, 0)  # an empty sample is a supported case
     density = LogitNormalRegression()
     data_rng, mix_rng, sample_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
@@ -619,6 +620,7 @@ class HighdimResult:
 def run_highdim_study(
     m: int = 400, n: int = 1000, seed: int = 0, a0: float = 1.0, out=None
 ) -> HighdimResult:
+    _check_count("m", m, 1)
     density = CategoricalGaussianMixture()
     data_rng, sample_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     labels, y = density.sample(m, data_rng)

@@ -9,11 +9,30 @@ from polyatree.segmentation import SegmentationFamily, build
 from polyatree.simharness.cli import _load_model, _save_model, main
 
 
+MODEL_KEYS = {"family", "a0", "leaf_counts", "log_unnormalized"}
+
+
 def read_meta(path):
     with open(path) as fh:
         line = fh.readline()
     assert line.startswith("# ")
     return json.loads(line[2:])
+
+
+MODEL_COMMANDS = [["density", "--grid", "2"], ["sample", "--n", "5"]]
+
+
+def run_on_edited_model(tmp_path, rng, edit, command):
+    """Fit two 2-D members to 12 points, edit the saved model.json in place,
+    and return the exit code of `command` on it, writing to tmp_path / "o"."""
+    data_path = tmp_path / "data.csv"
+    write_points_csv(data_path, rng.uniform(size=(12, 2)))
+    model_dir = tmp_path / "model"
+    assert main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)]) == 0
+    model = json.loads((model_dir / "model.json").read_text())
+    edit(model)
+    (model_dir / "model.json").write_text(json.dumps(model))
+    return main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
 
 
 def write_points_csv(path, points):
@@ -98,8 +117,8 @@ class TestModelCommands:
             )
             == 0
         )
-        assert (model_dir / "model.json").exists()
-        assert (model_dir / "counts.json").exists()
+        assert set(json.loads((model_dir / "model.json").read_text())) == MODEL_KEYS
+        assert not (model_dir / "counts.json").exists()
         weights_meta = read_meta(model_dir / "weights.csv")
         assert weights_meta["members"] == 6
 
@@ -168,20 +187,20 @@ class TestModelCommands:
 
 
     def test_saved_model_reloads_bit_for_bit(self, tmp_path, rng):
-        # seven depth-4 members in four split-count classes; the loader
-        # stacks the per-member trees into one stack again
+        # seven depth-4 members in four split-count classes; the loader sums
+        # the saved leaf counts into the levels above again
         dims = [(1, 2, 1, 2), (2, 2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 2), (1, 2, 2, 2), (2, 1, 2, 2), (2, 2, 1, 1)]
         fam = SegmentationFamily(tuple(build(d, 2) for d in dims))
         model = fit(rng.uniform(size=(57, 2)) ** 2, fam, 0.7)
         _save_model(model, tmp_path / "m")
         loaded = _load_model(tmp_path / "m")
+        assert loaded.counts.dtype == model.counts.dtype and np.array_equal(loaded.counts, model.counts)
         assert len(loaded.stack.levels) == len(model.stack.levels) == 5
         for x, y in zip(model.stack.levels, loaded.stack.levels):
             assert x.dtype == y.dtype and np.array_equal(x, y)
-        saved = json.loads((tmp_path / "m" / "counts.json").read_text())["counts"]
-        assert len(saved) == len(fam)
-        for j, tree in enumerate(saved):  # one tree per member: row j of every level
-            assert tree == {"m": 57, "levels": [l[j].tolist() for l in model.stack.levels[1:]]}
+        saved = json.loads((tmp_path / "m" / "model.json").read_text())
+        assert set(saved) == MODEL_KEYS and saved["leaf_counts"] == model.stack.levels[-1].tolist()
+        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["model.json", "weights.csv"]
         for name in ("a0", "m"):
             assert getattr(model, name) == getattr(loaded, name)
         assert np.array_equal(model.log_weights, loaded.log_weights)
@@ -248,62 +267,58 @@ class TestValidationFailures:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda model, counts: counts["counts"].pop(),  # fewer trees than members
-            lambda model, counts: model.update(m=model["m"] + 1),  # m disagrees with the trees
-            lambda model, counts: counts["counts"][0].update(
-                levels=counts["counts"][0]["levels"][:-1]  # tree shallower than its member
-            ),
+            lambda leaves: leaves.pop(),  # a member's row missing
+            lambda leaves: leaves[0].pop(),  # a row short of its member's leaves
+            lambda leaves: leaves[0].__setitem__(0, leaves[0][0] + 1),  # member totals, so m, differ
+            lambda leaves: leaves[0].__setitem__(slice(0, 2), [-1, leaves[0][0] + leaves[0][1] + 1]),  # same total
+            lambda leaves: leaves[0].__setitem__(0, float(leaves[0][0])),
         ],
-        ids=["fewer-trees", "m-mismatch", "depth-mismatch"],
+        ids=["fewer-trees", "depth-mismatch", "m-mismatch", "negative", "float"],
     )
-    @pytest.mark.parametrize("command", [["density", "--grid", "2"], ["sample", "--n", "5"]])
-    def test_counts_not_matching_model_exit_2(self, tmp_path, rng, corrupt, command):
-        data_path = tmp_path / "data.csv"
-        write_points_csv(data_path, rng.uniform(size=(12, 2)))
-        model_dir = tmp_path / "model"
-        assert main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)]) == 0
-        model = json.loads((model_dir / "model.json").read_text())
-        counts = json.loads((model_dir / "counts.json").read_text())
-        corrupt(model, counts)
-        (model_dir / "model.json").write_text(json.dumps(model))
-        (model_dir / "counts.json").write_text(json.dumps(counts))
-        code = main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
-        assert code == 2
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_counts_not_matching_model_exit_2(self, tmp_path, rng, capsys, corrupt, command):
+        assert run_on_edited_model(tmp_path, rng, lambda model: corrupt(model["leaf_counts"]), command) == 2
+        assert "leaf_counts must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_model_without_leaf_counts_exits_2(self, tmp_path, rng, capsys, command):
+        # the earlier form: model.json held m and both weights, counts.json the trees
+        def edit(model):
+            model.update(m=12, log_weights=model["log_unnormalized"])
+            del model["leaf_counts"]
+
+        assert run_on_edited_model(tmp_path, rng, edit, command) == 2
+        assert "model has no leaf_counts" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("a0", [-1.0, float("nan")])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_bad_a0_in_model_exits_2(self, tmp_path, rng, capsys, a0, command):
+        # such a model loaded, and one update on it made every log weight NaN
+        assert run_on_edited_model(tmp_path, rng, lambda model: model.update(a0=a0), command) == 2
+        assert "a0 must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "corrupt",
         [lambda w: w.__setitem__(0, float("nan")), lambda w: w.pop()],
         ids=["nan-weight", "weight-short"],
     )
-    @pytest.mark.parametrize("command", [["density", "--grid", "2"], ["sample", "--n", "5"]])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_malformed_log_weights_exit_2(self, tmp_path, rng, capsys, corrupt, command):
         # one NaN weight made every density nan; one weight short, a broadcast error
-        data_path = tmp_path / "data.csv"
-        write_points_csv(data_path, rng.uniform(size=(12, 2)))
-        model_dir = tmp_path / "model"
-        assert main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)]) == 0
-        model = json.loads((model_dir / "model.json").read_text())
-        corrupt(model["log_unnormalized"])
-        (model_dir / "model.json").write_text(json.dumps(model))
-        code = main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
-        assert code == 2 and "log_unnormalized must be a 1-D array of 2 finite floats" in capsys.readouterr().err
+        assert run_on_edited_model(tmp_path, rng, lambda model: corrupt(model["log_unnormalized"]), command) == 2
+        assert "log_unnormalized must be a 1-D array of 2 finite floats" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", [["density", "--grid", "2"], ["sample", "--n", "5"]])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_model_mixing_depths_exits_2(self, tmp_path, rng, capsys, command):
-        # model.json and counts.json agree, but member 0 is cut to depth 1
-        data_path = tmp_path / "data.csv"
-        write_points_csv(data_path, rng.uniform(size=(12, 2)))
-        model_dir = tmp_path / "model"
-        assert main(["fit", "--data", str(data_path), "--splits", "1:1,2:1", "--out", str(model_dir)]) == 0
-        model = json.loads((model_dir / "model.json").read_text())
-        counts = json.loads((model_dir / "counts.json").read_text())
-        model["family"]["members"][0] = model["family"]["members"][0][:1]
-        counts["counts"][0]["levels"] = counts["counts"][0]["levels"][:1]
-        (model_dir / "model.json").write_text(json.dumps(model))
-        (model_dir / "counts.json").write_text(json.dumps(counts))
-        code = main([command[0], "--model", str(model_dir), *command[1:], "--out", str(tmp_path / "o")])
-        assert code == 2 and "share one depth" in capsys.readouterr().err
+        def edit(model):  # member 0 is cut to depth 1
+            model["family"]["members"][0] = model["family"]["members"][0][:1]
+
+        assert run_on_edited_model(tmp_path, rng, edit, command) == 2
+        assert "share one depth" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, name",

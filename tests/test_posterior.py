@@ -212,12 +212,9 @@ class TestFit:
         assert np.array_equal(model.weights, np.exp(model.log_weights))
 
     def test_stack_root_count_is_m(self):
-        # every member of a stack shares the root count; a stack is no one
-        # tree, so it has no one-tree JSON form
+        # every member of a stack shares the root count
         model = fit(np.random.default_rng(3).uniform(size=(50, 2)), quantreg_family(), 1.0)
         assert model.stack.m == model.m == 50
-        with pytest.raises(ValueError, match="one tree"):
-            model.stack.to_json_obj()
 
     def test_rejects_malformed_counts(self):
         # counts are one flat signed integer buffer holding every member's
@@ -269,7 +266,7 @@ class TestFit:
         fam = enumerate_balanced_family(2, {1: 1, 2: 1})
         model = fit(rng.uniform(size=(6, 2)), fam, 1.0)
         obj = model.to_json_obj()
-        assert set(obj) == {"family", "a0", "m", "log_weights", "log_unnormalized"}
+        assert set(obj) == {"family", "a0", "leaf_counts", "log_unnormalized"}
         rows = model.weight_rows()
         assert len(rows) == len(fam) and rows[0][0] == "[1, 2]"
 

@@ -421,8 +421,8 @@ class TestGridMassMatrix:
 
 
 # ---------------------------------------------------------------------------
-# The sampling kernel and the leaf-corner kernel against the per-member loops
-# they replaced, kept here as references: outputs must be equal bit for bit.
+# The sampling kernel and the leaf-corner kernel against plain loops kept
+# here as references: outputs must be equal bit for bit.
 
 
 def _reference_leaf_boxes(seg):
@@ -440,26 +440,27 @@ def _reference_leaf_boxes(seg):
 
 
 def _reference_sample_components(family, weights, leaf_laws, n, gen, draw_of_member):
-    """Member ~ weights, then per drawn member in ascending order: a leaf
-    choice per (member, draw) and uniform offsets in the leaf box."""
+    """Member ~ weights, then one stream in sample order: each sample's leaf
+    by a right search of its (member, draw) CDF, as ``Generator.choice``
+    searches, and each sample's uniform offsets in its leaf box."""
     member = gen.choice(len(family), size=n, p=weights / weights.sum())
     draw = draw_of_member(member, gen)
+    stream = gen.random(n * (1 + family.ndim))
+    u, offset = stream[:n], stream[n:].reshape(n, family.ndim)
     points = np.empty((n, family.ndim))
     leaf = np.empty(n, dtype=np.int64)
-    for j in np.unique(member):
-        sel = np.flatnonzero(member == j)
-        laws = leaf_laws(j)
-        if laws.ndim == 1:
-            p = laws / laws.sum()
-            leaf[sel] = gen.choice(laws.size, size=sel.size, p=p)
-        else:
-            for h in np.unique(draw[sel]):
-                sub = sel[draw[sel] == h]
-                p = laws[h] / laws[h].sum()
-                leaf[sub] = gen.choice(laws.shape[1], size=sub.size, p=p)
-        lo, hi = _reference_leaf_boxes(family[j])
-        u = gen.uniform(size=(sel.size, family.ndim))
-        points[sel] = lo[leaf[sel]] + u * (hi[leaf[sel]] - lo[leaf[sel]])
+    cdfs, boxes = {}, {}
+    for i, (j, h) in enumerate(zip(member.tolist(), draw.tolist())):
+        if (j, h) not in cdfs:
+            laws = leaf_laws(j)
+            law = laws if laws.ndim == 1 else laws[h]
+            cdf = np.cumsum(law / law.sum())
+            cdfs[j, h] = cdf / cdf[-1]
+        if j not in boxes:
+            boxes[j] = _reference_leaf_boxes(family[j])
+        leaf[i] = np.searchsorted(cdfs[j, h], u[i], side="right")
+        lo, hi = (corner[leaf[i]] for corner in boxes[j])
+        points[i] = lo + offset[i] * (hi - lo)
     return points, member, draw, leaf
 
 

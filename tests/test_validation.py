@@ -25,11 +25,13 @@ from polyatree.predictive import (
     sample_predictive,
 )
 from polyatree.segmentation import Segmentation, SegmentationFamily, build, enumerate_balanced_family, path_indices
+from polyatree.simharness import studies
 
 FAMILY = enumerate_balanced_family(2, {1: 1, 2: 1})
 SEG = FAMILY[0]
 TRAIN = np.array([[0.2, 0.3], [0.7, 0.6], [0.4, 0.9]])
 COUNTS = accumulate_counts(TRAIN, SEG)
+MODEL = fit(TRAIN, FAMILY, 1.0)
 
 POINT_ENTRIES = {
     "path_indices": lambda u: path_indices(u, SEG),
@@ -86,6 +88,8 @@ A0_ENTRIES = {
     ),
     "leaf_predictive_masses": lambda a0: leaf_predictive_masses(COUNTS, a0),
     "ConformalConfig": lambda a0: ConformalConfig(FAMILY, a0=a0),
+    # a model read from a file is checked too: a bad a0 made later weights NaN
+    "PosteriorModel": lambda a0: PosteriorModel(FAMILY, MODEL.counts, a0, MODEL.log_unnormalized),
 }
 
 
@@ -135,6 +139,23 @@ def test_bad_sample_count_rejected(entry, count):
     name, call = COUNT_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
         call(count)
+
+
+SIZE_ENTRIES = {
+    "fit_encoding-float": (lambda: fit_encoding({"y": VALUES, "x": LABELS}, SCHEMA, bins=16.0), "bins", 2),
+    "fit_encoding-one": (lambda: fit_encoding({"y": VALUES, "x": LABELS}, SCHEMA, bins=1), "bins", 2),
+    # m = 0 is a supported quantreg sample; highdim fits its encoding to the sample
+    "run_quantreg_study": (lambda: studies.run_quantreg_study(m=-1), "m", 0),
+    "run_highdim_study": (lambda: studies.run_highdim_study(m=-1), "m", 1),
+    "run_highdim_study-empty": (lambda: studies.run_highdim_study(m=0), "m", 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIZE_ENTRIES))
+def test_bad_size_rejected(entry):
+    call, name, least = SIZE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= {least}"):
+        call()
 
 
 ZERO_MASS_ENTRIES = {
