@@ -20,7 +20,10 @@ from polyatree.simharness import cli, studies
 
 def emit(name, obj):
     if isinstance(obj, pt.PosteriorModel):  # its public read-outs, every count in one array, member by member
-        obj = dict(counts=np.concatenate([level[j] for j in range(len(obj.family)) for level in obj.stack.levels]),
+        # level l of the level-major buffer starts at M (2^l - 1) and holds (M, 2^l)
+        M, widths = len(obj.family), [1 << l for l in range(obj.family.depth + 1)]
+        levels = [obj.counts[M * (w - 1) : M * (2 * w - 1)].reshape(M, w) for w in widths]
+        obj = dict(counts=np.concatenate([level[j] for j in range(M) for level in levels]),
                    log_weights=obj.log_weights, log_unnormalized=obj.log_unnormalized)
     if isinstance(obj, pt.MixtureApproximation):  # its fields, the draw block as per-member rows, draws_per_seg too
         for key, item in dict(family=obj.family, weights=obj.weights, pis=tuple(obj.pis), draws_per_seg=obj.draws_per_seg, seed=obj.seed).items():

@@ -18,8 +18,6 @@ from .segmentation import (
     union_families,
 )
 from .hbeta import (
-    BetaTree,
-    CountsTree,
     accumulate_counts,
     conditional_predictive_density,
     counts_from_leaf_counts,

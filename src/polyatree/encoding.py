@@ -118,6 +118,8 @@ def read_table(path, schema: Sequence[ColumnSchema]) -> dict[str, np.ndarray]:
         if rows and col.name not in rows[0]:
             raise ValueError(f"column {col.name!r} missing from {path}")
         raw = [r[col.name] for r in rows]
+        if None in raw:  # csv fills the fields a short row lacks with None
+            raise ValueError(f"column {col.name!r} has no value in data row {raw.index(None) + 1} of {path}")
         if col.kind == "continuous":
             table[col.name] = np.array([float(v) for v in raw])
         else:

@@ -7,23 +7,21 @@ tree, and the induced density is constant on each depth-L box.  Counting
 observations per node makes the model conjugate: node variables update to
 Beta(a0 + N_lower, a0 + N_upper), and the predictive density of a new
 point has a closed form as a product of count ratios along its path.
-The count kernels also take a leading members axis: levels of shape
-(members, 2^l) hold a stack of equal-depth members, a single tree being
-the one-member case.  Posterior draws pass leading axes through as well:
-a stack broadcast to (members, draws, 2^l) takes one Beta call per level.
+A tree is a plain tuple of level arrays, level l with 2^l entries along
+its last axis: L levels of node variables, or L + 1 of counts from the
+root down, every parent count the sum of its two children.  Leading axes
+make a stack: count levels (members, 2^l) hold equal-depth members of one
+sample, which share the root count, and a stack broadcast to (members,
+draws, 2^l) takes one Beta call per level.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .segmentation import Segmentation, _check_count, _leaves, _nodes, as_points, leaf_indices
 
 __all__ = [
-    "BetaTree",
-    "CountsTree",
     "sample_phi_prior",
     "sample_phi_posterior",
     "pi_from_phi",
@@ -41,63 +39,27 @@ def _check_a0(a0: float) -> None:
         raise ValueError(f"a0 must be finite and positive, got {a0}")
 
 
-@dataclass(frozen=True, eq=False)
-class BetaTree:
-    """Lower-child conditional probabilities, one array per level.
-
-    ``levels[l]`` has 2^l entries, the variables of the level l+1 split.
-    """
-
-    levels: tuple[np.ndarray, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-
-@dataclass(frozen=True, eq=False)
-class CountsTree:
-    """Observation counts at every node: ``levels[l]`` has 2^l entries.
-
-    ``levels[0]`` is the single root count, the total sample size.
-    Every parent count equals the sum of its two children.  Levels of
-    shape (members, 2^l) hold a stack of members of one sample, which
-    share that root count.
-    """
-
-    levels: tuple[np.ndarray, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
-    @property
-    def m(self) -> int:
-        return int(self.levels[0].flat[0])
-
-
-def sample_phi_prior(depth: int, a0: float, rng=None) -> BetaTree:
+def sample_phi_prior(depth: int, a0: float, rng=None) -> tuple[np.ndarray, ...]:
     """Independent Beta(a0, a0) draws at every node of a depth-L tree."""
     _check_a0(a0)
     _check_count("depth", depth, 1)
     gen = np.random.default_rng(rng)  # a Generator comes back unaltered
-    return BetaTree(tuple(gen.beta(a0, a0, size=1 << l) for l in range(depth)))
+    return tuple(gen.beta(a0, a0, size=1 << l) for l in range(depth))
 
 
-def sample_phi_posterior(counts: CountsTree, a0: float, rng=None) -> BetaTree:
+def sample_phi_posterior(counts: tuple[np.ndarray, ...], a0: float, rng=None) -> tuple[np.ndarray, ...]:
     """Conjugate draws Beta(a0 + N_lower, a0 + N_upper) at every node;
     leading axes of the count levels, such as (members, draws), pass through."""
     _check_a0(a0)
     gen = np.random.default_rng(rng)
-    levels = counts.levels[1:]
-    return BetaTree(tuple(gen.beta(a0 + lvl[..., 0::2], a0 + lvl[..., 1::2]) for lvl in levels))
+    return tuple(gen.beta(a0 + lvl[..., 0::2], a0 + lvl[..., 1::2]) for lvl in counts[1:])
 
 
-def pi_from_phi(tree: BetaTree) -> np.ndarray:
+def pi_from_phi(tree: tuple[np.ndarray, ...]) -> np.ndarray:
     """Leaf probabilities: product of lower/upper conditionals along each
     path, built along the last axis, so leading axes pass through."""
-    pi = np.ones(tree.levels[0].shape)
-    for phi in tree.levels:
+    pi = np.ones(tree[0].shape)
+    for phi in tree:
         nxt = np.empty(pi.shape[:-1] + (2 * pi.shape[-1],))
         nxt[..., 0::2] = phi * pi
         nxt[..., 1::2] = (1.0 - phi) * pi
@@ -105,13 +67,13 @@ def pi_from_phi(tree: BetaTree) -> np.ndarray:
     return pi
 
 
-def accumulate_counts(points, seg: Segmentation) -> CountsTree:
+def accumulate_counts(points, seg: Segmentation) -> tuple[np.ndarray, ...]:
     """Count observations in every box of the segmentation tree."""
     leaves = _leaves(as_points(points, seg.ndim), seg)[0]
     return counts_from_leaf_counts(np.bincount(leaves, minlength=1 << seg.depth))
 
 
-def counts_from_leaf_counts(leaf_counts) -> CountsTree:
+def counts_from_leaf_counts(leaf_counts) -> tuple[np.ndarray, ...]:
     """Build the full tree from deepest-level counts by pairwise summation."""
     leaves = np.asarray(leaf_counts, dtype=np.int64)
     size = leaves.shape[-1]
@@ -121,7 +83,7 @@ def counts_from_leaf_counts(leaf_counts) -> CountsTree:
     while levels[-1].shape[-1] > 1:
         cur = levels[-1]
         levels.append(cur[..., 0::2] + cur[..., 1::2])
-    return CountsTree(tuple(reversed(levels)))
+    return tuple(reversed(levels))
 
 
 def step_density(points, seg: Segmentation, pi: np.ndarray):
@@ -134,7 +96,7 @@ def step_density(points, seg: Segmentation, pi: np.ndarray):
     return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
-def conditional_predictive_density(points, counts: CountsTree, seg: Segmentation, a0: float):
+def conditional_predictive_density(points, counts: tuple[np.ndarray, ...], seg: Segmentation, a0: float):
     """Closed-form predictive density of the next observation at each point.
 
     The conjugate posterior mean of the leaf density: the product over
@@ -146,10 +108,10 @@ def conditional_predictive_density(points, counts: CountsTree, seg: Segmentation
     log space so deep trees with sparse counts do not underflow.
     """
     _check_a0(a0)
-    if counts.depth != seg.depth:
+    if len(counts) != seg.depth + 1:
         raise ValueError("counts tree depth does not match the segmentation")
     nodes = _nodes(leaf_indices(as_points(points, seg.ndim), seg)[None], seg.depth)[0]
-    vals = np.exp(_log_path_density(np.concatenate(counts.levels)[nodes], a0))
+    vals = np.exp(_log_path_density(np.concatenate(counts)[nodes], a0))
     return float(vals[0]) if np.ndim(points) == 1 else vals
 
 
@@ -170,15 +132,15 @@ def _log_path_density(node_counts: np.ndarray, a0: float) -> np.ndarray:
     return np.sum(np.where(active, terms, 0.0), axis=-1)
 
 
-def leaf_predictive_masses(counts: CountsTree, a0: float) -> np.ndarray:
+def leaf_predictive_masses(counts: tuple[np.ndarray, ...], a0: float) -> np.ndarray:
     """Predictive probability of the next observation landing in each leaf.
 
     Children split their parent's mass in proportion to
     (N_child + a0) / (N_parent + 2*a0); masses sum to one exactly.
     """
     _check_a0(a0)
-    mass = np.ones(counts.levels[0].shape)
-    for l in range(1, counts.depth + 1):
-        parent = mass / (counts.levels[l - 1] + 2.0 * a0)
-        mass = np.repeat(parent, 2, axis=-1) * (counts.levels[l] + a0)
+    mass = np.ones(counts[0].shape)
+    for above, level in zip(counts, counts[1:]):
+        parent = mass / (above + 2.0 * a0)
+        mass = np.repeat(parent, 2, axis=-1) * (level + a0)
     return mass

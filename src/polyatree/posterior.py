@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .hbeta import CountsTree, _check_a0, _log_path_density, counts_from_leaf_counts
+from .hbeta import _check_a0, _log_path_density, counts_from_leaf_counts
 from .segmentation import SegmentationFamily, _class_cells, _leaves, _nodes, as_points
 
 __all__ = [
@@ -74,7 +74,7 @@ def _node_terms(child, parent, tables: LogGammaTables) -> np.ndarray:
     return g[..., 0::2] + g[..., 1::2] - tables.G2[parent] - tables._const
 
 
-def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTables | None = None):
+def log_unnormalized_weight(counts: tuple[np.ndarray, ...], a0: float, tables: LogGammaTables | None = None):
     """Log numerator of the posterior segmentation probability.
 
     Every internal node with child counts (N_lower, N_upper) and N =
@@ -86,13 +86,13 @@ def log_unnormalized_weight(counts: CountsTree, a0: float, tables: LogGammaTable
     the lattice edge taken there, the split counts before it and the
     dimension split, so `fit` sums each edge once for all its members.
     """
-    nmax = int(counts.levels[0].max())
+    nmax = int(counts[0].max())
     if tables is None:
         tables = LogGammaTables(a0, nmax)
     elif tables.a0 != a0:
         raise ValueError("tables were built for a different a0")
     tables.ensure(nmax)
-    child, parent = (np.concatenate(lv, axis=-1) for lv in (counts.levels[1:], counts.levels[:-1]))
+    child, parent = (np.concatenate(lv, axis=-1) for lv in (counts[1:], counts[:-1]))
     total = np.sum(_node_terms(child, parent, tables), axis=-1)
     return total if np.ndim(total) else float(total)
 
@@ -125,7 +125,7 @@ class PosteriorModel:
         object.__setattr__(self, "log_weights", _log_normalize(self.log_unnormalized))
 
     @cached_property
-    def stack(self) -> CountsTree:
+    def stack(self) -> tuple[np.ndarray, ...]:
         return _levels(self.counts, len(self.family))
 
     @property
@@ -147,7 +147,7 @@ class PosteriorModel:
         return {
             "family": self.family.to_json_obj(),
             "a0": self.a0,
-            "leaf_counts": self.stack.levels[-1].tolist(),
+            "leaf_counts": self.stack[-1].tolist(),
             "log_unnormalized": self.log_unnormalized.tolist(),
         }
 
@@ -156,9 +156,14 @@ class PosteriorModel:
         """The model `to_json_obj` wrote: one row of 2^L non-negative integer
         leaf counts per member, every row the same total, whose levels above
         are summed here, so that no parent count can disagree with its children."""
+        if not isinstance(obj, dict):
+            raise ValueError("model must be a JSON object")
         missing = sorted({"family", "a0", "leaf_counts", "log_unnormalized"} - set(obj))
         if missing:  # such as a model saved in the earlier two-file form
             raise ValueError(f"model has no {', '.join(missing)}")
+        a0 = obj["a0"]
+        if isinstance(a0, bool) or not isinstance(a0, (int, float)):  # a JSON number
+            raise ValueError(f"a0 must be a number, got {a0!r}")
         family = SegmentationFamily.from_json_obj(obj["family"])
         want = (len(family), 1 << family.depth)
         try:
@@ -169,8 +174,8 @@ class PosteriorModel:
             raise ValueError(f"leaf_counts must be a signed integer array of shape {want}")
         if np.any(leaves < 0) or np.any(leaves.sum(axis=1) != leaves[0].sum()):
             raise ValueError("leaf_counts must be non-negative with one total for every member")
-        counts = np.concatenate(counts_from_leaf_counts(leaves).levels, axis=None)  # level-major
-        return cls(family, counts, float(obj["a0"]), np.asarray(obj["log_unnormalized"]))
+        counts = np.concatenate(counts_from_leaf_counts(leaves), axis=None)  # level-major
+        return cls(family, counts, float(a0), np.asarray(obj["log_unnormalized"]))
 
     def weight_rows(self) -> list[tuple[str, float, float]]:
         """(segmentation, normalized log weight, unnormalized log weight) rows."""
@@ -191,11 +196,11 @@ def _log_normalize(log_w: np.ndarray) -> np.ndarray:
     return log_w - (np.log1p(rest) + np.log(count) + top)
 
 
-def _levels(counts: np.ndarray, members: int) -> CountsTree:
+def _levels(counts: np.ndarray, members: int) -> tuple[np.ndarray, ...]:
     """Count stack whose levels (members, 2^l) are views of level-major flat
     counts, level l at offset members (2^l - 1), as `_nodes` reads them."""
     widths = [1 << l for l in range((counts.size // members).bit_length())]
-    return CountsTree(tuple([counts[members * (w - 1) : members * (2 * w - 1)].reshape(members, w) for w in widths]))
+    return tuple(counts[members * (w - 1) : members * (2 * w - 1)].reshape(members, w) for w in widths)
 
 
 def _moved(counts: np.ndarray, nodes: np.ndarray, sign: int) -> np.ndarray:
@@ -228,15 +233,15 @@ def fit(points, family: SegmentationFamily, a0: float) -> PosteriorModel:
         cells = _class_cells(pts[rows], family) + np.arange(0, cell_counts.size, table.shape[1])[:, None]
         cell_counts += np.bincount(cells.ravel(), minlength=cell_counts.size).reshape(cell_counts.shape)
     counts = np.empty(len(family) * ((2 << family.depth) - 1), dtype=np.int64)
-    stack, (reps, edge) = _levels(counts, len(family)), family._edges
-    levels, log_unnorm = stack.levels, np.zeros(len(family))
+    levels, (reps, edge) = _levels(counts, len(family)), family._edges
+    log_unnorm = np.zeros(len(family))
     np.put_along_axis(levels[-1], table, cell_counts[cls], axis=1)  # a member's cells are its leaves, permuted
     for l in range(family.depth, 0, -1):  # each level above sums its children in place
         np.add(levels[l][:, 0::2], levels[l][:, 1::2], levels[l - 1])
     for l, rows in enumerate(reps, 1):
         log_unnorm += np.sum(_node_terms(levels[l][rows], levels[l - 1][rows], tables), axis=-1)[edge[l - 1]]
     model = PosteriorModel(family, counts, float(a0), log_unnorm)
-    model.__dict__["stack"] = stack  # the views summed into above, so they are built once
+    model.__dict__["stack"] = levels  # the views summed into above, so they are built once
     return model
 
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hbeta import CountsTree, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
+from .hbeta import leaf_predictive_masses, pi_from_phi, sample_phi_posterior
 from .posterior import PosteriorModel, _blocks
 from .segmentation import Segmentation, SegmentationFamily, _check_count, _corner_steps, _leaves, as_points
 
@@ -140,13 +140,13 @@ def region_from_json_obj(obj) -> list[Box]:
     return [Box.from_json_obj(b) for b in obj]
 
 
-def _draw(stack: CountsTree, a0: float, draws: int, gen: np.random.Generator) -> np.ndarray:
+def _draw(stack: tuple[np.ndarray, ...], a0: float, draws: int, gen: np.random.Generator) -> np.ndarray:
     """Conjugate-posterior leaf probabilities (members, draws, 2^L) of a count
     stack: one Beta call per level, the stack broadcast over the draws
     without copying."""
-    shape = (stack.levels[0].shape[0], draws)
-    levels = tuple(np.broadcast_to(c[:, None], shape + c.shape[1:]) for c in stack.levels)
-    return pi_from_phi(sample_phi_posterior(CountsTree(levels), a0, gen))
+    shape = (stack[0].shape[0], draws)
+    levels = tuple(np.broadcast_to(c[:, None], shape + c.shape[1:]) for c in stack)
+    return pi_from_phi(sample_phi_posterior(levels, a0, gen))
 
 
 def build_mixture(model: PosteriorModel, draws_per_seg: int = 50, rng=None) -> MixtureApproximation:
@@ -277,7 +277,7 @@ def sample_posterior_predictive(model: PosteriorModel, n: int, rng=None) -> Pred
     gen, seed = _as_rng_and_seed(rng)
 
     def laws(members, _):
-        return leaf_predictive_masses(CountsTree(tuple(c[members] for c in model.stack.levels)), model.a0)
+        return leaf_predictive_masses(tuple(c[members] for c in model.stack), model.a0)
 
     points, member, draw, leaf = _sample_components(
         model.family,

@@ -356,7 +356,11 @@ class SegmentationFamily:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SegmentationFamily":
-        return cls(tuple(Segmentation(tuple(m), obj["ndim"]) for m in obj["members"]))
+        """The family `to_json_obj` wrote: ``ndim`` and a list of member lists."""
+        members = obj.get("members") if isinstance(obj, Mapping) and "ndim" in obj else None
+        if not (isinstance(members, list) and all(isinstance(m, list) for m in members)):
+            raise ValueError("family must be a mapping with ndim and a list of member lists")
+        return cls(tuple(Segmentation(tuple(m), obj["ndim"]) for m in members))
 
 
 def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -20,7 +20,6 @@ from .. import conformal as conf
 from .. import predictive as pred
 from ..encoding import ColumnSchema, decode, encode, fit_encoding
 from ..hbeta import (
-    CountsTree,
     accumulate_counts,
     leaf_predictive_masses,
     pi_from_phi,
@@ -258,9 +257,12 @@ def run_1d_study(
     _check_count("m", m, 1)
     _check_count("runs", runs, 1)
     density = density or DEFAULT_1D_DENSITY
+    depths = tuple(depths)
+    if not depths:
+        raise ValueError("depths must name at least one depth")
+    for L in depths:
+        _check_count("depth", L, 1)
     depths = tuple(dict.fromkeys(int(L) for L in depths))  # a repeated depth counts once
-    if min(depths) < 1:
-        raise ValueError("depths must be >= 1")
     n_eval = 4 << max(depths)
     grid = (np.arange(n_eval) + 0.5) / n_eval
     true_pdf = density.pdf(grid)
@@ -274,9 +276,8 @@ def run_1d_study(
         tree = accumulate_counts(density.sample(m, gen)[:, None], seg)
         for L in depths:
             n_bins = 1 << L
-            counts = CountsTree(tree.levels[: L + 1])
-            est_h = leaf_predictive_masses(counts, a0) * n_bins
-            est_c = counts.levels[-1] / m * n_bins
+            est_h = leaf_predictive_masses(tree[: L + 1], a0) * n_bins
+            est_c = tree[L] / m * n_bins
             for name, est in (("hbeta", est_h), ("counts", est_c)):
                 sums[(L, name)] += est
                 sqsums[(L, name)] += est * est
@@ -380,7 +381,7 @@ def run_2d_study(
         gen = np.random.default_rng(stream)
         model = fit(density.sample(m, gen), family, a0)
         pearson[r] = (leaf_predictive_masses(model.stack, a0) - true_masses) * scale
-        pearson_counts[r] = (model.stack.levels[-1] / m - true_masses) * scale
+        pearson_counts[r] = (model.stack[-1] / m - true_masses) * scale
         weights[r] = model.weights
 
     for k, name in enumerate(SEG_2D_NAMES):

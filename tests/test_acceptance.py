@@ -65,7 +65,7 @@ def test_c03_limit_identities():
         counts = pt.accumulate_counts(data, seg)
         u = data[int(gen.integers(0, m))]  # occupied leaf, so every level is nonzero
         path = path_indices(u[None, :], seg)[0]
-        n_leaf = counts.levels[depth][path[-1]]
+        n_leaf = counts[depth][path[-1]]
         histogram = (1 << depth) * n_leaf / m
         small = pt.conditional_predictive_density(u, counts, seg, 1e-9)
         large = pt.conditional_predictive_density(u, counts, seg, 1e9)
@@ -97,8 +97,8 @@ def test_c04_conjugacy_oracle():
         path = path_indices(u[None, :], seg)[0]
         prod = np.ones(n_draws)
         for level in range(1, depth + 1):
-            lower = counts.levels[level][0::2]
-            upper = counts.levels[level][1::2]
+            lower = counts[level][0::2]
+            upper = counts[level][1::2]
             phi = gen.beta(a0 + lower, a0 + upper, size=(n_draws, lower.size))
             parent = path[level - 2] if level >= 2 else 0
             node = path[level - 1]

@@ -195,11 +195,11 @@ class TestModelCommands:
         _save_model(model, tmp_path / "m")
         loaded = _load_model(tmp_path / "m")
         assert loaded.counts.dtype == model.counts.dtype and np.array_equal(loaded.counts, model.counts)
-        assert len(loaded.stack.levels) == len(model.stack.levels) == 5
-        for x, y in zip(model.stack.levels, loaded.stack.levels):
+        assert len(loaded.stack) == len(model.stack) == 5
+        for x, y in zip(model.stack, loaded.stack):
             assert x.dtype == y.dtype and np.array_equal(x, y)
         saved = json.loads((tmp_path / "m" / "model.json").read_text())
-        assert set(saved) == MODEL_KEYS and saved["leaf_counts"] == model.stack.levels[-1].tolist()
+        assert set(saved) == MODEL_KEYS and saved["leaf_counts"] == model.stack[-1].tolist()
         assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["model.json", "weights.csv"]
         for name in ("a0", "m"):
             assert getattr(model, name) == getattr(loaded, name)
@@ -310,6 +310,25 @@ class TestValidationFailures:
         # one NaN weight made every density nan; one weight short, a broadcast error
         assert run_on_edited_model(tmp_path, rng, lambda model: corrupt(model["log_unnormalized"]), command) == 2
         assert "log_unnormalized must be a 1-D array of 2 finite floats" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda model: model.update(family={}), "family must be a mapping with ndim"),
+            (lambda model: model["family"].update(members=5), "family must be a mapping with ndim"),
+            (lambda model: model.update(a0=None), "a0 must be a number"),
+            (lambda model: model.update(a0=[1]), "a0 must be a number"),
+            (lambda model: model.update(a0="1"), "a0 must be a number"),
+            (lambda model: model.update(a0=True), "a0 must be a number"),
+        ],
+        ids=["family-empty", "members-number", "a0-null", "a0-list", "a0-string", "a0-bool"],
+    )
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_malformed_family_or_a0_exits_2(self, tmp_path, rng, capsys, edit, message, command):
+        # a malformed family or a0 is refused with a message, not a traceback; a string or bool is no a0
+        assert run_on_edited_model(tmp_path, rng, edit, command) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", MODEL_COMMANDS)

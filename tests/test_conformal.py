@@ -144,7 +144,7 @@ def reference_pass(config, train, stack, pts, first_cand=None):
     leaves = grid[..., -1].reshape(-1, nx, ny)
     cells, rows = np.unique(_bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny), return_inverse=True)
     path = grid[:, cells]
-    counts, nodes = np.concatenate(stack.levels, axis=None), _nodes(path[..., -1], family.depth)
+    counts, nodes = np.concatenate(stack, axis=None), _nodes(path[..., -1], family.depth)
     o = counts[nodes].astype(np.float64)
     down, up = (o - 1.0 + a0) / (o + a0), (o + 2.0 * a0) / (o - 1.0 + 2.0 * a0)
     down[..., 0] = up[..., -1] = 1.0

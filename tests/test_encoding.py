@@ -205,6 +205,15 @@ class TestSerialization:
         assert table["y"].tolist() == [0.5, 1.25]
         assert table["x"].tolist() == ["a", "c"]
 
+    @pytest.mark.parametrize("kind", ["continuous", "categorical"])
+    def test_short_row_rejected(self, tmp_path, kind):
+        # csv.DictReader fills the fields a short row lacks with None
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("a,b\n1,2\n3\n")
+        schema = [ColumnSchema("a", "continuous"), ColumnSchema("b", kind, ("1", "2") if kind == "categorical" else ())]
+        with pytest.raises(ValueError, match="column 'b' has no value in data row 2"):
+            read_table(csv_path, schema)
+
     def test_schema_validation(self):
         with pytest.raises(ValueError):
             ColumnSchema("x", "categorical", ("only",))

@@ -4,8 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyatree.hbeta import (
-    BetaTree,
-    CountsTree,
     accumulate_counts,
     conditional_predictive_density,
     counts_from_leaf_counts,
@@ -18,16 +16,16 @@ from polyatree.hbeta import (
 from polyatree.segmentation import Segmentation, build, leaf_indices
 
 
-def brute_force_leaf_products(tree: BetaTree) -> np.ndarray:
+def brute_force_leaf_products(tree: tuple) -> np.ndarray:
     """Independent per-leaf path-product recomputation."""
-    depth = tree.depth
+    depth = len(tree)
     out = np.empty(2**depth)
     for leaf in range(2**depth):
         value = 1.0
         for level in range(1, depth + 1):
             node = leaf >> (depth - level)
             parent, side = node >> 1, node & 1
-            phi = tree.levels[level - 1][parent]
+            phi = tree[level - 1][parent]
             value *= phi if side == 0 else 1.0 - phi
         out[leaf] = value
     return out
@@ -36,10 +34,10 @@ def brute_force_leaf_products(tree: BetaTree) -> np.ndarray:
 FOUR_POINTS_1D = np.array([[0.1], [0.2], [0.6], [0.9]])
 
 
-def stacked(counts: CountsTree, n: int) -> CountsTree:
+def stacked(counts: tuple, n: int) -> tuple:
     """n copies of a tree in one stack: each level broadcast to (n, 2^l),
     so `sample_phi_posterior` draws n trees in one Beta call per level."""
-    return CountsTree(tuple(np.broadcast_to(c, (n,) + c.shape) for c in counts.levels))
+    return tuple(np.broadcast_to(c, (n,) + c.shape) for c in counts)
 
 
 class TestPriorSampling:
@@ -52,7 +50,7 @@ class TestPriorSampling:
     def test_reproducible(self):
         a = sample_phi_prior(5, 0.7, 42)
         b = sample_phi_prior(5, 0.7, 42)
-        for la, lb in zip(a.levels, b.levels):
+        for la, lb in zip(a, b):
             assert np.array_equal(la, lb)
 
     def test_huge_a0_concentrates_at_half(self):
@@ -67,7 +65,7 @@ class TestPriorSampling:
         # the prior draw is the empty-sample posterior draw, stream included,
         # so the n trees come from one stacked call
         prior, posterior = sample_phi_prior(depth, a0, 9), sample_phi_posterior(empty, a0, 9)
-        assert all(np.array_equal(a, b) for a, b in zip(prior.levels, posterior.levels))
+        assert all(np.array_equal(a, b) for a, b in zip(prior, posterior))
         gen = np.random.default_rng(9)
         pi = pi_from_phi(sample_phi_posterior(stacked(empty, n), a0, gen))
         mean = pi.mean(axis=0)
@@ -92,19 +90,17 @@ class TestPriorSampling:
 
 class TestPiFromPhi:
     def test_all_half_gives_uniform(self):
-        tree = BetaTree((np.array([0.5]), np.array([0.5, 0.5])))
+        tree = (np.array([0.5]), np.array([0.5, 0.5]))
         assert np.allclose(pi_from_phi(tree), 0.25)
 
     def test_degenerate_left_subtree(self):
-        tree = BetaTree((np.array([1.0]), np.array([0.3, 0.9])))
+        tree = (np.array([1.0]), np.array([0.3, 0.9]))
         assert np.allclose(pi_from_phi(tree), [0.3, 0.7, 0.0, 0.0])
 
     def test_brute_force_oracle(self, rng):
         for _ in range(10):
             depth = int(rng.integers(1, 9))
-            tree = BetaTree(
-                tuple(rng.uniform(0.01, 0.99, size=1 << l) for l in range(depth))
-            )
+            tree = tuple(rng.uniform(0.01, 0.99, size=1 << l) for l in range(depth))
             assert np.allclose(
                 pi_from_phi(tree), brute_force_leaf_products(tree), atol=1e-14
             )
@@ -118,12 +114,12 @@ class TestPiFromPhi:
     def test_stacked_tree_matches_rows(self, depth, members, draws, seed):
         # leading (members, draws) axes pass through, bit for bit
         gen = np.random.default_rng(seed)
-        tree = BetaTree(tuple(gen.uniform(size=(members, draws, 1 << l)) for l in range(depth)))
+        tree = tuple(gen.uniform(size=(members, draws, 1 << l)) for l in range(depth))
         stacked = pi_from_phi(tree)
         assert stacked.shape == (members, draws, 1 << depth)
         for j in range(members):
             for h in range(draws):
-                row = pi_from_phi(BetaTree(tuple(lvl[j, h] for lvl in tree.levels)))
+                row = pi_from_phi(tuple(lvl[j, h] for lvl in tree))
                 assert np.array_equal(stacked[j, h], row)
 
     @given(depth=st.integers(1, 8), seed=st.integers(0, 10_000))
@@ -165,14 +161,14 @@ class TestStepDensity:
 class TestCounts:
     def test_1d_example(self):
         counts = accumulate_counts(FOUR_POINTS_1D, build((1, 1), 1))
-        assert counts.m == 4
-        assert counts.levels[1].tolist() == [2, 2]
-        assert counts.levels[2].tolist() == [2, 0, 1, 1]
+        assert counts[0].tolist() == [4]
+        assert counts[1].tolist() == [2, 2]
+        assert counts[2].tolist() == [2, 0, 1, 1]
 
     def test_empty_data(self):
         counts = accumulate_counts(np.zeros((0, 2)), build((1, 2), 2))
-        assert counts.m == 0
-        assert counts.levels[2].tolist() == [0, 0, 0, 0]
+        assert counts[0].tolist() == [0]
+        assert counts[2].tolist() == [0, 0, 0, 0]
 
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
@@ -183,9 +179,9 @@ class TestCounts:
         gen = np.random.default_rng(seed)
         seg = build(gen.integers(1, 3, size=depth), 2)
         counts = accumulate_counts(gen.uniform(size=(30, 2)), seg)
-        for parent, child in zip(counts.levels, counts.levels[1:]):
+        for parent, child in zip(counts, counts[1:]):
             assert np.array_equal(parent, child[0::2] + child[1::2])
-        assert counts.levels[0][0] == 30 and np.all(counts.levels[-1] >= 0)
+        assert counts[0][0] == 30 and np.all(counts[-1] >= 0)
 
     def test_counts_from_leaf_counts_validates(self):
         with pytest.raises(ValueError):
@@ -281,14 +277,14 @@ class TestPosteriorSampling:
         # a node with 2 lower / 0 upper observations at a0=1 draws Beta(3, 1)
         counts = counts_from_leaf_counts([2, 0])
         gen = np.random.default_rng(17)
-        draws = sample_phi_posterior(stacked(counts, 100_000), 1.0, gen).levels[0][:, 0]
+        draws = sample_phi_posterior(stacked(counts, 100_000), 1.0, gen)[0][:, 0]
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 0.75) <= 3 * se
 
     def test_empty_sample_reduces_to_prior(self):
         counts = counts_from_leaf_counts([0, 0, 0, 0])
         gen = np.random.default_rng(2)
-        draws = sample_phi_posterior(stacked(counts, 20_000), 2.0, gen).levels[1]
+        draws = sample_phi_posterior(stacked(counts, 20_000), 2.0, gen)[1]
         se = draws.std(ddof=1, axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - 0.5) <= 3 * se)
 
@@ -296,8 +292,8 @@ class TestPosteriorSampling:
         # a single tree draws level by level, one Beta call per level
         counts = counts_from_leaf_counts([3, 0, 1, 4, 0, 0, 2, 5])
         gen = np.random.default_rng(31)
-        expect = [gen.beta(0.7 + lvl[0::2], 0.7 + lvl[1::2]) for lvl in counts.levels[1:]]
-        got = sample_phi_posterior(counts, 0.7, 31).levels
+        expect = [gen.beta(0.7 + lvl[0::2], 0.7 + lvl[1::2]) for lvl in counts[1:]]
+        got = sample_phi_posterior(counts, 0.7, 31)
         assert len(got) == 3
         assert all(np.array_equal(a, b) for a, b in zip(got, expect))
 

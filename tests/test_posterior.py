@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 from scipy.stats import betabinom
 
-from polyatree.hbeta import CountsTree, accumulate_counts, conditional_predictive_density, counts_from_leaf_counts
+from polyatree.hbeta import accumulate_counts, conditional_predictive_density, counts_from_leaf_counts
 from polyatree.posterior import (
     IncrementalModel,
     LogGammaTables,
@@ -39,7 +39,7 @@ from polyatree.simharness.studies import (
 
 def member_counts(model, j):
     """Member j's counts: row j of every level of the model's count stack."""
-    return CountsTree(tuple(l[j] for l in model.stack.levels))
+    return tuple(l[j] for l in model.stack)
 
 
 def oracle_log_weight(points, seg, a0):
@@ -197,7 +197,7 @@ class TestFit:
         model = fit(pts, fam, 1.0)
         for j, seg in enumerate(fam):
             counts, ref = member_counts(model, j), accumulate_counts(pts, seg)
-            assert all(np.array_equal(a, b) for a, b in zip(counts.levels, ref.levels))
+            assert all(np.array_equal(a, b) for a, b in zip(counts, ref))
 
     @pytest.mark.parametrize("m", [0, 1, 37])
     def test_m_and_log_weights_read_from_stack(self, m):
@@ -206,7 +206,7 @@ class TestFit:
         fam = highdim_family(ndim=5, prefix=(5,), candidate_dims=range(1, 4), splits=2)
         model = fit(oracle_points(m, m, 5), fam, 1.0)
         assert [f.name for f in dataclasses.fields(model)] == ["family", "counts", "a0", "log_unnormalized"]
-        assert model.m == m and np.all(model.stack.levels[0] == m)
+        assert model.m == m and np.all(model.stack[0] == m)
         lu = model.log_unnormalized
         assert np.array_equal(model.log_weights, lu - logsumexp(lu)) and model.log_weights is model.log_weights
         assert np.array_equal(model.weights, np.exp(model.log_weights))
@@ -214,7 +214,7 @@ class TestFit:
     def test_stack_root_count_is_m(self):
         # every member of a stack shares the root count
         model = fit(np.random.default_rng(3).uniform(size=(50, 2)), quantreg_family(), 1.0)
-        assert model.stack.m == model.m == 50
+        assert model.m == 50 and np.all(model.stack[0] == 50)
 
     def test_rejects_malformed_counts(self):
         # counts are one flat signed integer buffer holding every member's
@@ -399,14 +399,14 @@ class TestFlatCounts:
         stack, counts = model.stack, model.counts
         paths = _locate(query, family)  # (members, n, L)
         want = np.stack(
-            [np.broadcast_to(stack.levels[0], paths.shape[:2])]
-            + [np.take_along_axis(stack.levels[l], paths[..., l - 1], axis=1) for l in range(1, depth + 1)],
+            [np.broadcast_to(stack[0], paths.shape[:2])]
+            + [np.take_along_axis(stack[l], paths[..., l - 1], axis=1) for l in range(1, depth + 1)],
             axis=-1,
         )
         assert np.array_equal(counts[_nodes(_leaves(query, family), depth)], want)
-        assert np.array_equal(counts, np.concatenate(stack.levels, axis=None))
-        assert all(np.shares_memory(level, counts) for level in stack.levels)
-        for a, b in zip(_levels(counts, len(family)).levels, stack.levels, strict=True):
+        assert np.array_equal(counts, np.concatenate(stack, axis=None))
+        assert all(np.shares_memory(level, counts) for level in stack)
+        for a, b in zip(_levels(counts, len(family)), stack, strict=True):
             assert np.array_equal(a, b) and np.shares_memory(a, counts)
 
 
@@ -436,7 +436,7 @@ class TestIncrementalModel:
             assert np.allclose(inc.log_weights, ref.log_weights, atol=1e-9)
             snap = inc.snapshot()
             assert snap.m == ref.m
-            for la, lb in zip(snap.stack.levels, ref.stack.levels):
+            for la, lb in zip(snap.stack, ref.stack):
                 assert np.array_equal(la, lb)
 
     def test_remove_then_add_restores(self, rng):
@@ -465,7 +465,7 @@ class TestIncrementalModel:
             inc.remove_point(np.array([0.1, 0.1]))
         assert inc.m == 1
         assert np.array_equal(inc.log_unnormalized, model.log_unnormalized)
-        for la, lb in zip(inc.snapshot().stack.levels, model.stack.levels):
+        for la, lb in zip(inc.snapshot().stack, model.stack):
             assert np.array_equal(la, lb)
 
     def test_parent_model_untouched(self, rng):
@@ -473,11 +473,11 @@ class TestIncrementalModel:
         pts = rng.uniform(size=(5, 2))
         model = fit(pts, fam, 1.0)
         before = model.log_unnormalized.copy()
-        counts_before = [lvl.copy() for lvl in model.stack.levels]
+        counts_before = [lvl.copy() for lvl in model.stack]
         inc = IncrementalModel(model)
         inc.add_point(np.array([0.3, 0.3]))
         assert np.array_equal(model.log_unnormalized, before)
-        for a, b in zip(model.stack.levels, counts_before):
+        for a, b in zip(model.stack, counts_before):
             assert np.array_equal(a, b)
 
 
@@ -494,4 +494,4 @@ class TestTable1Geometry:
         ]
         for seg, leaf in zip(family, expected):
             counts = accumulate_counts(points, seg)
-            assert tuple(counts.levels[-1]) == leaf
+            assert tuple(counts[-1]) == leaf

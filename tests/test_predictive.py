@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polyatree import predictive
 from polyatree.encoding import ColumnSchema, encode, fit_encoding
-from polyatree.hbeta import CountsTree, leaf_predictive_masses, pi_from_phi, sample_phi_posterior
+from polyatree.hbeta import leaf_predictive_masses, pi_from_phi, sample_phi_posterior
 from polyatree.posterior import fit
 from polyatree.predictive import (
     Box,
@@ -39,7 +39,7 @@ def ragged_family():
 
 def member_counts(model, j):
     """Member j's counts: row j of every level of the model's count stack."""
-    return CountsTree(tuple(l[j] for l in model.stack.levels))
+    return tuple(l[j] for l in model.stack)
 
 
 @pytest.fixture
@@ -83,8 +83,8 @@ class TestBuildMixture:
         # one (members, draws, 2^L) block: the conjugate draw of the count
         # stack broadcast over the draws, under the same seed
         mix = build_mixture(fitted, 5, 3)
-        levels = tuple(np.broadcast_to(l[:, None], (len(small_family()), 5) + l.shape[1:]) for l in fitted.stack.levels)
-        ref = pi_from_phi(sample_phi_posterior(CountsTree(levels), 1.0, np.random.default_rng(3)))
+        levels = tuple(np.broadcast_to(l[:, None], (len(small_family()), 5) + l.shape[1:]) for l in fitted.stack)
+        ref = pi_from_phi(sample_phi_posterior(levels, 1.0, np.random.default_rng(3)))
         assert mix.pis.shape == (len(small_family()), 5, 16) and mix.draws_per_seg == mix.pis.shape[1]
         assert mix.pis.dtype == np.float64 and mix.pis.flags.c_contiguous
         assert np.array_equal(mix.pis, ref)
@@ -543,7 +543,7 @@ class TestSamplingKernel:
         masses = predictive.leaf_predictive_masses
 
         def counted(counts, a0):
-            rows.append(counts.levels[0].shape[0])
+            rows.append(counts[0].shape[0])
             return masses(counts, a0)
 
         monkeypatch.setattr(predictive, "leaf_predictive_masses", counted)

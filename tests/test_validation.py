@@ -2,6 +2,7 @@
 where it enters the package."""
 
 import importlib
+import json
 import pkgutil
 
 import numpy as np
@@ -186,6 +187,43 @@ def test_model_rejects_malformed_log_weights(log_w):
     model = fit(TRAIN, FAMILY, 1.0)
     with pytest.raises(ValueError, match="log_unnormalized must be a 1-D array of 2 finite floats"):
         PosteriorModel(FAMILY, model.counts, 1.0, log_w)
+
+
+MODEL_EDITS = {
+    "not-an-object": (lambda obj: [obj], "model must be a JSON object"),
+    "family-empty": (lambda obj: {**obj, "family": {}}, "family must be a mapping with ndim"),
+    "family-list": (lambda obj: {**obj, "family": obj["family"]["members"]}, "family must be a mapping with ndim"),
+    "members-number": (lambda obj: {**obj, "family": {**obj["family"], "members": 5}}, "list of member lists"),
+    "member-number": (lambda obj: {**obj, "family": {**obj["family"], "members": [1, 2]}}, "list of member lists"),
+    "a0-null": (lambda obj: {**obj, "a0": None}, "a0 must be a number"),
+    "a0-list": (lambda obj: {**obj, "a0": [1]}, "a0 must be a number"),
+    "a0-string": (lambda obj: {**obj, "a0": "1"}, "a0 must be a number"),
+    "a0-bool": (lambda obj: {**obj, "a0": True}, "a0 must be a number"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODEL_EDITS))
+def test_malformed_model_json_rejected(entry):
+    edit, message = MODEL_EDITS[entry]
+    obj = json.loads(json.dumps(MODEL.to_json_obj()))
+    with pytest.raises(ValueError, match=message):
+        PosteriorModel.from_json_obj(edit(obj))
+
+
+def test_integer_a0_in_model_json_loads():
+    assert PosteriorModel.from_json_obj({**MODEL.to_json_obj(), "a0": 1}).a0 == 1.0
+
+
+@pytest.mark.parametrize(
+    "depths, message",
+    [((2.5,), "depth must be an integer >= 1, got 2.5"), ((True, 3), "depth must be an integer >= 1, got True"),
+     ((3, 0), "depth must be an integer >= 1, got 0"), ((), "depths must name at least one depth")],
+    ids=["float", "bool", "zero", "empty"],
+)
+def test_bad_1d_study_depths_rejected(depths, message):
+    # a depth is an integer >= 1: no float or bool is truncated to one
+    with pytest.raises(ValueError, match=message):
+        studies.run_1d_study(5, 1.0, 1, depths)
 
 
 SEGMENTATION_ENTRIES = {
