@@ -50,7 +50,7 @@ import numpy as np
 from . import predictive as pred
 from .hbeta import _check_a0, leaf_predictive_masses
 from .posterior import _levels, _moved, fit
-from .segmentation import SegmentationFamily, _check_count, as_points
+from .segmentation import SegmentationFamily, _bin, _check_count, as_points
 
 __all__ = [
     "ConformalConfig",
@@ -107,11 +107,6 @@ class ConformalBand:
         ]
 
 
-def _train_points(train) -> np.ndarray:
-    """Validated training points (m, 2); an empty sample gives m = 0."""
-    return as_points(train, 2) if np.size(train) else np.zeros((0, 2))
-
-
 def _mix(log_w: np.ndarray, below: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Weight-averaged conditional CDF from per-member arrays (members, n).
 
@@ -157,7 +152,7 @@ class _Scorer:
     """Conformity scores as leave-one-out rows of the augmented sample."""
 
     def __init__(self, train, config: ConformalConfig):
-        self.pts = _train_points(train)
+        self.pts = as_points(train, 2) if np.size(train) else np.zeros((0, 2))  # an empty sample gives m = 0
         self.m = self.pts.shape[0]
         self.a0, self.family = config.a0, config.family
         self.draws, self.seed = config.draws_per_seg, config.seed
@@ -171,30 +166,20 @@ class _Scorer:
     def cell_of(self, pts: np.ndarray) -> np.ndarray:
         """Common-grid cell of each point (n, 2)."""
         nx, ny = self.shape
-        return pred._bin(pts[:, 0], nx) * ny + pred._bin(pts[:, 1], ny)
+        return _bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny)
 
-    def loo_scores(self) -> np.ndarray:
-        """Score of each training point on the other m-1 points."""
-        if self.m == 0:
-            return np.zeros(0)
-        return self._pass(self.counts, self.pts)
+    def scores(self, cands: np.ndarray | None = None) -> np.ndarray:
+        """Score of every row of the augmented sample on the other rows: the
+        m training points, then candidates (n, 2) in one common-grid cell,
+        which share every leaf.  With no candidates, the training points'
+        leave-one-out scores."""
+        if cands is None:
+            return self._pass(self.pts) if self.m else np.zeros(0)
+        return self._pass(np.vstack([self.pts, cands]), self.m)
 
-    def swapped(self, cands: np.ndarray, cell: int) -> tuple[np.ndarray, np.ndarray]:
-        """Swapped-set scores (m,) and own scores of candidates (n, 2) in one
-        common-grid cell, so sharing every leaf: one pass over the training
-        and candidate rows of the augmented sample."""
-        scores = self._pass(_moved(self.counts, self.nodes[..., cell], +1), np.vstack([self.pts, cands]), self.m)
-        return scores[: self.m], scores[self.m :]
-
-    def score_point(self, point) -> float:
-        """Conformity score of one point against the unmodified training set:
-        its own row of the augmented sample."""
-        cand = as_points(point, 2)
-        return float(self._pass(_moved(self.counts, self.nodes[..., self.cell_of(cand)[0]], +1), cand, 0)[0])
-
-    def _pass(self, counts: np.ndarray, pts: np.ndarray, first_cand: int | None = None) -> np.ndarray:
-        """Score of every row of pts (n, 2) against the flat `counts` with
-        the row itself taken out.
+    def _pass(self, pts: np.ndarray, first_cand: int | None = None) -> np.ndarray:
+        """Score of every row of pts (n, 2) against `counts`, the training
+        counts plus row first_cand if given, with the row itself taken out.
 
         Taking a row out lowers counts only along its own path.  A cell of
         its column keeps its leaf's mass on `counts` times corr[a], where a
@@ -207,16 +192,16 @@ class _Scorer:
         so each interval's mass is one difference of the column's prefix
         sums times one factor, and the cell's own mass takes corr[L].  Rows
         in one common-grid cell share their leaf in every member, so the
-        factors are built once per occupied cell.  With draws, a cell's
-        column is instead the mean of a freshly seeded draw of `counts`
-        less the cell's row, its prefix sums taken per cell, every factor
-        1.  By Bayes' rule a row's log weight is the training set's, plus
+        factors are built once per occupied cell.  With draws, each occupied
+        cell has its own column instead, the mean of a freshly seeded draw
+        of `counts` less the cell's row, and every factor is 1.  By Bayes' rule a row's log weight is the training set's, plus
         the log leaf mass of row first_cand (a candidate; none on the
         training set), less its own.
         """
         a0, (nx, ny), size = self.a0, self.shape, len(self.family)
         cells, rows = np.unique(self.cell_of(pts), return_inverse=True)
         nodes = self.nodes[..., cells]  # (members, L+1, cells)
+        counts = self.counts if first_cand is None else _moved(self.counts, nodes[..., rows[first_cand]], +1)
         # the factor of a node holding k >= 1 points (the row among them):
         # up only at the root, which is no child, down only at a leaf, which
         # has no children; `start` is each level's part of the table, less 1
@@ -230,21 +215,22 @@ class _Scorer:
         leaf_mass = leaf_predictive_masses(_levels(counts, size), a0).ravel()
         own = leaf_mass[self.leaf_at[:, cells]] * corr[:, -1]
         cy = cells % ny
+        # columns (members, k, ny) of cell masses; col, each cell's column
         if self.draws is None:
             cols, col = np.unique(cells // ny, return_inverse=True)
-            prefix = np.zeros((size, cols.size, ny + 1))
-            np.cumsum(leaf_mass[self.leaf_at.reshape(size, nx, ny)[:, cols]], axis=-1, out=prefix[..., 1:])
-            fac = corr.reshape(-1, cells.size)[self.ylev_at]
-            below, total = _column_cdf(prefix, col, cy, own, fac, pts[:, 1], rows)
+            columns = leaf_mass[self.leaf_at.reshape(size, nx, ny)[:, cols]]
+            fac, col_own = corr.reshape(-1, cells.size)[self.ylev_at], own
         else:
-            prefix, drawn_own = np.zeros((size, cells.size, ny + 1)), np.empty(own.shape)
+            col, columns = np.arange(cells.size), np.empty((size, cells.size, ny))
             for c, cell in enumerate(cells):
                 less = _levels(_moved(counts, nodes[..., c], -1), size)
                 drawn = pred._draw(less, a0, self.draws, np.random.default_rng(self.seed)).mean(axis=1)
-                column = np.take_along_axis(drawn, self.leaves[:, cell - cy[c] : cell - cy[c] + ny], axis=1)
-                np.cumsum(column, axis=-1, out=prefix[:, c, 1:])
-                drawn_own[:, c] = column[:, cy[c]]
-            below, total = _column_cdf(prefix, np.arange(cells.size), cy, drawn_own, 1.0, pts[:, 1], rows)
+                columns[:, c] = np.take_along_axis(drawn, self.leaves[:, cell - cy[c] : cell - cy[c] + ny], axis=1)
+            # drawn own masses enter the CDF only; the weights keep the exact own
+            fac, col_own = 1.0, columns[:, col, cy]
+        prefix = np.zeros(columns.shape[:2] + (ny + 1,))
+        np.cumsum(columns, axis=-1, out=prefix[..., 1:])
+        below, total = _column_cdf(prefix, col, cy, col_own, fac, pts[:, 1], rows)
         log_own = np.log(own)[:, rows]
         # difference first: a candidate's own row keeps the training weight
         # bit for bit, so it ties exactly with a training point at its place
@@ -261,12 +247,13 @@ def conformity_score(train, point, config: ConformalConfig) -> float:
         # the exact predictive of an empty sample is uniform; the pass
         # would give y to rounding.  Drawn columns are not uniform.
         return float(pts[0, 1])
-    return _Scorer(train, config).score_point(pts)
+    # its own row alone: with draws, every training row would cost a draw per occupied cell
+    return float(_Scorer(train, config)._pass(pts, 0)[0])
 
 
 def loo_scores(train, config: ConformalConfig) -> np.ndarray:
     """Score of each training point against the remaining m-1 points."""
-    return _Scorer(train, config).loo_scores()
+    return _Scorer(train, config).scores()
 
 
 def conformal_pvalue(train, candidate, config: ConformalConfig) -> float:
@@ -293,9 +280,9 @@ def _pvalue_tables(scorer, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     cells, group = np.unique(scorer.cell_of(cands), return_inverse=True)
     p_below, p_above = np.empty((2, cands.shape[0]))
-    for g, cell in enumerate(cells):
+    for g in range(cells.size):
         sel = np.flatnonzero(group == g)
-        a_train, a_cand = scorer.swapped(cands[sel], cell)
+        a_train, a_cand = np.split(scorer.scores(cands[sel]), [scorer.m])
         p_below[sel] = (1 + np.sum(a_train[:, None] <= a_cand, axis=0)) / (scorer.m + 1)
         p_above[sel] = (1 + np.sum(a_train[:, None] >= a_cand, axis=0)) / (scorer.m + 1)
     return p_below, p_above

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .segmentation import _check_count, as_points
+from .segmentation import _bin, _check_count, as_points
 
 __all__ = [
     "ColumnSchema",
@@ -45,6 +45,8 @@ class ColumnSchema:
             raise ValueError(f"unknown column kind {self.kind!r}")
         if self.kind == "categorical" and (not self.levels or len(self.levels) < 2):
             raise ValueError(f"categorical column {self.name!r} needs >= 2 levels")
+        if self.kind == "categorical" and len(set(self.levels)) < len(self.levels):
+            raise ValueError(f"categorical column {self.name!r} repeats a level in {self.levels}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +102,13 @@ class EncodingSpec:
 def read_schema(path) -> tuple[ColumnSchema, ...]:
     with open(path) as fh:
         obj = json.load(fh)
-    return tuple(
-        ColumnSchema(
-            c["name"], c["kind"], tuple(c["levels"]) if c.get("levels") else None
+    try:
+        return tuple(
+            ColumnSchema(c["name"], c["kind"], tuple(c["levels"]) if c.get("levels") else None)
+            for c in obj["columns"]
         )
-        for c in obj["columns"]
-    )
+    except KeyError as missing:
+        raise ValueError(f"schema {path} has no {missing.args[0]!r}") from None
 
 
 def read_table(path, schema: Sequence[ColumnSchema]) -> dict[str, np.ndarray]:
@@ -113,6 +116,9 @@ def read_table(path, schema: Sequence[ColumnSchema]) -> dict[str, np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
         rows = list(reader)
+    for number, row in enumerate(rows, 1):
+        if None in row:  # csv files the fields past the header under the key None
+            raise ValueError(f"data row {number} of {path} has more fields than the header")
     table: dict[str, np.ndarray] = {}
     for col in schema:
         if rows and col.name not in rows[0]:
@@ -228,7 +234,7 @@ def decode(points: np.ndarray, spec: EncodingSpec, rng=None) -> dict[str, np.nda
     table: dict[str, np.ndarray] = {}
     for c in spec.continuous:
         u = pts[:, c.coord - 1]
-        idx = np.minimum((u * B).astype(np.int64), B - 1)
+        idx = _bin(u, B)
         lo, hi = c.edges[idx], c.edges[idx + 1]
         table[c.name] = lo + gen.uniform(size=n) * (hi - lo)
     for c in spec.categorical:

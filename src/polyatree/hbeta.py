@@ -34,7 +34,9 @@ __all__ = [
 
 
 def _check_a0(a0: float) -> None:
-    """Reject a concentration that is not a finite positive number."""
+    """Reject a concentration that is not a finite positive real number; a bool is no number."""
+    if isinstance(a0, bool) or not isinstance(a0, (int, float, np.integer, np.floating)):
+        raise ValueError(f"a0 must be a number, got {a0!r}")
     if not (np.isfinite(a0) and a0 > 0):
         raise ValueError(f"a0 must be finite and positive, got {a0}")
 

@@ -161,9 +161,7 @@ class PosteriorModel:
         missing = sorted({"family", "a0", "leaf_counts", "log_unnormalized"} - set(obj))
         if missing:  # such as a model saved in the earlier two-file form
             raise ValueError(f"model has no {', '.join(missing)}")
-        a0 = obj["a0"]
-        if isinstance(a0, bool) or not isinstance(a0, (int, float)):  # a JSON number
-            raise ValueError(f"a0 must be a number, got {a0!r}")
+        _check_a0(obj["a0"])
         family = SegmentationFamily.from_json_obj(obj["family"])
         want = (len(family), 1 << family.depth)
         try:
@@ -175,7 +173,7 @@ class PosteriorModel:
         if np.any(leaves < 0) or np.any(leaves.sum(axis=1) != leaves[0].sum()):
             raise ValueError("leaf_counts must be non-negative with one total for every member")
         counts = np.concatenate(counts_from_leaf_counts(leaves), axis=None)  # level-major
-        return cls(family, counts, float(a0), np.asarray(obj["log_unnormalized"]))
+        return cls(family, counts, float(obj["a0"]), np.asarray(obj["log_unnormalized"]))
 
     def weight_rows(self) -> list[tuple[str, float, float]]:
         """(segmentation, normalized log weight, unnormalized log weight) rows."""

@@ -35,7 +35,7 @@ import numpy as np
 
 from .hbeta import leaf_predictive_masses, pi_from_phi, sample_phi_posterior
 from .posterior import PosteriorModel, _blocks
-from .segmentation import Segmentation, SegmentationFamily, _check_count, _corner_steps, _leaves, as_points
+from .segmentation import Segmentation, SegmentationFamily, _bin, _check_count, _corner_steps, _leaves, as_points
 
 __all__ = [
     "MixtureApproximation",
@@ -378,11 +378,6 @@ def _grid_mass(obj) -> np.ndarray:
     return mass
 
 
-def _bin(values: np.ndarray, n: int) -> np.ndarray:
-    """Index of the cell of [0, 1] split into n that holds each value; 1 is in the top cell."""
-    return np.minimum((values * n).astype(np.int64), n - 1)
-
-
 def _mass(total: np.ndarray) -> np.ndarray:
     """Column totals, checked: a column without mass has no conditional law."""
     if np.any(total <= 0.0):  # drawn leaf probabilities can underflow to 0
@@ -411,7 +406,7 @@ def conditional_quantile(x_value: float, q: float, obj) -> float:
     if not 0.0 <= x_value <= 1.0:
         raise ValueError("x_value must lie in [0, 1]")
     curve = quantile_curve(q, obj)
-    return curve[min(int(x_value * curve.size), curve.size - 1)]
+    return curve[_bin(x_value, curve.size)]
 
 
 def quantile_curve(q: float, obj) -> np.ndarray:

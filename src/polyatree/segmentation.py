@@ -237,6 +237,12 @@ def _common_grid(family: "SegmentationFamily") -> tuple[tuple[int, ...], np.ndar
     return shape, leaves, nodes, ylev
 
 
+def _bin(values, n: int) -> np.ndarray:
+    """Index of the cell of [0, 1] split into n that holds each value, min(floor(u n), n - 1):
+    the boundary convention, so 1 is in the top cell."""
+    return np.minimum((np.asarray(values) * n).astype(np.int64), n - 1)
+
+
 def _class_cells(pts: np.ndarray, segs: "Segmentation | SegmentationFamily") -> np.ndarray:
     """Cell of validated points (n, P) in every class, shape (classes, n);
     powers of two and integer sums below 2^53 are exact in floating point."""

@@ -205,22 +205,9 @@ def _cmd_conformal(args) -> None:
         draws_per_seg=args.draws_per_seg or None,
         seed=args.seed,
     )
-    x_cols = (np.arange(16) + 0.5) / 16
-    band = conf.conformal_band(points, x_cols, args.alpha, config, args.grid)
+    band = conf.conformal_band(points, studies._BAND_X, args.alpha, config, args.grid)
     meta = {"command": "conformal", "alpha": args.alpha, "a0": args.a0, "seed": args.seed, "m": len(points)}
-    studies.write_csv(
-        os.path.join(args.out, "band.csv"),
-        ["x", "y_lower", "y_upper", "alpha"],
-        [(f"{x:.6f}", f"{lo:.8f}", f"{hi:.8f}", a) for x, lo, hi, a in band.rows()],
-        meta,
-    )
-    scores = conf.loo_scores(points, config)
-    studies.write_csv(
-        os.path.join(args.out, "scores.csv"),
-        ["index", "score"],
-        [(i, f"{s:.8f}") for i, s in enumerate(scores)],
-        meta,
-    )
+    studies._write_conformal(args.out, "", conf.loo_scores(points, config), band, meta)
 
 
 def _cmd_highdim(args) -> None:

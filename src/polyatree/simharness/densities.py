@@ -13,6 +13,8 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import chisquare, multivariate_normal, norm
 
+from ..segmentation import _bin
+
 __all__ = [
     "PiecewiseLinearDensity",
     "LogisticStripDensity",
@@ -99,9 +101,7 @@ class PiecewiseLinearDensity:
 
     def gof_check(self, n: int = 100_000, rng=None, bins: int = 32) -> tuple[float, float]:
         draws = self.sample(n, rng)
-        counts = np.bincount(
-            np.minimum((draws * bins).astype(np.int64), bins - 1), minlength=bins
-        )
+        counts = np.bincount(_bin(draws, bins), minlength=bins)
         return chi_square_gof(counts, self.bin_masses(bins))
 
 
@@ -150,9 +150,7 @@ class LogisticStripDensity:
     def gof_check(self, n: int = 100_000, rng=None, shape=(8, 4)) -> tuple[float, float]:
         nx, ny = shape
         pts = self.sample(n, rng)
-        ix = np.minimum((pts[:, 0] * nx).astype(np.int64), nx - 1)
-        iy = np.minimum((pts[:, 1] * ny).astype(np.int64), ny - 1)
-        counts = np.bincount(ix * ny + iy, minlength=nx * ny)
+        counts = np.bincount(_bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny), minlength=nx * ny)
         xs = np.arange(nx + 1) / nx
         probs = np.repeat(np.diff(self.x_cdf(xs)), ny) / ny
         return chi_square_gof(counts, probs)
@@ -206,9 +204,7 @@ class LogitNormalRegression:
     def gof_check(self, n: int = 100_000, rng=None, shape=(8, 4)) -> tuple[float, float]:
         nx, ny = shape
         pts = self.sample(n, rng)
-        ix = np.minimum((pts[:, 0] * nx).astype(np.int64), nx - 1)
-        iy = np.minimum((pts[:, 1] * ny).astype(np.int64), ny - 1)
-        counts = np.bincount(ix * ny + iy, minlength=nx * ny)
+        counts = np.bincount(_bin(pts[:, 0], nx) * ny + _bin(pts[:, 1], ny), minlength=nx * ny)
         probs = self.cell_probs(nx, ny).ravel()
         return chi_square_gof(counts, probs / probs.sum())
 

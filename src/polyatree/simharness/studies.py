@@ -422,6 +422,17 @@ def run_2d_study(
 # Quantile regression study
 
 
+_BAND_X = (np.arange(16) + 0.5) / 16  # the quantreg family's 16 x-column centres: the study's and CLI's bands
+
+
+def _write_conformal(outdir: str, prefix: str, scores, band: conf.ConformalBand, meta: dict) -> None:
+    """LOO scores and band as `<prefix>scores.csv` and `<prefix>band.csv`."""
+    score_rows = [(i, f"{s:.8f}") for i, s in enumerate(scores)]
+    band_rows = [(f"{x:.6f}", f"{lo:.8f}", f"{hi:.8f}", a) for x, lo, hi, a in band.rows()]
+    write_csv(os.path.join(outdir, f"{prefix}scores.csv"), ["index", "score"], score_rows, meta)
+    write_csv(os.path.join(outdir, f"{prefix}band.csv"), ["x", "y_lower", "y_upper", "alpha"], band_rows, meta)
+
+
 @dataclass(eq=False)
 class QuantregResult:
     observations: np.ndarray
@@ -482,18 +493,7 @@ class QuantregResult:
             rows,
             self.meta,
         )
-        write_csv(
-            os.path.join(outdir, "quantreg_scores.csv"),
-            ["index", "score"],
-            [(i, f"{s:.8f}") for i, s in enumerate(self.loo_scores)],
-            self.meta,
-        )
-        write_csv(
-            os.path.join(outdir, "quantreg_band.csv"),
-            ["x", "y_lower", "y_upper", "alpha"],
-            [(f"{x:.6f}", f"{lo:.8f}", f"{hi:.8f}", a) for x, lo, hi, a in self.band.rows()],
-            self.meta,
-        )
+        _write_conformal(outdir, "quantreg_", self.loo_scores, self.band, self.meta)
         with open(os.path.join(outdir, "quantreg_credible_region.json"), "w") as fh:
             json.dump(
                 {"alpha": self.meta["credible_alpha"], "boxes": pred.region_to_json_obj(self.credible_boxes)},
@@ -531,8 +531,7 @@ def run_quantreg_study(
     credible_boxes = pred.credible_prediction_set(mixture, credible_alpha)
     config = conf.ConformalConfig(family, a0=a0, draws_per_seg=conformal_draws, seed=seed)
     scores = conf.loo_scores(observations, config)
-    x_cols = (np.arange(16) + 0.5) / 16
-    band = conf.conformal_band(observations, x_cols, conformal_alpha, config, y_grid_size)
+    band = conf.conformal_band(observations, _BAND_X, conformal_alpha, config, y_grid_size)
     meta = {
         "study": "quantreg",
         "m": m,

@@ -17,15 +17,14 @@ from polyatree.conformal import (
 )
 from polyatree.hbeta import leaf_predictive_masses
 from polyatree.posterior import _levels, _moved, fit
-from polyatree.predictive import _bin, build_mixture, grid_mass_matrix
-from polyatree.segmentation import SegmentationFamily, _locate, _nodes, build, enumerate_balanced_family
+from polyatree.predictive import build_mixture, grid_mass_matrix
+from polyatree.segmentation import SegmentationFamily, _bin, _locate, _nodes, build, enumerate_balanced_family
 from polyatree.simharness.studies import quantreg_family, segmentations_2d
 
 
 def swapped_scores(scorer, cand):
     """Swapped-set scores of the training points with one candidate (2,)."""
-    cands = cand[None]
-    return scorer.swapped(cands, scorer.cell_of(cands)[0])[0]
+    return scorer.scores(cand[None])[: scorer.m]
 
 
 def tiny_family():
@@ -84,7 +83,7 @@ class TestExactScorer:
                 ]
             )
             assert np.allclose(fast, slow, atol=1e-10)
-            assert scorer.score_point(cand) == pytest.approx(
+            assert scorer.scores(np.atleast_2d(cand))[-1] == pytest.approx(
                 brute_force_score(train, fam, 1.0, cand), abs=1e-12
             )
 
@@ -94,7 +93,7 @@ class TestExactScorer:
         train = rng.uniform(size=(9, 2))
         scorer = _Scorer(train, ConformalConfig(fam, a0=2.0))
         for cand in (np.array([0.63, 0.31]), np.array([1.0, 0.0]), train[3], None):
-            fast = scorer.loo_scores() if cand is None else swapped_scores(scorer, cand)
+            fast = scorer.scores() if cand is None else swapped_scores(scorer, cand)
             slow = np.array(
                 [
                     brute_force_score(
@@ -110,7 +109,7 @@ class TestExactScorer:
             )
             assert np.allclose(fast, slow, atol=1e-10)
             if cand is not None:
-                assert scorer.score_point(cand) == pytest.approx(
+                assert scorer.scores(np.atleast_2d(cand))[-1] == pytest.approx(
                     brute_force_score(train, fam, 2.0, cand), abs=1e-12
                 )
 
@@ -122,7 +121,7 @@ class TestExactScorer:
         fam = tiny_family()
         train = rng.uniform(size=(m, 2))
         scorer = _Scorer(train, ConformalConfig(fam, a0=a0))
-        fast = scorer.loo_scores()
+        fast = scorer.scores()
         slow = np.array(
             [
                 brute_force_score(np.delete(train, i, axis=0), fam, a0, train[i])
@@ -189,10 +188,10 @@ class TestReferencePass:
         cands = np.vstack([train[:1], gen.uniform(size=(6, 2)), [[0.4, 0.0], [0.7, 1.0]]])[: 1 if draws else None]
         scorer = _Scorer(train, config)
         ref = reference_pass(config, train, fit(train, config.family, a0).stack, train)
-        np.testing.assert_allclose(scorer.loo_scores(), ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scorer.scores(), ref, rtol=0, atol=1e-12)
         p_below, p_above = _pvalue_tables(scorer, cands)
         for i, cand in enumerate(cands):
-            a_train, a_cand = scorer.swapped(cand[None], scorer.cell_of(cand[None])[0])
+            a_train, a_cand = np.split(scorer.scores(cand[None]), [scorer.m])
             augmented = np.vstack([train, cand])
             ref = reference_pass(config, train, fit(augmented, config.family, a0).stack, augmented, m)
             np.testing.assert_allclose(np.append(a_train, a_cand), ref, rtol=0, atol=1e-12)
@@ -263,7 +262,7 @@ class TestConformityScore:
         train = dens.sample(1000, gen)
         test = dens.sample(300, gen)
         scorer = _Scorer(train, ConformalConfig(quantreg_family()))
-        scores = np.array([scorer.score_point(p) for p in test])
+        scores = np.array([scorer.scores(np.atleast_2d(p))[-1] for p in test])
         assert kstest(scores, "uniform").pvalue > 0.01
 
     def test_mixture_scores_approach_exact(self, rng):
@@ -286,7 +285,7 @@ class TestConformityScore:
             for i in range(7)
         ]
         np.testing.assert_allclose(swapped_scores(scorer, cand), slow, rtol=0, atol=1e-12)
-        assert scorer.score_point(cand) == pytest.approx(
+        assert scorer.scores(np.atleast_2d(cand))[-1] == pytest.approx(
             brute_force_score(train, fam, 0.8, cand, 2, 5), abs=1e-12
         )
 
@@ -297,7 +296,7 @@ class TestConformityScore:
         for seed in range(30):
             train = np.random.default_rng(seed).uniform(size=(12, 2))
             scorer = _Scorer(train, ConformalConfig(tiny_family(), draws_per_seg=draws, seed=seed))
-            assert swapped_scores(scorer, train[3])[3] == scorer.score_point(train[3])
+            assert swapped_scores(scorer, train[3])[3] == scorer.scores(np.atleast_2d(train[3]))[-1]
 
     def test_mixture_scores_deterministic_given_seed(self, rng):
         fam = tiny_family()
@@ -518,7 +517,7 @@ class TestBandReuse:
         for ix, x in enumerate(xs):
             for iy, y in enumerate(band.y_grid):
                 cand = np.array([x, y])
-                a_cand = scorer.score_point(cand)
+                a_cand = scorer.scores(np.atleast_2d(cand))[-1]
                 a_train = swapped_scores(scorer, cand)
                 assert band.p_below[ix, iy] == (1 + np.sum(a_train <= a_cand)) / (m + 1)
                 assert band.p_above[ix, iy] == (1 + np.sum(a_train >= a_cand)) / (m + 1)

@@ -1,6 +1,8 @@
-"""The README's library example runs, and every name a layer module
-exports resolves: the benchmark tracer looks each one up by name."""
+"""The README's library example runs, every name a layer module exports
+resolves (the benchmark tracer looks each one up by name), and so does
+every package name the benchmark's workloads call."""
 
+import functools
 import importlib
 import os
 import re
@@ -27,3 +29,16 @@ def test_layer_exports_resolve_in_their_module(layer):
     # a name the tracer finds but that is defined elsewhere is never timed
     mod = importlib.import_module(f"polyatree.{layer}")
     assert [name for name in mod.__all__ if getattr(getattr(mod, name, None), "__module__", None) != mod.__name__] == []
+
+
+def test_benchmark_workload_names_resolve():
+    # the workloads call the package as `pt`; a name they use that is gone fails the benchmark run
+    import polyatree as pt
+
+    names = set(re.findall(r"\bpt\.(\w+(?:\.\w+)*)", (ROOT / "bench" / "workloads.py").read_text()))
+    assert len(names) >= 20 and "posterior.LogGammaTables" in names
+
+    def resolve(name):
+        return functools.reduce(lambda obj, part: getattr(obj, part, None), name.split("."), pt)
+
+    assert [name for name in sorted(names) if resolve(name) is None] == []

@@ -220,6 +220,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ColumnSchema("x", "other")
 
+    def test_repeated_level_rejected(self):
+        # a repeated level would be encoded as a non-reference dummy of its own
+        with pytest.raises(ValueError, match="categorical column 'x' repeats a level"):
+            ColumnSchema("x", "categorical", ("a", "b", "a"))
+
+    @pytest.mark.parametrize(
+        "obj, key", [({"columns": [{"name": "a"}]}, "kind"), ({"columns": [{"kind": "continuous"}]}, "name"),
+                     ({"cols": []}, "columns")]
+    )
+    def test_schema_missing_key_rejected(self, tmp_path, obj, key):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"schema .* has no '{key}'"):
+            read_schema(path)
+
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=15)

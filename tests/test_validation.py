@@ -10,7 +10,7 @@ import pytest
 
 import polyatree
 from polyatree.conformal import ConformalConfig, conformal_band, conformal_pvalue, conformity_score, loo_scores
-from polyatree.encoding import ColumnSchema, decode, encode, fit_encoding
+from polyatree.encoding import ColumnSchema, decode, encode, fit_encoding, read_table
 from polyatree.hbeta import (
     accumulate_counts,
     conditional_predictive_density,
@@ -99,6 +99,22 @@ A0_ENTRIES = {
 def test_bad_a0_rejected(entry, a0):
     with pytest.raises(ValueError, match="a0 must be finite and positive"):
         A0_ENTRIES[entry](a0)
+
+
+@pytest.mark.parametrize("entry", sorted(A0_ENTRIES))
+@pytest.mark.parametrize("a0", [True, "1"])
+def test_non_number_a0_rejected(entry, a0):
+    # a bool is no a0 (it ran as 1.0), nor a string (it failed inside numpy)
+    with pytest.raises(ValueError, match="a0 must be a number"):
+        A0_ENTRIES[entry](a0)
+
+
+def test_long_row_rejected(tmp_path):
+    # csv.DictReader files the fields past the header under the key None, which no column reads
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n1,2\n3,4,5\n")
+    with pytest.raises(ValueError, match="data row 2 of .* has more fields than the header"):
+        read_table(path, [ColumnSchema("a", "continuous"), ColumnSchema("b", "continuous")])
 
 
 @pytest.mark.parametrize("train", [TRAIN, np.zeros((0, 2))], ids=["train", "empty"])
