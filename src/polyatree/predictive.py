@@ -18,11 +18,11 @@ both representations.  A leaf box's lower corner is its bits times its
 member's per-level corner steps, and its widths follow from the member's
 split counts, so no member's boxes are built one at a time.
 
-Both samplers run one kernel over the whole family: leaf laws only for
-the distinct drawn (member, draw) rows, every leaf by bisection of its
-row's CDF, every point in its leaf's box.  After the members (and draws),
-the doubles come from one call in sample order: every sample's leaf
-uniform, then every sample's in-box offsets.
+One sampler reads either representation and runs over the whole family:
+leaf laws only for the distinct drawn (member, draw) rows, every leaf by
+bisection of its row's CDF, every point in its leaf's box.  After the
+members (and a mixture's draws), the doubles come from one call in sample
+order: every sample's leaf uniform, then every sample's in-box offsets.
 """
 
 from __future__ import annotations
@@ -80,7 +80,11 @@ class MixtureApproximation:
     seed: int | None = None
 
     def __post_init__(self):
-        shape, want = np.shape(self.pis), (len(self.family), 1 << self.family.depth)
+        w, members = self.weights, len(self.family)
+        if not (isinstance(w, np.ndarray) and w.shape == (members,) and w.dtype.kind == "f"
+                and np.all(np.isfinite(w) & (w >= 0.0)) and abs(w.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"weights must be a 1-D array of {members} finite, non-negative floats summing to 1")
+        shape, want = np.shape(self.pis), (members, 1 << self.family.depth)
         if len(shape) != 3 or shape[::2] != want or not shape[1]:
             raise ValueError(f"pis must have shape ({want[0]}, draws >= 1, {want[1]}), got {shape}")
 
@@ -211,22 +215,35 @@ def leaf_boxes(seg: Segmentation) -> tuple[np.ndarray, np.ndarray]:
     return lo, lo + 0.5 ** seg.splits_per_dim()
 
 
-def _sample_components(family, weights, n, gen, draw_of_member, leaf_laws):
-    """Common sampling core: member ~ weights, leaf ~ its law, uniform in box.
+def sample_predictive(obj, n: int, rng=None) -> PredictiveSample:
+    """n independent draws from the predictive of a model or a mixture.
 
-    ``leaf_laws(members, draws)`` gives the leaf laws (rows, 2^L) of the
-    distinct drawn (member, draw) rows, sorted; draw -1 is the exact law.
-    A leaf is ``Generator.choice``'s right bisection of its row's CDF,
-    formed as choice forms it: each step finds one leaf bit and adds that
-    level's corner step."""
+    A member is chosen with its weight, then, for a mixture, one of its
+    draws, a leaf with that row's leaf law, and the point uniformly within
+    the leaf box.  A model's leaf law is its closed-form predictive leaf
+    masses (draw -1): marginalizing the node variables per sample, each
+    sample behaves as if it used its own fresh draw.  Leaf laws are built
+    only for the distinct drawn (member, draw) rows.  A leaf is
+    ``Generator.choice``'s right bisection of its row's CDF, formed as
+    choice forms it: each step finds one leaf bit and adds that level's
+    corner step.
+    """
+    family = _family(obj)
+    _check_count("n", n, 1)
+    gen, seed = _as_rng_and_seed(rng)
+    exact, weights = isinstance(obj, PosteriorModel), obj.weights  # a model computes its weights on each read
     member = gen.choice(len(family), size=n, p=weights / weights.sum())
-    draw = draw_of_member(member, gen)
+    draw = np.full(n, -1, np.int64) if exact else gen.integers(0, obj.draws_per_seg, size=n)
     ndim = family.ndim
     stream = gen.random(n * (1 + ndim))
     u, offset = stream[:n], stream[n:].reshape(n, ndim)  # leaf uniforms, then in-box offsets
     span = int(draw.max()) + 2  # (member, draw + 1) keys of leaf-law rows
     keys, row = np.unique(member * span + draw + 1, return_inverse=True)
-    law = leaf_laws(keys // span, keys % span - 1)
+    rows = keys // span
+    if exact:
+        law = leaf_predictive_masses(tuple(c[rows] for c in obj.stack), obj.a0)
+    else:
+        law = obj.pis[rows, keys % span - 1]
     p = law / law.sum(axis=1, keepdims=True)
     if not np.all(p >= 0.0):  # NaN fails too: Generator.choice's check
         raise ValueError("leaf probabilities must be finite, non-negative and not all zero")
@@ -240,54 +257,13 @@ def _sample_components(family, weights, n, gen, draw_of_member, leaf_laws):
         leaf += bit << (depth - 1 - l)
         lo += bit[:, None] * family._steps[member, l]
     cls, scale = family._table[:2]
-    return lo + offset * (1.0 / scale[cls[member], 0]), member, draw, leaf
-
-
-def sample_predictive(mix: MixtureApproximation, n: int, rng=None) -> PredictiveSample:
-    """n independent draws from the mixture approximation.
-
-    A component (member, draw) is chosen with weight Pr(member)/draws_per_seg,
-    a leaf with that component's leaf probabilities, and the point uniformly
-    within the leaf box.  One kernel samples the whole family; only the
-    drawn components' rows of ``pis`` are read.
-    """
-    _check_count("n", n, 1)
-    gen, seed = _as_rng_and_seed(rng)
-    points, member, draw, leaf = _sample_components(
-        mix.family,
-        mix.weights,
-        n,
-        gen,
-        lambda member, g: g.integers(0, mix.draws_per_seg, size=member.size),
-        lambda members, draws: mix.pis[members, draws],
-    )
-    return PredictiveSample(points, seed, member, draw, leaf)
+    return PredictiveSample(lo + offset * (1.0 / scale[cls[member], 0]), seed, member, draw, leaf)
 
 
 def sample_posterior_predictive(model: PosteriorModel, n: int, rng=None) -> PredictiveSample:
-    """n independent draws from the exact posterior predictive.
-
-    Marginalizing the node variables per draw makes the leaf law the
-    closed-form predictive leaf masses, so no probability vectors need to
-    be drawn; each sample behaves as if it used its own fresh draw.  One
-    kernel samples the whole family; leaf masses are computed only for the
-    drawn members' rows of the count stack.
-    """
-    _check_count("n", n, 1)
-    gen, seed = _as_rng_and_seed(rng)
-
-    def laws(members, _):
-        return leaf_predictive_masses(tuple(c[members] for c in model.stack), model.a0)
-
-    points, member, draw, leaf = _sample_components(
-        model.family,
-        model.weights,
-        n,
-        gen,
-        lambda member, g: np.full(member.size, -1, dtype=np.int64),
-        laws,
-    )
-    return PredictiveSample(points, seed, member, draw, leaf)
+    """`sample_predictive` of a model, kept as a name because the benchmark
+    workloads call it."""
+    return sample_predictive(model, n, rng)
 
 
 def _as_boxes(region) -> list[Box]:

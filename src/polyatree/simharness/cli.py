@@ -206,7 +206,8 @@ def _cmd_conformal(args) -> None:
         seed=args.seed,
     )
     band = conf.conformal_band(points, studies._BAND_X, args.alpha, config, args.grid)
-    meta = {"command": "conformal", "alpha": args.alpha, "a0": args.a0, "seed": args.seed, "m": len(points)}
+    meta = {"command": "conformal", "alpha": args.alpha, "a0": args.a0, "seed": args.seed, "m": len(points),
+            "grid": args.grid, "draws_per_seg": args.draws_per_seg}
     studies._write_conformal(args.out, "", conf.loo_scores(points, config), band, meta)
 
 
@@ -227,11 +228,8 @@ def _cmd_fit(args) -> None:
 def _cmd_sample(args) -> None:
     model = _load_model(args.model)
     gen = np.random.default_rng(args.seed)
-    if args.draws_per_seg:
-        mix = pred.build_mixture(model, args.draws_per_seg, gen)
-        sample = pred.sample_predictive(mix, args.n, gen)
-    else:
-        sample = pred.sample_posterior_predictive(model, args.n, gen)
+    obj = pred.build_mixture(model, args.draws_per_seg, gen) if args.draws_per_seg else model
+    sample = pred.sample_predictive(obj, args.n, gen)
     header = [f"u{j}" for j in range(1, model.family.ndim + 1)] + ["member", "draw"]
     rows = [
         tuple(f"{v:.8f}" for v in p) + (int(j), int(h))

@@ -40,7 +40,6 @@ from .densities import (
     CategoricalGaussianMixture,
     LogisticStripDensity,
     LogitNormalRegression,
-    PiecewiseLinearDensity,
 )
 
 __all__ = [
@@ -109,9 +108,9 @@ def highdim_family(
     return union_families(subfamilies)
 
 
-def move_prefix_to_suffix(seg: Segmentation, k: int = 2) -> Segmentation:
-    """Rotate the first k splitting dims to the end of the ordering."""
-    return Segmentation(seg.dims[k:] + seg.dims[:k], seg.ndim)
+def move_prefix_to_suffix(seg: Segmentation) -> Segmentation:
+    """Rotate the first two splitting dims to the end of the ordering."""
+    return Segmentation(seg.dims[2:] + seg.dims[:2], seg.ndim)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +168,13 @@ class Table1Result:
 
 def run_table1(a0_values=(0.1, 1.0, 10.0), out: str | None = None) -> Table1Result:
     family, points = table1_family(), table1_points()
+    a0_values = tuple(dict.fromkeys(a0_values))  # a repeated a0 counts once
     weights, log_unnorm = {}, {}
     for a0 in a0_values:
         model = fit(points, family, a0)
         weights[a0] = model.weights
         log_unnorm[a0] = model.log_unnormalized
-    result = Table1Result(tuple(a0_values), weights, log_unnorm)
+    result = Table1Result(a0_values, weights, log_unnorm)
     if out:
         result.write(out)
     return result
@@ -212,6 +212,7 @@ def run_prior_cdf_study(
     a0_values=(0.1, 1.0, 10.0), draws: int = 50, depth: int = 10, seed: int = 0, out=None
 ) -> PriorCdfResult:
     _check_count("draws", draws, 1)
+    a0_values = tuple(dict.fromkeys(a0_values))  # a repeated a0 counts once
     streams = np.random.SeedSequence(seed).spawn(len(a0_values))
     curves, dispersion = {}, {}
     n_leaf = 1 << depth
@@ -242,7 +243,6 @@ def run_1d_study(
     runs: int,
     depths=(10, 5, 3),
     seed: int = 0,
-    density: PiecewiseLinearDensity | None = None,
     out=None,
 ) -> ErrorReport:
     """Pointwise mean and root-MSE of the tree-smoothed density estimator
@@ -256,7 +256,7 @@ def run_1d_study(
     """
     _check_count("m", m, 1)
     _check_count("runs", runs, 1)
-    density = density or DEFAULT_1D_DENSITY
+    density = DEFAULT_1D_DENSITY
     depths = tuple(depths)
     if not depths:
         raise ValueError("depths must name at least one depth")
@@ -423,6 +423,7 @@ def run_2d_study(
 
 
 _BAND_X = (np.arange(16) + 0.5) / 16  # the quantreg family's 16 x-column centres: the study's and CLI's bands
+_CREDIBLE_ALPHA = 0.10  # the quantreg study's credible band level
 
 
 def _write_conformal(outdir: str, prefix: str, scores, band: conf.ConformalBand, meta: dict) -> None:
@@ -507,9 +508,7 @@ def run_quantreg_study(
     a0: float = 1.0,
     draws_per_seg: int = 50,
     n_samples: int = 2000,
-    credible_alpha: float = 0.10,
     conformal_alpha: float = 0.05,
-    conformal_draws: int | None = None,
     y_grid_size: int | None = None,
     out=None,
 ) -> QuantregResult:
@@ -528,8 +527,8 @@ def run_quantreg_study(
     posterior_quantiles_exact = {q: pred.quantile_curve(q, model) for q in q_levels}
     xs = np.linspace(0.005, 0.995, 199)
     true_quantiles = {q: density.conditional_quantile(xs, q) for q in q_levels}
-    credible_boxes = pred.credible_prediction_set(mixture, credible_alpha)
-    config = conf.ConformalConfig(family, a0=a0, draws_per_seg=conformal_draws, seed=seed)
+    credible_boxes = pred.credible_prediction_set(mixture, _CREDIBLE_ALPHA)
+    config = conf.ConformalConfig(family, a0=a0, seed=seed)
     scores = conf.loo_scores(observations, config)
     band = conf.conformal_band(observations, _BAND_X, conformal_alpha, config, y_grid_size)
     meta = {
@@ -539,8 +538,9 @@ def run_quantreg_study(
         "a0": a0,
         "draws_per_seg": draws_per_seg,
         "n_samples": n_samples,
-        "credible_alpha": credible_alpha,
+        "credible_alpha": _CREDIBLE_ALPHA,
         "conformal_alpha": conformal_alpha,
+        "y_grid_size": y_grid_size,
     }
     result = QuantregResult(
         observations,
@@ -636,7 +636,7 @@ def run_highdim_study(
     pairs = [tuple(sorted(set(d for d in seg.dims if d <= 8))) for seg in family]
     swapped_family = SegmentationFamily(tuple(move_prefix_to_suffix(seg) for seg in family))
     swapped = fit(points, swapped_family, a0).log_unnormalized
-    sample = pred.sample_posterior_predictive(model, n, sample_rng)
+    sample = pred.sample_predictive(model, n, sample_rng)
     dummy_high = sample.points[:, 8:10] >= 0.5
     valid = ~(dummy_high[:, 0] & dummy_high[:, 1])  # both dummies high names no level
     decoded = decode(sample.points[valid], spec, sample_rng)

@@ -185,6 +185,15 @@ class TestModelCommands:
         scores = (out / "scores.csv").read_text().splitlines()
         assert len(scores) == 10
 
+    def test_metadata_names_grid_and_draws(self, tmp_path, rng):
+        data_path = tmp_path / "data.csv"
+        write_points_csv(data_path, rng.uniform(size=(8, 2)))
+        assert main(["conformal", "--data", str(data_path), "--grid", "5", "--out", str(tmp_path / "c")]) == 0
+        meta = read_meta(tmp_path / "c" / "band.csv")
+        assert meta["grid"] == 5 and meta["draws_per_seg"] == 0
+        argv = ["quantreg", "--m", "5", "--draws-per-seg", "2", "--n-samples", "10", "--grid", "5"]
+        assert main(argv + ["--out", str(tmp_path / "q")]) == 0
+        assert read_meta(tmp_path / "q" / "quantreg_band.csv")["y_grid_size"] == 5
 
     def test_saved_model_reloads_bit_for_bit(self, tmp_path, rng):
         # seven depth-4 members in four split-count classes; the loader sums

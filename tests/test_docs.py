@@ -1,16 +1,19 @@
-"""The README's library example runs, every name a layer module exports
-resolves (the benchmark tracer looks each one up by name), and so does
-every package name the benchmark's workloads call."""
+"""The README's library example runs and its CLI lines parse, every name a
+layer module exports resolves (the benchmark tracer looks each one up by
+name), and so does every package name the benchmark's workloads call."""
 
 import functools
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from polyatree.simharness import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("segmentation", "hbeta", "posterior", "predictive", "conformal", "encoding")
@@ -22,6 +25,17 @@ def test_readme_python_example_runs():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_cli_lines_parse():
+    # parsing only: a line naming a removed option or command exits with status 2
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    argvs = [argv[1:] for argv in lines if argv[:1] == ["polyatree"]]
+    parser = cli.build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
+    assert sorted({argv[0] for argv in argvs}) == sorted(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("layer", LAYERS)

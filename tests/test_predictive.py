@@ -403,8 +403,9 @@ class TestGridMassMatrix:
             lambda obj: grid_mass_matrix(obj),
             lambda obj: credible_prediction_set(obj, 0.1),
             lambda obj: mixture_predictive_density([0.5, 0.5], obj),
+            lambda obj: sample_predictive(obj, 3),
         ],
-        ids=["grid", "credible", "density"],
+        ids=["grid", "credible", "density", "sample"],
     )
     def test_rejects_other_types(self, call):
         with pytest.raises(TypeError, match="expected MixtureApproximation or PosteriorModel"):
@@ -475,7 +476,9 @@ def _reference_samples(obj, n, seed):
 
 
 def _assert_samplers_match(model, mix, n, seed):
-    for obj, sampler in ((mix, sample_predictive), (model, sample_posterior_predictive)):
+    for obj, sampler in (
+        (mix, sample_predictive), (model, sample_predictive), (model, sample_posterior_predictive),
+    ):
         got = sampler(obj, n, seed)
         for a, b in zip((got.points, got.member_index, got.draw_index, got.leaf_index), _reference_samples(obj, n, seed)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -565,17 +568,20 @@ class TestSamplingKernel:
     def test_uniform_on_a_cdf_step_takes_the_next_leaf(self):
         # Generator.choice searches its CDF to the right: a uniform equal to
         # the CDF at leaf i picks leaf i + 1
-        class Stub:
+        class Stub(np.random.Generator):
             def choice(self, k, size, p):
+                return np.zeros(size, np.int64)
+
+            def integers(self, low, high, size):
                 return np.zeros(size, np.int64)
 
             def random(self, size):
                 return np.array([0.25, 0.5, 0.75, 0.0] + [0.5] * 4)[:size]
 
         fam = SegmentationFamily((build((1, 1), 1),))
-        points, _, _, leaf = predictive._sample_components(
-            fam, np.ones(1), 4, Stub(), lambda m, g: np.full(m.size, -1), lambda j, h: np.full((j.size, 4), 0.25)
-        )
+        mix = MixtureApproximation(fam, np.ones(1), np.full((1, 1, 4), 0.25))
+        sample = sample_predictive(mix, 4, Stub(np.random.PCG64(0)))
+        points, leaf = sample.points, sample.leaf_index
         assert leaf.tolist() == [1, 2, 3, 0]
         assert points[:, 0].tolist() == [0.375, 0.625, 0.875, 0.125]
 

@@ -50,6 +50,11 @@ class TestTable1:
         meta = read_meta(tmp_path / "table1.csv")
         assert meta["study"] == "table1"
 
+    def test_repeated_a0_counts_once(self, tmp_path):
+        studies.run_table1((1.0, 1.0), out=tmp_path / "twice")
+        studies.run_table1((1.0,), out=tmp_path / "once")
+        assert (tmp_path / "twice" / "table1.csv").read_text() == (tmp_path / "once" / "table1.csv").read_text()
+
 
 class TestPriorCdf:
     def test_dispersion_decreases_and_curves_are_cdfs(self, tmp_path):
@@ -61,6 +66,12 @@ class TestPriorCdf:
             assert np.allclose(mat[:, -1], 1.0)
             assert np.all(np.diff(mat, axis=1) >= -1e-15)
         assert (tmp_path / "prior_cdf.csv").exists()
+
+    def test_repeated_a0_counts_once(self):
+        twice = studies.run_prior_cdf_study((1.0, 1.0), draws=3, depth=4)
+        once = studies.run_prior_cdf_study((1.0,), draws=3, depth=4)
+        assert list(twice.curves) == [1.0] and np.array_equal(twice.curves[1.0], once.curves[1.0])
+        assert twice.dispersion_median == once.dispersion_median
 
     def test_huge_a0_tracks_the_diagonal(self):
         res = studies.run_prior_cdf_study((1e6,), draws=10, depth=10, seed=0)

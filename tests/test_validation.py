@@ -20,6 +20,7 @@ from polyatree.hbeta import (
 )
 from polyatree.posterior import IncrementalModel, LogGammaTables, PosteriorModel, fit
 from polyatree.predictive import (
+    MixtureApproximation,
     build_mixture,
     mixture_predictive_density,
     sample_posterior_predictive,
@@ -203,6 +204,17 @@ def test_model_rejects_malformed_log_weights(log_w):
     model = fit(TRAIN, FAMILY, 1.0)
     with pytest.raises(ValueError, match="log_unnormalized must be a 1-D array of 2 finite floats"):
         PosteriorModel(FAMILY, model.counts, 1.0, log_w)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [-MODEL.weights, 2.0 * MODEL.weights, np.full(2, np.nan), np.ones(1)],
+    ids=["negated", "doubled", "nan", "short"],
+)
+def test_mixture_rejects_malformed_weights(weights):
+    pis = build_mixture(MODEL, 3, 0).pis
+    with pytest.raises(ValueError, match="weights must be a 1-D array of 2 finite, non-negative floats"):
+        MixtureApproximation(FAMILY, weights, pis)
 
 
 MODEL_EDITS = {
